@@ -35,21 +35,31 @@ _FEAT_MAGIC = b"OFG1"
 PathLike = Union[str, Path]
 
 
-def _read_header(path: Path, magic: bytes, n_fields: int) -> tuple[int, ...]:
+def _read_raster(path: Path, magic: bytes, n_fields: int) -> tuple[tuple[int, ...], memoryview]:
+    """Header fields of a binary raster and the payload bytes after them,
+    from one read of the file."""
     size = len(magic) + 4 * n_fields
     blob = path.read_bytes()
     if len(blob) < size:
         raise SchemaError(f"{path}: truncated header (need {size} bytes, have {len(blob)})")
     if blob[: len(magic)] != magic:
         raise SchemaError(f"{path}: bad magic {blob[:len(magic)]!r}, expected {magic!r}")
-    return struct.unpack_from(f"<{n_fields}I", blob, len(magic)) + (size,)
+    return struct.unpack_from(f"<{n_fields}I", blob, len(magic)), memoryview(blob)[size:]
 
 
-def _read_payload(path: Path, offset: int, count: int) -> np.ndarray:
-    data = np.fromfile(path, dtype="<f4", offset=offset)
-    if data.size != count:
-        raise SchemaError(f"{path}: expected {count} float32 values, found {data.size}")
-    return data.astype(np.float64)
+def _payload(path: Path, raw: memoryview, count: int) -> np.ndarray:
+    found = len(raw) // 4
+    if found != count:
+        raise SchemaError(f"{path}: expected {count} float32 values, found {found}")
+    return np.frombuffer(raw, dtype="<f4", count=count).astype(np.float64)
+
+
+def _build(path: Path, make, *args, **kwargs):
+    """Construct a raster object, naming the file when its checks fail."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def write_depth(path: PathLike, depth: DepthMap) -> None:
@@ -62,9 +72,9 @@ def write_depth(path: PathLike, depth: DepthMap) -> None:
 
 def read_depth(path: PathLike) -> DepthMap:
     path = Path(path)
-    width, height, offset = _read_header(path, _DEPTH_MAGIC, 2)
-    data = _read_payload(path, offset, width * height)
-    return DepthMap(data.reshape(height, width))
+    (width, height), raw = _read_raster(path, _DEPTH_MAGIC, 2)
+    data = _payload(path, raw, width * height)
+    return _build(path, DepthMap, data.reshape(height, width))
 
 
 def write_occupancy(path: PathLike, grid: OccupancyGrid) -> None:
@@ -78,11 +88,11 @@ def write_occupancy(path: PathLike, grid: OccupancyGrid) -> None:
 
 def read_occupancy(path: PathLike) -> OccupancyGrid:
     path = Path(path)
-    lead, rows, cols, bins, offset = _read_header(path, _OCC_MAGIC, 4)
+    (lead, rows, cols, bins), raw = _read_raster(path, _OCC_MAGIC, 4)
     if lead != 1:
         raise SchemaError(f"{path}: leading dimension must be 1, got {lead}")
-    data = _read_payload(path, offset, rows * cols * bins)
-    return OccupancyGrid(data.reshape(rows, cols, bins))
+    data = _payload(path, raw, rows * cols * bins)
+    return _build(path, OccupancyGrid, data.reshape(rows, cols, bins))
 
 
 def write_features(path: PathLike, grid: FeatureGrid) -> None:
@@ -96,9 +106,9 @@ def write_features(path: PathLike, grid: FeatureGrid) -> None:
 
 def read_features(path: PathLike) -> FeatureGrid:
     path = Path(path)
-    channels, rows, cols, stride, offset = _read_header(path, _FEAT_MAGIC, 4)
-    data = _read_payload(path, offset, channels * rows * cols)
-    return FeatureGrid(data.reshape(channels, rows, cols), stride=stride)
+    (channels, rows, cols, stride), raw = _read_raster(path, _FEAT_MAGIC, 4)
+    data = _payload(path, raw, channels * rows * cols)
+    return _build(path, FeatureGrid, data.reshape(channels, rows, cols), stride=stride)
 
 
 def _require(obj: dict, field: str, source: str) -> Any:

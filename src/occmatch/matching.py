@@ -222,6 +222,8 @@ def gumbel_select(
     hard: bool = False,
     granularity: str = "entry",
     return_choice: bool = False,
+    at: Optional[np.ndarray] = None,
+    log_mean: Optional[np.ndarray] = None,
 ):
     """Stochastically blend (soft) or pick (hard) among candidate matrices.
 
@@ -232,6 +234,12 @@ def gumbel_select(
     whole matrices by their mean log-confidence. A single candidate passes
     through unchanged. With return_choice=True also returns the winning
     candidate index per entry.
+
+    The candidates may be a subset of the entries of larger matrices, e.g.
+    (K, n) columns: `at` (shaped like the stack) then gives each entry's
+    position in the noise stream of the full stack, and `log_mean` (K,)
+    the full matrices' mean log-confidence. Every entry is computed on its
+    own, so the result equals the full selection at those entries.
     """
     if len(candidates) == 0:
         raise EmptyCandidatesError("no candidate matrices to select from")
@@ -248,10 +256,11 @@ def gumbel_select(
     logp = np.log(np.maximum(stack, 1e-300))
 
     if granularity == "entry":
-        scores = logp + gumbel_noise(rng, stack.shape)
+        scores = logp + gumbel_noise(rng, stack.shape, at=at)
     else:
-        flat_mean = logp.reshape(k, -1).mean(axis=1)
-        per_matrix = flat_mean + gumbel_noise(rng, (k,))
+        if log_mean is None:
+            log_mean = logp.reshape(k, -1).mean(axis=1)
+        per_matrix = np.asarray(log_mean, dtype=np.float64) + gumbel_noise(rng, (k,))
         scores = np.broadcast_to(
             per_matrix.reshape((k,) + (1,) * (stack.ndim - 1)), stack.shape
         )
@@ -268,15 +277,25 @@ def gumbel_select(
 
 
 def extract_matches(
-    p_hat: np.ndarray, threshold: float, mutual: bool = True
+    p_hat: np.ndarray,
+    threshold: float,
+    mutual: bool = True,
+    entries: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> list[Match]:
     """Entries of the selected confidence matrix that qualify as matches.
 
     mutual=True keeps (i, j) only when j is the argmax of row i and i the
     argmax of column j (ties resolved to the smaller index, numpy argmax
     order). Output is sorted by (patch_a, patch_b).
+
+    With entries=(rows, cols), p_hat holds only the values at those
+    entries, and every entry left out must lie below threshold. Such an
+    entry can neither qualify nor beat or tie one that does, so the
+    result is the one the dense matrix gives.
     """
     p = np.asarray(p_hat, dtype=np.float64)
+    if entries is not None:
+        return _extract_listed(p, *entries, threshold, mutual)
     matches: list[Match] = []
     if mutual:
         row_best = np.argmax(p, axis=1)
@@ -288,6 +307,28 @@ def extract_matches(
         for i, j in np.argwhere(p >= threshold):
             matches.append(Match(int(i), int(j), float(p[i, j])))
     return matches
+
+
+def _best_per_group(group: np.ndarray, other: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mask of each group's highest value, ties to the smallest `other`."""
+    order = np.lexsort((other, -v, group))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = group[order[1:]] != group[order[:-1]]
+    best = np.zeros(order.size, dtype=bool)
+    best[order[first]] = True
+    return best
+
+
+def _extract_listed(
+    v: np.ndarray, rows: np.ndarray, cols: np.ndarray, threshold: float, mutual: bool
+) -> list[Match]:
+    keep = v >= threshold
+    v, rows, cols = v[keep], np.asarray(rows)[keep], np.asarray(cols)[keep]
+    if mutual:
+        keep = _best_per_group(rows, cols, v) & _best_per_group(cols, rows, v)
+        v, rows, cols = v[keep], rows[keep], cols[keep]
+    order = np.lexsort((cols, rows))
+    return [Match(int(rows[x]), int(cols[x]), float(v[x])) for x in order]
 
 
 def _class_nll(p_hat: np.ndarray, pairs: list[tuple[int, int]]) -> float:
@@ -383,16 +424,33 @@ class MatchResult:
     """Everything cmd-level consumers need from one matching run."""
 
     matches: list[Match]
-    confidence: np.ndarray
-    branch_choice: np.ndarray
     branches: list[tuple[float, float]]
     grid_a: tuple[int, int]
     grid_b: tuple[int, int]
 
 
+# Relative margin below the match threshold within which an entry still
+# counts as a candidate. Soft selection blends the K branch confidences with
+# weights that sum to 1 only up to rounding, which can lift the blend a few
+# ulps above its largest input (hard selection returns one of the inputs).
+# The same margin in log space covers the rounding of the softmax bound.
+_BLEND_MARGIN = 1e-9
+
+
 def _unit_features(f: FeatureGrid) -> FeatureGrid:
     norms = np.linalg.norm(f.values, axis=0, keepdims=True)
     return FeatureGrid(f.values / np.maximum(norms, 1e-12), stride=f.stride)
+
+
+def _can_reach(s: np.ndarray, log_floor: float) -> np.ndarray:
+    """Flat indices of the entries of a score matrix whose dual-softmax
+    confidence can reach exp(log_floor): a confidence is at most its
+    row-softmax and its column-softmax factor, and each factor at most
+    exp(s - max) along its own axis. The shifted scores are the ones the
+    softmax computes; the column test runs only where the row test held."""
+    flat = np.flatnonzero(s - s.max(axis=1, keepdims=True) >= log_floor)
+    col_max = s.max(axis=0)[flat % s.shape[1]]
+    return flat[s.ravel()[flat] - col_max >= log_floor]
 
 
 def _anchor_cell(patch_row: int, patch_col: int, ratio: int) -> tuple[int, int]:
@@ -414,32 +472,63 @@ def match_pair(
 ) -> MatchResult:
     """Full coarse-to-fine matching of one image pair.
 
-    Builds the candidate confidence matrices for every rotation branch,
-    gumbel-selects among them, extracts matches, and (when fine grids are
-    provided) refines each match to sub-pixel points: the A point anchors
-    at the matched patch's central fine cell, the B point comes from the
-    expectation over a softmaxed fine-correlation window.
+    Gumbel-selects among the rotation branches' confidence matrices,
+    extracts matches, and (when fine grids are provided) refines each match
+    to sub-pixel points: the A point anchors at the matched patch's central
+    fine cell, the B point comes from the expectation over a softmaxed
+    fine-correlation window.
+
+    The result equals extract_matches(gumbel_select(<every branch's dense
+    dual_softmax>, ...)), but only candidate entries, those at or just below
+    the threshold in some branch, are selected among: no other entry can
+    qualify, nor beat or tie one that does in the mutual check. The
+    candidates are found from each branch's score maxima, then each
+    branch's confidences are computed again and kept only there, so one
+    branch's dense matrices are alive at a time.
     """
-    candidates = []
     branches = cfg.branches()
-    for theta_a, theta_b in branches:
-        # Re-normalize after averaging: the 5-tap mean shrinks vector norms
-        # unevenly, and the scores should compare directions only.
-        bar_a = _unit_features(rotation_align(coarse_a, theta_a))
-        bar_b = _unit_features(rotation_align(coarse_b, theta_b))
-        candidates.append(dual_softmax(score_matrix(bar_a, bar_b, cfg.temperature)))
+    # Each (view, angle) is aligned once; the branches share the 0-degree
+    # grids. Re-normalize after averaging: the 5-tap mean shrinks vector
+    # norms unevenly, and the scores should compare directions only.
+    bar_a = {t: _unit_features(rotation_align(coarse_a, t))
+             for t in dict.fromkeys(ta for ta, _ in branches)}
+    bar_b = {t: _unit_features(rotation_align(coarse_b, t))
+             for t in dict.fromkeys(tb for _, tb in branches)}
+    ga, gb = coarse_a.grid_shape, coarse_b.grid_shape
+    na, nb = ga[0] * ga[1], gb[0] * gb[1]
+
+    floor = cfg.match_threshold * (1.0 - _BLEND_MARGIN)
+    log_floor = math.log(floor) - _BLEND_MARGIN if floor > 0 else -math.inf
+    index = np.unique(np.concatenate([
+        _can_reach(score_matrix(bar_a[theta_a], bar_b[theta_b], cfg.temperature), log_floor)
+        for theta_a, theta_b in branches
+    ]))
+
+    confidence = np.empty((len(branches), index.size))
+    log_mean = np.empty(len(branches)) if cfg.gumbel_granularity == "matrix" else None
+    for k, (theta_a, theta_b) in enumerate(branches):
+        p = dual_softmax(score_matrix(bar_a[theta_a], bar_b[theta_b], cfg.temperature))
+        confidence[k] = p.ravel()[index]
+        if log_mean is not None:
+            log_mean[k] = np.log(np.maximum(p, 1e-300)).mean()
+        del p  # before the next branch's matrices are built
+    keep = confidence.max(axis=0) >= floor
+    confidence, index = confidence[:, keep], index[keep]
+
     p_hat, choice = gumbel_select(
-        candidates,
+        confidence,
         cfg.gumbel_temperature,
         seed,
         hard=cfg.gumbel_hard,
         granularity=cfg.gumbel_granularity,
         return_choice=True,
+        at=index + na * nb * np.arange(len(branches))[:, None],
+        log_mean=log_mean,
     )
-    matches = extract_matches(p_hat, cfg.match_threshold, cfg.mutual)
-    ga, gb = coarse_a.grid_shape, coarse_b.grid_shape
+    matches = extract_matches(p_hat, cfg.match_threshold, cfg.mutual,
+                              entries=np.divmod(index, nb))
     for m in matches:
-        m.branch = branches[int(choice[m.patch_a, m.patch_b])]
+        m.branch = branches[int(choice[np.searchsorted(index, m.patch_a * nb + m.patch_b)])]
 
     if fine_a is not None and fine_b is not None:
         if coarse_a.stride % fine_a.stride or coarse_b.stride % fine_b.stride:
@@ -468,4 +557,4 @@ def match_pair(
                 _cell_center_px(refined.u, fine_b.stride),
                 _cell_center_px(refined.v, fine_b.stride),
             )
-    return MatchResult(matches, p_hat, choice, branches, ga, gb)
+    return MatchResult(matches, branches, ga, gb)

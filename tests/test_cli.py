@@ -204,6 +204,26 @@ class TestMatch:
         assert main(["match", "--pair", pair, "--match-threshold", "1.0"]) == 0
         assert read_matches(f"{pair}/matches.jsonl") == []
 
+    def test_zero_feature_stride_fails_with_file_name(self, fresh_pair, capsys):
+        pair = fresh_pair("identity")
+        path = Path(pair) / "coarse_a.ofg"
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = (0).to_bytes(4, "little")  # "OFG1", channels, rows, cols, stride
+        path.write_bytes(bytes(blob))
+        assert main(["match", "--pair", pair]) == 1
+        err = capsys.readouterr().err
+        assert "coarse_a.ofg" in err and "stride" in err
+
+    def test_nan_depth_fails_with_file_name(self, fresh_pair, capsys):
+        pair = fresh_pair("identity")
+        path = Path(pair) / "depth_a.odm"
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = np.array([np.nan], dtype="<f4").tobytes()  # first pixel
+        path.write_bytes(bytes(blob))
+        assert main(["voxelize", "--pair", pair]) == 1
+        err = capsys.readouterr().err
+        assert "depth_a.odm" in err and "finite" in err
+
 
 class TestConfigPrecedence:
     def test_fixture_overrides_beat_defaults(self, fresh_pair):

@@ -57,6 +57,36 @@ def unit_columns(channels: int, h: int, w: int, seed: int) -> FeatureGrid:
     return FeatureGrid(v, stride=8)
 
 
+def dense_candidates(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> list[np.ndarray]:
+    """Every branch's dense dual-softmax matrix, built as match_pair defines it."""
+    out = []
+    for theta_a, theta_b in cfg.branches():
+        bars = []
+        for f, theta in ((fa, theta_a), (fb, theta_b)):
+            v = rotation_align(f, theta).values
+            bars.append(FeatureGrid(v / np.maximum(np.linalg.norm(v, axis=0), 1e-12), f.stride))
+        out.append(dual_softmax(score_matrix(bars[0], bars[1], cfg.temperature)))
+    return out
+
+
+def dense_reference(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig, seed: int) -> list:
+    """(patch_a, patch_b, confidence, branch) of every match, selected and
+    extracted on the dense K x Na x Nb stack."""
+    p_hat, choice = gumbel_select(
+        dense_candidates(fa, fb, cfg), cfg.gumbel_temperature, seed,
+        hard=cfg.gumbel_hard, granularity=cfg.gumbel_granularity, return_choice=True,
+    )
+    branches = cfg.branches()
+    return [
+        (m.patch_a, m.patch_b, m.confidence, branches[choice[m.patch_a, m.patch_b]])
+        for m in extract_matches(p_hat, cfg.match_threshold, cfg.mutual)
+    ]
+
+
+def match_tuples(result) -> list:
+    return [(m.patch_a, m.patch_b, m.confidence, m.branch) for m in result.matches]
+
+
 class TestNeighborhoodMean:
     def test_constant_grid_is_unchanged(self):
         f = FeatureGrid(np.full((3, 4, 5), 2.5), stride=8)
@@ -434,8 +464,7 @@ class TestMatchPair:
         assert result.grid_a == (4, 4)
         pairs = {(m.patch_a, m.patch_b) for m in result.matches}
         assert pairs == {(i, i) for i in range(16)}
-        assert result.confidence.shape == (16, 16)
-        assert result.branch_choice.shape == (16, 16)
+        assert match_tuples(result) == dense_reference(f, f, MatchingConfig(), seed=0)
         assert all(m.point_a is None and m.point_b is None for m in result.matches)
 
     def test_same_seed_reproduces_bitwise(self):
@@ -443,13 +472,50 @@ class TestMatchPair:
         fb = unit_columns(32, 4, 4, seed=100)
         r1 = match_pair(fa, fb, seed=7)
         r2 = match_pair(fa, fb, seed=7)
-        assert np.array_equal(r1.confidence, r2.confidence)
-        assert [(m.patch_a, m.patch_b) for m in r1.matches] == [
-            (m.patch_a, m.patch_b) for m in r2.matches
-        ]
+        assert match_tuples(r1) == match_tuples(r2)
 
     def test_branches_recorded_on_matches(self):
         f = unit_columns(32, 3, 3, seed=101)
         result = match_pair(f, f, seed=0)
         branches = set(MatchingConfig().branches())
         assert all(m.branch in branches for m in result.matches)
+
+
+def tied_column_grid(seed: int) -> FeatureGrid:
+    """Four rows of four identical cells. The cells of a row align to equal
+    descriptors up to rounding, so many entries of a row of B tie exactly."""
+    rows = unit_columns(16, 4, 1, seed).values
+    return FeatureGrid(np.repeat(rows, 4, axis=2), stride=8)
+
+
+class TestSparseMatchesDense:
+    """match_pair selects only among candidate entries; the dense
+    gumbel_select / extract_matches pair is the oracle."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.2, 1.0])
+    @pytest.mark.parametrize("mutual", [True, False])
+    @pytest.mark.parametrize("granularity", ["entry", "matrix"])
+    @pytest.mark.parametrize("hard", [True, False])
+    def test_same_matches_as_the_dense_stack(self, hard, granularity, mutual, threshold):
+        cfg = MatchingConfig(gumbel_hard=hard, gumbel_granularity=granularity,
+                             mutual=mutual, match_threshold=threshold)
+        for seed in range(3):
+            grids = [
+                (unit_columns(16, 5, 6, 200 + seed), unit_columns(16, 6, 4, 300 + seed)),
+                (unit_columns(16, 4, 4, 400 + seed),) * 2,
+                (unit_columns(16, 5, 3, 500 + seed), tied_column_grid(seed)),
+            ]
+            for fa, fb in grids:
+                got = match_tuples(match_pair(fa, fb, cfg=cfg, seed=seed))
+                assert got == dense_reference(fa, fb, cfg, seed)
+
+    @pytest.mark.parametrize("granularity", ["entry", "matrix"])
+    def test_tied_confidences_keep_the_smaller_index(self, granularity):
+        fa, fb = unit_columns(16, 5, 3, 602), tied_column_grid(603)
+        cfg = MatchingConfig(gumbel_granularity=granularity, match_threshold=0.05)
+        p_hat = gumbel_select(dense_candidates(fa, fb, cfg), cfg.gumbel_temperature, 2,
+                              hard=True, granularity=granularity)
+        want = dense_reference(fa, fb, cfg, seed=2)
+        # A match that ties with another entry of its row: the argmax order decides.
+        assert any((p_hat[a] == conf).sum() > 1 for a, _, conf, _ in want)
+        assert match_tuples(match_pair(fa, fb, cfg=cfg, seed=2)) == want
