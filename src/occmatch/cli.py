@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,129 +47,131 @@ _ENV_SEED = "OCCMATCH_SEED"
 _PAIR_FILES = ("depth_a", "depth_b", "coarse_a", "coarse_b", "fine_a", "fine_b")
 
 
+# Flat setting names that differ from the field of the module config owning them.
+_RENAMED = {"margin_floor": "floor", "margin_relative": "relative",
+            "ransac_iterations": "max_iterations", "ransac_confidence": "confidence",
+            "seed": "rng_seed"}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Effective settings of one command after precedence merging.
 
-    Construction validates everything eagerly by building the owning
-    modules' config objects, so a bad value fails before any file is
-    touched.
+    The fields besides the module configs are the CLI's own settings; each
+    module-config field is a setting too, named as `_RENAMED` says or as the
+    field, in flags, --config files, manifests and the JSON echo.
     """
 
     patch_stride: int = 8
-    margin_floor: float = 0.05
-    margin_relative: float = 0.05
-    depth_bins: int = 64
-    d_min: float = 0.1
-    d_max: float = 10.0
-    temperature: float = 0.1
-    angles: tuple[float, ...] = (0.0, 30.0)
-    gumbel_temperature: float = 1.0
-    gumbel_hard: bool = True
-    gumbel_granularity: str = "entry"
-    match_threshold: float = 0.2
-    mutual: bool = True
-    fine_window: int = 5
-    fine_temperature: float = 0.25
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 1.0
-    lambda4: float = 0.1
-    ransac_iterations: int = 1000
-    inlier_threshold: float = 1e-3
-    ransac_confidence: float = 0.999
-    auc_thresholds: tuple[float, ...] = (5.0, 10.0, 20.0)
     channels: int = 128
-    seed: int = 0
+    auc_thresholds: tuple[float, ...] = (5.0, 10.0, 20.0)
     min_overlap: Optional[float] = None
     max_overlap: Optional[float] = None
     min_occlusion: Optional[float] = None
+    margin: OcclusionMargin = field(default_factory=OcclusionMargin)
+    occupancy: OccupancyConfig = field(default_factory=OccupancyConfig)
+    matching: MatchingConfig = field(default_factory=MatchingConfig)
+    ransac: RansacConfig = field(default_factory=RansacConfig)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        object.__setattr__(self, "auc_thresholds", tuple(float(t) for t in self.auc_thresholds))
-        if self.patch_stride < 1:
-            raise ValueError(f"patch_stride must be >= 1, got {self.patch_stride}")
         for name in ("min_overlap", "max_overlap", "min_occlusion"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        # Constructing these validates the remaining fields.
-        self.margin()
-        self.occupancy()
-        self.matching()
-        self.ransac()
+        self.features()
 
-    def margin(self) -> OcclusionMargin:
-        return OcclusionMargin(floor=self.margin_floor, relative=self.margin_relative)
+    @property
+    def seed(self) -> int:
+        return self.ransac.rng_seed
 
-    def occupancy(self) -> OccupancyConfig:
-        return OccupancyConfig(depth_bins=self.depth_bins, d_min=self.d_min, d_max=self.d_max)
-
-    def matching(self) -> MatchingConfig:
-        return MatchingConfig(
-            temperature=self.temperature,
-            angles=self.angles,
-            gumbel_temperature=self.gumbel_temperature,
-            gumbel_hard=self.gumbel_hard,
-            gumbel_granularity=self.gumbel_granularity,
-            match_threshold=self.match_threshold,
-            mutual=self.mutual,
-            fine_window=self.fine_window,
-            fine_temperature=self.fine_temperature,
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            lambda3=self.lambda3,
-            lambda4=self.lambda4,
-        )
-
-    def ransac(self) -> RansacConfig:
-        return RansacConfig(
-            max_iterations=self.ransac_iterations,
-            inlier_threshold=self.inlier_threshold,
-            confidence=self.ransac_confidence,
-            rng_seed=self.seed,
-        )
+    def features(self) -> FeatureParams:
+        return FeatureParams(channels=self.channels, coarse_stride=self.patch_stride)
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        out["angles"] = list(self.angles)
-        out["auc_thresholds"] = list(self.auc_thresholds)
-        return out
+        return {name: getattr(getattr(self, owner) if owner else self, owner_field)
+                for name, (owner, owner_field, _) in _SETTINGS.items()}
 
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+_HINTS = get_type_hints(RunConfig)
+_MODULE_CONFIGS = {f.name: _HINTS[f.name] for f in fields(RunConfig) if is_dataclass(_HINTS[f.name])}
+
+
+def _setting_table() -> dict[str, tuple[Optional[str], str, Any]]:
+    """Flat name -> (RunConfig field holding the owning module config, or
+    None for RunConfig's own settings; field name in the owner; type hint)."""
+    table = {f.name: (None, f.name, _HINTS[f.name])
+             for f in fields(RunConfig) if f.name not in _MODULE_CONFIGS}
+    flat_name = {owned: flat for flat, owned in _RENAMED.items()}
+    for owner, cls in _MODULE_CONFIGS.items():
+        owner_hints = get_type_hints(cls)
+        for f in fields(cls):
+            table[flat_name.get(f.name, f.name)] = (owner, f.name, owner_hints[f.name])
+    return table
+
+
+_SETTINGS = _setting_table()
+
+
+def _value_type(hint: Any) -> type:
+    """X of a type hint X, Optional[X] or tuple[X, ...]."""
+    return next((a for a in get_args(hint) if a is not type(None)), hint)
+
+
+def _convert(hint: Any, value: Any) -> Any:
+    """A setting's value from a flag, a JSON value or the environment,
+    checked against its type hint."""
+    kind = _value_type(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(_convert(kind, v) for v in value)
+    if value is None and get_args(hint):  # Optional[X]
+        return None
+    if isinstance(value, str) and kind in (int, float):
+        return kind(value)
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def merge_config(args: argparse.Namespace, manifest_overrides: Optional[dict] = None) -> RunConfig:
     """Resolve settings with precedence flags > config file > manifest
     overrides > defaults; the seed additionally falls back to the
-    OCCMATCH_SEED environment variable."""
-    merged: dict = {}
+    OCCMATCH_SEED environment variable. A value its type or its owner's
+    constructor rejects raises a SchemaError naming the setting and source."""
+    given: dict[Optional[str], dict[str, Any]] = {owner: {} for owner in (None, *_MODULE_CONFIGS)}
+    origin: dict[str, str] = {}
 
-    def absorb(values: dict, source: str) -> None:
-        for key, value in values.items():
-            if key not in _CONFIG_FIELDS:
-                raise SchemaError(f"{source}: unknown setting {key!r}")
-            merged[key] = value
+    def absorb(values: Any, source: str) -> None:
+        if not isinstance(values, dict):
+            raise SchemaError(f"{source}: expected an object of settings")
+        for name, value in values.items():
+            if name not in _SETTINGS:
+                raise SchemaError(f"{source}: unknown setting {name!r}")
+            owner, owner_field, hint = _SETTINGS[name]
+            try:
+                given[owner][owner_field] = _convert(hint, value)
+            except ValueError as exc:
+                raise SchemaError(f"{source}: {name}: {exc}") from None
+            origin[name] = source
 
     if manifest_overrides:
         absorb(manifest_overrides, "manifest match_overrides")
     if getattr(args, "config", None):
         absorb(formats.read_json(args.config), str(args.config))
-    flag_values = {
-        k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None
-    }
-    absorb(flag_values, "flags")
+    absorb({k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None}, "flags")
+    if "seed" not in origin and _ENV_SEED in os.environ:
+        absorb({"seed": os.environ[_ENV_SEED]}, f"env {_ENV_SEED}")
 
-    if "seed" not in merged:
-        env = os.environ.get(_ENV_SEED)
-        if env is not None:
-            try:
-                merged["seed"] = int(env)
-            except ValueError:
-                raise SchemaError(f"env {_ENV_SEED}: not an integer: {env!r}") from None
-    return RunConfig(**merged)
+    def construct(owner: Optional[str], cls: type, **modules: Any) -> Any:
+        try:
+            return cls(**given[owner], **modules)
+        except ValueError as exc:
+            named = ", ".join(f"{n} ({src})" for n, src in origin.items() if _SETTINGS[n][0] == owner)
+            raise SchemaError(f"{named}: {exc}") from None
+
+    return construct(None, RunConfig, **{o: construct(o, cls) for o, cls in _MODULE_CONFIGS.items()})
 
 
 @dataclass
@@ -238,8 +240,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         overrides = {}
         pair_id = Path(args.scene).stem
 
-    params = FeatureParams(channels=cfg.channels, coarse_stride=cfg.patch_stride)
-    pair = make_pair(scene, pose_a, pose_b, k, params)
+    pair = make_pair(scene, pose_a, pose_b, k, cfg.features())
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -274,7 +275,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     depth_a, depth_b = pair.depth("a"), pair.depth("b")
     t_ba = pair.relative()
-    stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin())
+    stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
 
     reasons = []
     if cfg.min_occlusion is not None and stats.occlusion_ratio < cfg.min_occlusion:
@@ -289,7 +290,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
 
     gt = coarse_match_ground_truth(
         depth_a, depth_b, pair.k, pair.k, t_ba,
-        margin=cfg.margin(), patch_stride=cfg.patch_stride,
+        margin=cfg.margin, patch_stride=cfg.patch_stride,
     )
     out = Path(args.out) if args.out else pair.path / "supervision.json"
     formats.write_json(out, formats.supervision_to_json(gt, stats, config=cfg.to_json()))
@@ -301,13 +302,12 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
     pair = load_pair(args.pair)
     cfg = merge_config(args)
     depth_a, depth_b = pair.depth("a"), pair.depth("b")
-    occ_cfg = cfg.occupancy()
     out_dir = Path(args.out_dir) if args.out_dir else pair.path
     out_dir.mkdir(parents=True, exist_ok=True)
     for target in ("a", "b"):
         grid = build_ground_truth_occupancy(
             depth_a, depth_b, pair.pose_a, pair.pose_b, pair.k, pair.k,
-            target=target, cfg=occ_cfg,
+            target=target, cfg=cfg.occupancy,
         )
         formats.write_occupancy(out_dir / f"occ_{target}.ocg", grid)
     formats.write_json(out_dir / "voxelize_config.json", {"config": cfg.to_json()})
@@ -327,17 +327,19 @@ def cmd_match(args: argparse.Namespace) -> int:
     fine_a = pair.features("fine", "a")
     fine_b = pair.features("fine", "b")
 
-    result = match_pair(coarse_a, coarse_b, fine_a, fine_b, cfg.matching(), seed=cfg.seed)
-
     supervision_path = pair.path / "supervision.json"
     if supervision_path.exists():
         gt = formats.supervision_from_json(formats.read_json(supervision_path),
                                            source=str(supervision_path))
+        if gt.patch_stride != coarse_a.stride:
+            raise SchemaError(f"{supervision_path}: patch_stride {gt.patch_stride} differs from "
+                              f"the coarse feature stride {coarse_a.stride}")
     else:
         gt = coarse_match_ground_truth(
             pair.depth("a"), pair.depth("b"), pair.k, pair.k, pair.relative(),
-            margin=cfg.margin(), patch_stride=cfg.patch_stride,
+            margin=cfg.margin, patch_stride=coarse_a.stride,
         )
+    result = match_pair(coarse_a, coarse_b, fine_a, fine_b, cfg.matching, seed=cfg.seed)
     labels = _label_sets(gt)
     for m in result.matches:
         key = (m.patch_a, m.patch_b)
@@ -370,7 +372,7 @@ def _evaluate_pair(pair: PairDir, matches: list[Match], cfg: RunConfig) -> PoseE
     px_b = np.array([[m.point_b.u, m.point_b.v] for m in matches if m.point_a and m.point_b])
     try:
         _, r_est, t_est, inliers = essential_from_matches(
-            px_a.reshape(-1, 2), px_b.reshape(-1, 2), pair.k, pair.k, cfg.ransac()
+            px_a.reshape(-1, 2), px_b.reshape(-1, 2), pair.k, pair.k, cfg.ransac
         )
     except (InsufficientMatchesError, DegenerateConfigurationError):
         return PoseErrorReport(np.inf, np.inf, np.inf, 0)
@@ -436,37 +438,15 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("configuration (flags > --config file > defaults)")
-    g.add_argument("--config", type=Path, help="JSON file with RunConfig settings")
-    g.add_argument("--patch-stride", type=int, dest="patch_stride")
-    g.add_argument("--margin-floor", type=float, dest="margin_floor")
-    g.add_argument("--margin-relative", type=float, dest="margin_relative")
-    g.add_argument("--depth-bins", type=int, dest="depth_bins")
-    g.add_argument("--d-min", type=float, dest="d_min")
-    g.add_argument("--d-max", type=float, dest="d_max")
-    g.add_argument("--temperature", type=float)
-    g.add_argument("--angles", type=float, nargs="+")
-    g.add_argument("--gumbel-temperature", type=float, dest="gumbel_temperature")
-    g.add_argument("--gumbel-hard", action=argparse.BooleanOptionalAction,
-                   dest="gumbel_hard", default=None)
-    g.add_argument("--gumbel-granularity", choices=("entry", "matrix"),
-                   dest="gumbel_granularity")
-    g.add_argument("--match-threshold", type=float, dest="match_threshold")
-    g.add_argument("--mutual", action=argparse.BooleanOptionalAction, default=None)
-    g.add_argument("--fine-window", type=int, dest="fine_window")
-    g.add_argument("--fine-temperature", type=float, dest="fine_temperature")
-    for i in (1, 2, 3, 4):
-        g.add_argument(f"--lambda{i}", type=float, dest=f"lambda{i}")
-    g.add_argument("--ransac-iterations", type=int, dest="ransac_iterations")
-    g.add_argument("--inlier-threshold", type=float, dest="inlier_threshold")
-    g.add_argument("--ransac-confidence", type=float, dest="ransac_confidence")
-    g.add_argument("--auc-thresholds", type=float, nargs="+", dest="auc_thresholds")
-    g.add_argument("--channels", type=int)
-    g.add_argument("--seed", type=int,
-                   help=f"RNG seed (falls back to ${_ENV_SEED}, then 0)")
-    g.add_argument("--min-overlap", type=float, dest="min_overlap")
-    g.add_argument("--max-overlap", type=float, dest="max_overlap")
-    g.add_argument("--min-occlusion", type=float, dest="min_occlusion")
+    g = p.add_argument_group("configuration", "flags > --config file > manifest overrides > "
+                             f"defaults; --seed falls back to ${_ENV_SEED}, then 0")
+    g.add_argument("--config", type=Path, help="JSON object of settings, by flag name with '_'")
+    for name, (_, _, hint) in _SETTINGS.items():
+        flag, kind = "--" + name.replace("_", "-"), _value_type(hint)
+        if kind is bool:
+            g.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            g.add_argument(flag, type=kind, nargs="+" if get_origin(hint) is tuple else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,10 +510,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OccMatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OccMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -147,6 +147,17 @@ def unproject(px: PixelPoint, depth: float, k: CameraIntrinsics) -> np.ndarray:
     )
 
 
+def unproject_points(u: np.ndarray, v: np.ndarray, d: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame points (N, 3) of pixels (u, v) at camera depths d."""
+    return np.column_stack([(u - k.cx) / k.fx * d, (v - k.cy) / k.fy * d, d])
+
+
+def project_points(p: np.ndarray, k: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel coordinates (u, v) of camera-frame points (N, 3); the caller
+    keeps z > 0."""
+    return k.fx * p[:, 0] / p[:, 2] + k.cx, k.fy * p[:, 1] / p[:, 2] + k.cy
+
+
 def relative_pose(pose_a: PoseSE3, pose_b: PoseSE3) -> PoseSE3:
     """Transform taking camera-A coordinates to camera-B coordinates.
 

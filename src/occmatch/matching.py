@@ -63,12 +63,11 @@ class FeatureGrid:
 
 @dataclass(frozen=True)
 class MatchingConfig:
-    """Knobs of the coarse matcher and its losses.
+    """Knobs of the coarse matcher.
 
     temperature scales the inner-product scores (Lo-style dual softmax);
     angles is the candidate rotation set in degrees, 0 must be readable as
-    the un-rotated branch. Loss weights lambda1..lambda4 follow the
-    coarse/fine/occupancy composition defaults.
+    the un-rotated branch.
     """
 
     temperature: float = 0.1
@@ -80,13 +79,9 @@ class MatchingConfig:
     mutual: bool = True
     fine_window: int = 5
     fine_temperature: float = 0.25
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 1.0
-    lambda4: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0 or self.gumbel_temperature <= 0 or self.fine_temperature <= 0:
+        if not all(t > 0 for t in (self.temperature, self.gumbel_temperature, self.fine_temperature)):
             raise ValueError("temperatures must be positive")
         if not self.angles or not all(math.isfinite(a) for a in self.angles):
             raise UnknownAngleError(f"angle set must be finite and non-empty, got {self.angles}")
@@ -96,8 +91,6 @@ class MatchingConfig:
             raise ValueError(f"fine_window must be odd and positive, got {self.fine_window}")
         if self.gumbel_granularity not in ("entry", "matrix"):
             raise ValueError(f"unknown gumbel granularity {self.gumbel_granularity!r}")
-        if min(self.lambda1, self.lambda2, self.lambda3, self.lambda4) < 0:
-            raise ValueError("loss weights must be non-negative")
 
     def branches(self) -> list[tuple[float, float]]:
         """Rotation pairs (theta_a, theta_b): un-rotated plus one-sided
@@ -458,7 +451,8 @@ def _anchor_cell(patch_row: int, patch_col: int, ratio: int) -> tuple[int, int]:
     return patch_row * ratio + ratio // 2, patch_col * ratio + ratio // 2
 
 
-def _cell_center_px(cell: float, stride: int) -> float:
+def cell_center_px(cell: float, stride: int) -> float:
+    """Pixel coordinate of the centre of grid cell `cell` (continuous) at `stride`."""
     return stride * cell + (stride - 1) / 2.0
 
 
@@ -551,10 +545,10 @@ def match_pair(
             heat = softmax(corr.ravel() / cfg.fine_temperature).reshape(corr.shape)
             refined = refine_fine_match(heat, PixelPoint(float(bc), float(br)))
             m.point_a = PixelPoint(
-                _cell_center_px(ac, fine_a.stride), _cell_center_px(ar, fine_a.stride)
+                cell_center_px(ac, fine_a.stride), cell_center_px(ar, fine_a.stride)
             )
             m.point_b = PixelPoint(
-                _cell_center_px(refined.u, fine_b.stride),
-                _cell_center_px(refined.v, fine_b.stride),
+                cell_center_px(refined.u, fine_b.stride),
+                cell_center_px(refined.v, fine_b.stride),
             )
     return MatchResult(matches, branches, ga, gb)

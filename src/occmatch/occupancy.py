@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCloudError, ShapeMismatchError
-from .geometry import CameraIntrinsics, DepthMap, PoseSE3
+from .geometry import CameraIntrinsics, DepthMap, PoseSE3, project_points, unproject_points
 from .numerics import softmax, softmax_jacobian
+from .supervision import patch_grid
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class OccupancyConfig:
 def grid_shape(k: CameraIntrinsics) -> tuple[int, int]:
     """(rows, cols) of the half-resolution grid: cell (r, c) covers pixels
     [2c, 2c+2) x [2r, 2r+2)."""
-    return (-(-k.height // 2), -(-k.width // 2))
+    return patch_grid(k.height, k.width, 2)
 
 
 def depth_bin_index(z: np.ndarray, cfg: OccupancyConfig) -> np.ndarray:
@@ -96,11 +97,7 @@ class OccupancyFactors:
 def _cloud_from_view(depth: DepthMap, k: CameraIntrinsics, pose: PoseSE3) -> np.ndarray:
     """World points of all valid pixels of one view, (N, 3)."""
     vs, us = np.nonzero(depth.valid_mask)
-    if us.size == 0:
-        return np.empty((0, 3))
-    d = depth.data[vs, us]
-    p_cam = np.column_stack([(us - k.cx) / k.fx * d, (vs - k.cy) / k.fy * d, d])
-    return pose.transform(p_cam)
+    return pose.transform(unproject_points(us, vs, depth.data[vs, us], k))
 
 
 def build_ground_truth_occupancy(
@@ -150,8 +147,7 @@ def build_ground_truth_occupancy(
         z = p[:, 2]
         keep = (z >= cfg.d_min) & (z < cfg.d_max)
         p, z = p[keep], z[keep]
-        u = k_t.fx * p[:, 0] / z + k_t.cx
-        v = k_t.fy * p[:, 1] / z + k_t.cy
+        u, v = project_points(p, k_t)
         inside = (u >= 0.0) & (u < 2.0 * cols) & (v >= 0.0) & (v < 2.0 * rows)
         if np.any(inside):
             r = np.floor(v[inside] / 2.0).astype(np.intp)

@@ -34,7 +34,7 @@ class RansacConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError(f"need at least one iteration, got {self.max_iterations}")
-        if self.inlier_threshold <= 0:
+        if not self.inlier_threshold > 0:
             raise ValueError(f"inlier threshold must be positive, got {self.inlier_threshold}")
         if not 0 < self.confidence < 1:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyDepthError
-from .geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3
+from .geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3, project_points, unproject_points
 
 
 class PixelClass(IntEnum):
@@ -40,7 +40,7 @@ class OcclusionMargin:
     relative: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.floor <= 0 or self.relative < 0:
+        if not (self.floor > 0 and self.relative >= 0):
             raise ValueError(f"margin floor must be > 0 and slope >= 0, got {self}")
 
     def __call__(self, depth: np.ndarray | float) -> np.ndarray | float:
@@ -147,19 +147,13 @@ def classify_points(
     if valid.size == 0:
         return cls, uv_b, z_b
 
-    # Unproject in A, move to B's frame.
-    dv = d[valid]
-    p_a = np.column_stack(
-        [(u[valid] - k_a.cx) / k_a.fx * dv, (v[valid] - k_a.cy) / k_a.fy * dv, dv]
-    )
-    p_b = t_ba.transform(p_a)
+    p_b = t_ba.transform(unproject_points(u[valid], v[valid], d[valid], k_a))
     behind = p_b[:, 2] <= 0.0
     cls[valid[behind]] = PixelClass.BEHIND_CAMERA
 
     front = valid[~behind]
     p_b = p_b[~behind]
-    ub = k_b.fx * p_b[:, 0] / p_b[:, 2] + k_b.cx
-    vb = k_b.fy * p_b[:, 1] / p_b[:, 2] + k_b.cy
+    ub, vb = project_points(p_b, k_b)
     uv_b[front, 0] = ub
     uv_b[front, 1] = vb
     z_b[front] = p_b[:, 2]

@@ -21,9 +21,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthMap, PoseSE3
-from .matching import FeatureGrid
-from .supervision import PixelClass
+from .geometry import CameraIntrinsics, DepthMap, PoseSE3, project_points, unproject_points
+from .matching import FeatureGrid, cell_center_px
+from .supervision import PixelClass, patch_grid
 
 _EPS_HIT = 1e-9
 
@@ -110,14 +110,6 @@ def first_hit(
     return best, idx
 
 
-def _pixel_dirs(k: CameraIntrinsics, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Camera-frame ray directions with z = 1, so the ray parameter equals
-    the camera depth."""
-    return np.column_stack(
-        [(u - k.cx) / k.fx, (v - k.cy) / k.fy, np.ones(u.size)]
-    )
-
-
 def _cast_pixels(
     scene: SceneSpec, pose: PoseSE3, k: CameraIntrinsics, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,7 +118,8 @@ def _cast_pixels(
     Returns (depth, prim_index, world_points); depth is 0 where no surface
     is hit.
     """
-    dirs = _pixel_dirs(k, u, v) @ pose.R.T
+    # Directions with camera z = 1, so the ray parameter equals the camera depth.
+    dirs = unproject_points(u, v, np.ones(u.size), k) @ pose.R.T
     s, idx = first_hit(scene, pose.t, dirs)
     hit = idx >= 0
     depth = np.where(hit, s, 0.0)
@@ -176,19 +169,14 @@ def analytic_classes(
     valid = np.flatnonzero(d > 0)
     cls[d <= 0] = PixelClass.INVALID_DEPTH
     if valid.size:
-        dv = d[valid]
-        p_src = np.column_stack(
-            [(u[valid] - k_src.cx) / k_src.fx * dv, (v[valid] - k_src.cy) / k_src.fy * dv, dv]
-        )
-        world = pose_src.transform(p_src)
+        world = pose_src.transform(unproject_points(u[valid], v[valid], d[valid], k_src))
         p_dst = pose_dst.inverse().transform(world)
         behind = p_dst[:, 2] <= 0
         cls[valid[behind]] = PixelClass.BEHIND_CAMERA
 
         front = np.flatnonzero(~behind)  # positions within the valid subset
         pd = p_dst[front]
-        ub = k_dst.fx * pd[:, 0] / pd[:, 2] + k_dst.cx
-        vb = k_dst.fy * pd[:, 1] / pd[:, 2] + k_dst.cy
+        ub, vb = project_points(pd, k_dst)
         uv[valid[front], 0], uv[valid[front], 1] = ub, vb
         zb[valid[front]] = pd[:, 2]
         inside = (ub >= 0) & (ub <= k_dst.width - 1) & (vb >= 0) & (vb <= k_dst.height - 1)
@@ -232,8 +220,9 @@ class FeatureParams:
     def __post_init__(self) -> None:
         if self.channels < 2 or self.channels % 2:
             raise ValueError(f"channels must be even and >= 2, got {self.channels}")
-        if self.coarse_stride % self.fine_stride:
-            raise ValueError("coarse stride must be a multiple of the fine stride")
+        if self.coarse_stride < 1 or self.coarse_stride % self.fine_stride:
+            raise ValueError(f"coarse stride must be a positive multiple of the fine stride "
+                             f"{self.fine_stride}, got {self.coarse_stride}")
 
 
 def _texture_signs(texture: int, m: int) -> np.ndarray:
@@ -242,12 +231,9 @@ def _texture_signs(texture: int, m: int) -> np.ndarray:
 
 
 def _grid_centers(k: CameraIntrinsics, stride: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    rows = -(-k.height // stride)
-    cols = -(-k.width // stride)
-    rr = np.repeat(np.arange(rows), cols).astype(np.float64)
-    cc = np.tile(np.arange(cols), rows).astype(np.float64)
-    half = (stride - 1) / 2.0
-    return cc * stride + half, rr * stride + half, (rows, cols)
+    rows, cols = patch_grid(k.height, k.width, stride)
+    cells = np.arange(rows * cols)
+    return cell_center_px(cells % cols, stride), cell_center_px(cells // cols, stride), (rows, cols)
 
 
 def _feature_grid(

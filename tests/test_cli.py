@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline: synth, supervise, voxelize, match,
 eval, curve; config precedence; exit codes; byte determinism."""
 
+import argparse
 import math
 import shutil
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from occmatch.cli import main
+from occmatch.cli import RunConfig, build_parser, main
 from occmatch.formats import (
+    dump_json,
     intrinsics_to_json,
     pose_to_json,
     read_curve_csv,
@@ -214,6 +216,14 @@ class TestMatch:
         err = capsys.readouterr().err
         assert "coarse_a.ofg" in err and "stride" in err
 
+    def test_supervision_at_another_patch_stride_fails(self, fresh_pair, capsys):
+        pair = fresh_pair("two_plane")
+        assert main(["supervise", "--pair", pair, "--patch-stride", "16"]) == 0
+        assert main(["match", "--pair", pair]) == 1
+        err = capsys.readouterr().err
+        assert "supervision.json" in err and "patch_stride" in err
+        assert not (Path(pair) / "matches.jsonl").exists()
+
     def test_nan_depth_fails_with_file_name(self, fresh_pair, capsys):
         pair = fresh_pair("identity")
         path = Path(pair) / "depth_a.odm"
@@ -258,6 +268,14 @@ class TestConfigPrecedence:
         assert main(["match", "--pair", pair, "--config", str(cfg_path)]) == 1
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_non_object_manifest_overrides_fail_with_their_name(self, fresh_pair, capsys):
+        pair = fresh_pair("identity")
+        manifest = read_json(f"{pair}/manifest.json")
+        manifest["match_overrides"] = [5]
+        write_json(f"{pair}/manifest.json", manifest)
+        assert main(["match", "--pair", pair]) == 1
+        assert "match_overrides" in capsys.readouterr().err
+
     def test_seed_env_fallback_and_flag_override(self, fresh_pair, monkeypatch):
         pair = fresh_pair("identity")
         monkeypatch.setenv("OCCMATCH_SEED", "7")
@@ -265,6 +283,96 @@ class TestConfigPrecedence:
         assert read_json(f"{pair}/match_config.json")["config"]["seed"] == 7
         assert main(["match", "--pair", pair, "--seed", "3"]) == 0
         assert read_json(f"{pair}/match_config.json")["config"]["seed"] == 3
+
+
+class TestSettings:
+    """Every setting is one flag, one --config key and one key of the echo,
+    derived from the module configs."""
+
+    SETTINGS = [
+        "angles", "auc_thresholds", "channels", "d_max", "d_min", "depth_bins",
+        "fine_temperature", "fine_window", "gumbel_granularity", "gumbel_hard",
+        "gumbel_temperature", "inlier_threshold", "margin_floor", "margin_relative",
+        "match_threshold", "max_overlap", "min_occlusion", "min_overlap", "mutual",
+        "patch_stride", "ransac_confidence", "ransac_iterations", "seed", "temperature",
+    ]
+    COMMAND_OPTIONS = {
+        "synth": {"--fixture", "--scene", "--pose-a", "--pose-b", "--intrinsics",
+                  "--width", "--height", "--out"},
+        "supervise": {"--pair", "--out"},
+        "voxelize": {"--pair", "--out-dir"},
+        "match": {"--pair", "--out"},
+        "eval": {"--matches", "--manifests", "--out-report", "--out-curve"},
+    }
+    ECHO_FLAGS = [
+        "--angles", "0", "15", "--no-mutual", "--match-threshold", "0.3", "--min-overlap", "0.1",
+        "--seed", "4", "--auc-thresholds", "5", "10", "--margin-floor", "0.04",
+        "--depth-bins", "16", "--channels", "64",
+    ]
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_config_flags_are_exactly_the_settings(self, command):
+        echo = RunConfig().to_json()
+        assert sorted(echo) == self.SETTINGS
+        flags = {"--config"} | {"--" + n.replace("_", "-") for n in echo}
+        flags |= {"--no-" + n.replace("_", "-") for n, v in echo.items() if isinstance(v, bool)}
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert options == {"-h", "--help"} | self.COMMAND_OPTIONS[command] | flags
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_echo_read_back_through_config_is_unchanged(self, fresh_pair, tmp_path, command):
+        pair = fresh_pair("identity")
+        assert main(["match", "--pair", pair]) == 0  # eval's input
+
+        def echo(out: Path, *extra: str) -> dict:
+            argv, echo_file = {
+                "synth": (["synth", "--fixture", "identity", "--out", str(out)], "manifest.json"),
+                "supervise": (["supervise", "--pair", pair, "--out", str(out / "s.json")], "s.json"),
+                "voxelize": (["voxelize", "--pair", pair, "--out-dir", str(out)],
+                             "voxelize_config.json"),
+                "match": (["match", "--pair", pair, "--out", str(out / "m.jsonl")],
+                          "match_config.json"),
+                "eval": (["eval", "--matches", f"{pair}/matches.jsonl",
+                          "--manifests", f"{pair}/manifest.json",
+                          "--out-report", str(out / "r.json"), "--out-curve", str(out / "c.csv")],
+                         "r.json"),
+            }[command]
+            out.mkdir()
+            assert main([*argv, *extra]) == 0
+            return read_json(out / echo_file)["config"]
+
+        first = echo(tmp_path / "flags", *self.ECHO_FLAGS)
+        assert first["angles"] == [0.0, 15.0] and first["mutual"] is False
+        write_json(tmp_path / "echo.json", first)
+        second = echo(tmp_path / "config", "--config", str(tmp_path / "echo.json"))
+        assert dump_json(second) == dump_json(first)
+
+    @pytest.mark.parametrize("flags, config, setting", [
+        (["--match-threshold", "2"], None, "match_threshold"),
+        (["--patch-stride", "0"], None, "patch_stride"),
+        (["--d-min", "5", "--d-max", "1"], None, "d_min"),
+        (["--margin-floor", "0"], None, "margin_floor"),
+        (["--channels", "3"], None, "channels"),
+        (["--patch-stride", "3"], None, "patch_stride"),  # not a multiple of the fine stride 2
+        (["--gumbel-granularity", "rows"], None, "gumbel_granularity"),
+        (["--temperature", "nan"], None, "temperature"),
+        (["--margin-relative", "nan"], None, "margin_relative"),
+        (["--inlier-threshold", "nan"], None, "inlier_threshold"),
+        ([], {"temperature": "abc"}, "temperature"),
+        ([], {"angles": 5}, "angles"),
+        ([], {"mutual": 1}, "mutual"),
+        ([], {"lambda1": 1.0}, "lambda1"),
+    ])
+    def test_bad_setting_exits_one_naming_it(self, tmp_path, capsys, flags, config, setting):
+        if config is not None:
+            write_json(tmp_path / "cfg.json", config)
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "pair"
+        assert main(["synth", "--fixture", "identity", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert setting in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEvalAndCurve:

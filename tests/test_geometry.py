@@ -10,9 +10,11 @@ from occmatch.geometry import (
     PixelPoint,
     PoseSE3,
     project,
+    project_points,
     relative_pose,
     reproject,
     unproject,
+    unproject_points,
 )
 
 
@@ -62,6 +64,15 @@ class TestProject:
             px, depth = project(p, k100)
             back = unproject(px, depth, k100)
             assert np.max(np.abs(back - p)) < 1e-9
+
+    def test_vectorised_forms_equal_the_single_point_forms(self, k100):
+        rng = np.random.default_rng(8)
+        p = rng.uniform([-3, -3, 0.5], [3, 3, 9], size=(50, 3))
+        u, v = project_points(p, k100)
+        assert np.array_equal(np.column_stack([u, v]), [project(q, k100)[0] for q in p])
+        back = unproject_points(u, v, p[:, 2], k100)
+        assert np.array_equal(back, [unproject(PixelPoint(a, b), z, k100)
+                                     for a, b, z in zip(u, v, p[:, 2])])
 
 
 class TestIntrinsics:
