@@ -127,10 +127,9 @@ def _convert(hint: Any, value: Any) -> Any:
         return tuple(_convert(kind, v) for v in value)
     if value is None and get_args(hint):  # Optional[X]
         return None
-    if isinstance(value, str) and kind in (int, float):
+    if isinstance(value, str):
         return kind(value)
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
         raise ValueError(f"expected {kind.__name__}, got {value!r}")
     return kind(value)
 
@@ -189,10 +188,10 @@ class PairDir:
         return str(self.manifest.get("id", self.path.name))
 
     def file(self, key: str) -> Path:
-        files = self.manifest.get("files", {})
-        if key not in files:
-            raise SchemaError(f"{self.path / 'manifest.json'}: files[{key!r}] missing")
-        return self.path / files[key]
+        name = self.manifest["files"].get(key)
+        if not isinstance(name, str):
+            raise SchemaError(f"{self.path / 'manifest.json'}: files[{key!r}] is not a file name")
+        return self.path / name
 
     def depth(self, side: str) -> DepthMap:
         return formats.read_depth(self.file(f"depth_{side}"))
@@ -212,6 +211,8 @@ def load_pair(path: Path) -> PairDir:
     for field in ("k", "pose_a", "pose_b", "files"):
         if field not in manifest:
             raise SchemaError(f"{src}: missing field {field!r}")
+        if not isinstance(manifest[field], dict):
+            raise SchemaError(f"{src}: field {field!r} must be an object, got {manifest[field]!r}")
     return PairDir(
         path=Path(path),
         manifest=manifest,
@@ -224,6 +225,9 @@ def load_pair(path: Path) -> PairDir:
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     if args.fixture:
+        for flag in ("width", "height"):
+            if getattr(args, flag) < 1:
+                raise SchemaError(f"flags: --{flag} must be at least 1, got {getattr(args, flag)}")
         fixture = make_fixture(args.fixture, width=args.width, height=args.height)
         scene = fixture.scene
         pose_a, pose_b, k = fixture.pose_a, fixture.pose_b, fixture.k
@@ -442,11 +446,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                              f"defaults; --seed falls back to ${_ENV_SEED}, then 0")
     g.add_argument("--config", type=Path, help="JSON object of settings, by flag name with '_'")
     for name, (_, _, hint) in _SETTINGS.items():
-        flag, kind = "--" + name.replace("_", "-"), _value_type(hint)
-        if kind is bool:
-            g.add_argument(flag, action=argparse.BooleanOptionalAction)
-        else:
-            g.add_argument(flag, type=kind, nargs="+" if get_origin(hint) is tuple else None)
+        g.add_argument("--" + name.replace("_", "-"), type=_value_type(hint),
+                       nargs="+" if get_origin(hint) is tuple else None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import SchemaError
-from .geometry import CameraIntrinsics, DepthMap, PoseSE3
+from .geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3
 from .matching import FeatureGrid, Match
 from .occupancy import OccupancyGrid
 from .supervision import CoarseMatchSet, PairStats, PixelClass
@@ -54,12 +54,13 @@ def _payload(path: Path, raw: memoryview, count: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4", count=count).astype(np.float64)
 
 
-def _build(path: Path, make, *args, **kwargs):
-    """Construct a raster object, naming the file when its checks fail."""
+def _build(source: Union[Path, str], make, *args, **kwargs):
+    """Construct an object read from `source`, naming the source when the
+    object's own checks fail."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        raise SchemaError(f"{source}: {exc}") from None
 
 
 def write_depth(path: PathLike, depth: DepthMap) -> None:
@@ -117,6 +118,32 @@ def _require(obj: dict, field: str, source: str) -> Any:
     return obj[field]
 
 
+_MISSING = object()
+
+
+def _field(obj: dict, field: str, source: str, ok: Callable[[Any], bool], what: str,
+           default: Any = _MISSING) -> Any:
+    """obj[field], or `default` when given and the field is absent; the
+    value must pass `ok`, described by `what` in the error."""
+    value = _require(obj, field, source) if default is _MISSING else obj.get(field, default)
+    if not ok(value):
+        raise SchemaError(f"{source}: field {field!r} must be {what}, got {value!r}")
+    return value
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list(value: Any, ok: Callable[[Any], bool], length: Optional[int] = None) -> bool:
+    """A list whose items all pass `ok`, with `length` items when given."""
+    return isinstance(value, list) and all(map(ok, value)) and length in (None, len(value))
+
+
 def _floats(obj: dict, field: str, source: str, count: Optional[int] = None) -> np.ndarray:
     raw = _require(obj, field, source)
     try:
@@ -125,7 +152,7 @@ def _floats(obj: dict, field: str, source: str, count: Optional[int] = None) -> 
         raise SchemaError(f"{source}: field {field!r} is not numeric") from None
     if count is not None and arr.size != count:
         raise SchemaError(f"{source}: field {field!r} needs {count} values, got {arr.size}")
-    return arr
+    return arr.ravel()
 
 
 def intrinsics_to_json(k: CameraIntrinsics) -> dict:
@@ -136,12 +163,10 @@ def intrinsics_to_json(k: CameraIntrinsics) -> dict:
 
 
 def intrinsics_from_json(obj: dict, source: str = "intrinsics") -> CameraIntrinsics:
-    vals = {f: float(_floats(obj, f, source, 1)) for f in ("fx", "fy", "cx", "cy")}
-    dims = {f: int(_require(obj, f, source)) for f in ("width", "height")}
-    try:
-        return CameraIntrinsics(**vals, **dims)
-    except ValueError as exc:
-        raise SchemaError(f"{source}: {exc}") from None
+    vals = {f: float(_field(obj, f, source, _is_number, "a number"))
+            for f in ("fx", "fy", "cx", "cy")}
+    dims = {f: _field(obj, f, source, _is_int, "an integer") for f in ("width", "height")}
+    return _build(source, CameraIntrinsics, **vals, **dims)
 
 
 def pose_to_json(pose: PoseSE3) -> dict:
@@ -151,10 +176,7 @@ def pose_to_json(pose: PoseSE3) -> dict:
 def pose_from_json(obj: dict, source: str = "pose") -> PoseSE3:
     r = _floats(obj, "R", source, 9).reshape(3, 3)
     t = _floats(obj, "t", source, 3)
-    try:
-        return PoseSE3(r, t)
-    except ValueError as exc:
-        raise SchemaError(f"{source}: {exc}") from None
+    return _build(source, PoseSE3, r, t)
 
 
 def scene_to_json(scene: SceneSpec) -> dict:
@@ -171,10 +193,13 @@ def scene_to_json(scene: SceneSpec) -> dict:
 
 def scene_from_json(obj: dict, source: str = "scene") -> SceneSpec:
     prims: list[Union[Plane, Box]] = []
-    for i, entry in enumerate(_require(obj, "primitives", source)):
+    entries = _field(obj, "primitives", source,
+                     lambda v: _is_list(v, lambda e: isinstance(e, dict)), "a list of objects")
+    for i, entry in enumerate(entries):
         where = f"{source}: primitives[{i}]"
         kind = _require(entry, "type", where)
-        texture = int(entry.get("texture", 0))
+        texture = _field(entry, "texture", where, lambda v: _is_int(v) and v >= 0,
+                         "a non-negative integer", default=0)
         if kind == "plane":
             point = tuple(_floats(entry, "point", where, 3))
             normal = tuple(_floats(entry, "normal", where, 3))
@@ -211,10 +236,12 @@ def supervision_to_json(matches: CoarseMatchSet, stats: PairStats,
 
 
 def supervision_from_json(obj: dict, source: str = "supervision") -> CoarseMatchSet:
-    stride = int(_require(obj, "patch_stride", source))
+    stride = _field(obj, "patch_stride", source, _is_int, "an integer")
     lists = {}
     for name in ("vv", "vo", "ov"):
-        lists[name] = [(int(a), int(b)) for a, b in _require(obj, name, source)]
+        pairs = _field(obj, name, source, lambda v: _is_list(v, lambda p: _is_list(p, _is_int, 2)),
+                       "a list of index pairs")
+        lists[name] = [tuple(p) for p in pairs]
     return CoarseMatchSet(patch_stride=stride, **lists)
 
 
@@ -236,17 +263,17 @@ def match_to_json(m: Match) -> dict:
 
 
 def match_from_json(obj: dict, source: str = "matches") -> Match:
-    from .geometry import PixelPoint
-
-    a = _require(obj, "a", source)
-    b = _require(obj, "b", source)
+    a, b = (_field(obj, f, source, lambda v: v is None or _is_list(v, _is_number, 2),
+                   "null or [u, v]") for f in ("a", "b"))
+    branch = _field(obj, "branch", source, lambda v: v is None or _is_list(v, _is_number),
+                    "a list of numbers", default=None)
     return Match(
-        patch_a=int(obj.get("pa", -1)),
-        patch_b=int(obj.get("pb", -1)),
-        confidence=float(_require(obj, "conf", source)),
-        point_a=PixelPoint(float(a[0]), float(a[1])) if a is not None else None,
-        point_b=PixelPoint(float(b[0]), float(b[1])) if b is not None else None,
-        branch=tuple(float(x) for x in obj["branch"]) if "branch" in obj else None,
+        patch_a=_field(obj, "pa", source, _is_int, "an integer", default=-1),
+        patch_b=_field(obj, "pb", source, _is_int, "an integer", default=-1),
+        confidence=float(_field(obj, "conf", source, _is_number, "a number")),
+        point_a=PixelPoint(*map(float, a)) if a is not None else None,
+        point_b=PixelPoint(*map(float, b)) if b is not None else None,
+        branch=tuple(map(float, branch)) if branch is not None else None,
         label=str(_require(obj, "label", source)),
     )
 
@@ -268,6 +295,8 @@ def read_matches(path: PathLike) -> list[Match]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: line {i + 1}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}: line {i + 1}: expected an object")
         out.append(match_from_json(obj, source=f"{path}: line {i + 1}"))
     return out
 

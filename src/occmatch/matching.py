@@ -4,9 +4,10 @@ Coarse feature grids are smoothed by a 5-tap neighborhood average whose four
 off-center taps can be rotated by an angle theta (bilinear resampling in
 index space, replicate padding). Scores are temperature-scaled inner
 products, confidences come from a dual softmax, and one of the candidate
-rotation branches (0/0, theta/0, 0/theta) is picked per entry by gumbel
-sampling. Matches above threshold are refined to sub-pixel points with an
-expectation over a local fine-feature correlation window.
+rotation branches (0/0, theta/0, 0/theta) is picked per entry by a
+Gumbel-max draw. Mutual nearest neighbours above threshold are refined to
+sub-pixel points with an expectation over a local fine-feature correlation
+window.
 """
 
 from __future__ import annotations
@@ -72,16 +73,12 @@ class MatchingConfig:
 
     temperature: float = 0.1
     angles: tuple[float, ...] = (0.0, 30.0)
-    gumbel_temperature: float = 1.0
-    gumbel_hard: bool = True
-    gumbel_granularity: str = "entry"
     match_threshold: float = 0.2
-    mutual: bool = True
     fine_window: int = 5
     fine_temperature: float = 0.25
 
     def __post_init__(self) -> None:
-        if not all(t > 0 for t in (self.temperature, self.gumbel_temperature, self.fine_temperature)):
+        if not all(t > 0 for t in (self.temperature, self.fine_temperature)):
             raise ValueError("temperatures must be positive")
         if not self.angles or not all(math.isfinite(a) for a in self.angles):
             raise UnknownAngleError(f"angle set must be finite and non-empty, got {self.angles}")
@@ -89,8 +86,6 @@ class MatchingConfig:
             raise ValueError(f"match_threshold must lie in [0, 1], got {self.match_threshold}")
         if self.fine_window < 1 or self.fine_window % 2 == 0:
             raise ValueError(f"fine_window must be odd and positive, got {self.fine_window}")
-        if self.gumbel_granularity not in ("entry", "matrix"):
-            raise ValueError(f"unknown gumbel granularity {self.gumbel_granularity!r}")
 
     def branches(self) -> list[tuple[float, float]]:
         """Rotation pairs (theta_a, theta_b): un-rotated plus one-sided
@@ -209,77 +204,42 @@ def dual_softmax_jacobian(s: np.ndarray) -> np.ndarray:
 
 
 def gumbel_select(
-    candidates: Sequence[np.ndarray],
-    temperature: float,
-    seed: int,
-    hard: bool = False,
-    granularity: str = "entry",
-    return_choice: bool = False,
-    at: Optional[np.ndarray] = None,
-    log_mean: Optional[np.ndarray] = None,
-):
-    """Stochastically blend (soft) or pick (hard) among candidate matrices.
+    candidates: Sequence[np.ndarray], seed: int, at: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pick one candidate matrix per entry by a Gumbel-max draw.
 
-    Per entry, candidate k gets logit log p_k plus Gumbel noise from the
-    seeded generator; soft mode returns the softmax((logit)/T)-weighted sum,
-    hard mode returns the argmax candidate's value (T plays no role then).
-    granularity="matrix" draws one noise sample per candidate and scores
-    whole matrices by their mean log-confidence. A single candidate passes
-    through unchanged. With return_choice=True also returns the winning
-    candidate index per entry.
+    Per entry, candidate k scores log p_k plus Gumbel noise from the seeded
+    generator, and the highest score wins. Returns the winning candidate's
+    value and index per entry; a single candidate passes through unchanged.
 
     The candidates may be a subset of the entries of larger matrices, e.g.
     (K, n) columns: `at` (shaped like the stack) then gives each entry's
-    position in the noise stream of the full stack, and `log_mean` (K,)
-    the full matrices' mean log-confidence. Every entry is computed on its
-    own, so the result equals the full selection at those entries.
+    position in the noise stream of the full stack. Every entry is drawn on
+    its own, so the result equals the full selection at those entries.
     """
     if len(candidates) == 0:
         raise EmptyCandidatesError("no candidate matrices to select from")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if granularity not in ("entry", "matrix"):
-        raise ValueError(f"unknown granularity {granularity!r}")
     shapes = {np.asarray(c).shape for c in candidates}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"candidate shapes disagree: {sorted(shapes)}")
     stack = np.stack([np.asarray(c, dtype=np.float64) for c in candidates])
-    k = stack.shape[0]
     rng = np.random.default_rng(seed)
-    logp = np.log(np.maximum(stack, 1e-300))
-
-    if granularity == "entry":
-        scores = logp + gumbel_noise(rng, stack.shape, at=at)
-    else:
-        if log_mean is None:
-            log_mean = logp.reshape(k, -1).mean(axis=1)
-        per_matrix = np.asarray(log_mean, dtype=np.float64) + gumbel_noise(rng, (k,))
-        scores = np.broadcast_to(
-            per_matrix.reshape((k,) + (1,) * (stack.ndim - 1)), stack.shape
-        )
-
+    scores = np.log(np.maximum(stack, 1e-300)) + gumbel_noise(rng, stack.shape, at=at)
     choice = np.argmax(scores, axis=0)
-    if hard:
-        out = np.take_along_axis(stack, choice[None], axis=0)[0]
-    else:
-        w = softmax(scores / temperature, axis=0)
-        out = (w * stack).sum(axis=0)
-    if return_choice:
-        return out, choice
-    return out
+    return np.take_along_axis(stack, choice[None], axis=0)[0], choice
 
 
 def extract_matches(
     p_hat: np.ndarray,
     threshold: float,
-    mutual: bool = True,
     entries: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> list[Match]:
-    """Entries of the selected confidence matrix that qualify as matches.
+    """Mutual nearest entries of the selected confidence matrix at or
+    above threshold.
 
-    mutual=True keeps (i, j) only when j is the argmax of row i and i the
-    argmax of column j (ties resolved to the smaller index, numpy argmax
-    order). Output is sorted by (patch_a, patch_b).
+    (i, j) is kept only when j is the argmax of row i and i the argmax of
+    column j (ties resolved to the smaller index, numpy argmax order).
+    Output is sorted by (patch_a, patch_b).
 
     With entries=(rows, cols), p_hat holds only the values at those
     entries, and every entry left out must lie below threshold. Such an
@@ -288,18 +248,11 @@ def extract_matches(
     """
     p = np.asarray(p_hat, dtype=np.float64)
     if entries is not None:
-        return _extract_listed(p, *entries, threshold, mutual)
-    matches: list[Match] = []
-    if mutual:
-        row_best = np.argmax(p, axis=1)
-        col_best = np.argmax(p, axis=0)
-        for i, j in enumerate(row_best):
-            if col_best[j] == i and p[i, j] >= threshold:
-                matches.append(Match(int(i), int(j), float(p[i, j])))
-    else:
-        for i, j in np.argwhere(p >= threshold):
-            matches.append(Match(int(i), int(j), float(p[i, j])))
-    return matches
+        return _extract_listed(p, *entries, threshold)
+    row_best = np.argmax(p, axis=1)
+    col_best = np.argmax(p, axis=0)
+    return [Match(int(i), int(j), float(p[i, j]))
+            for i, j in enumerate(row_best) if col_best[j] == i and p[i, j] >= threshold]
 
 
 def _best_per_group(group: np.ndarray, other: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -313,13 +266,12 @@ def _best_per_group(group: np.ndarray, other: np.ndarray, v: np.ndarray) -> np.n
 
 
 def _extract_listed(
-    v: np.ndarray, rows: np.ndarray, cols: np.ndarray, threshold: float, mutual: bool
+    v: np.ndarray, rows: np.ndarray, cols: np.ndarray, threshold: float
 ) -> list[Match]:
     keep = v >= threshold
     v, rows, cols = v[keep], np.asarray(rows)[keep], np.asarray(cols)[keep]
-    if mutual:
-        keep = _best_per_group(rows, cols, v) & _best_per_group(cols, rows, v)
-        v, rows, cols = v[keep], rows[keep], cols[keep]
+    keep = _best_per_group(rows, cols, v) & _best_per_group(cols, rows, v)
+    v, rows, cols = v[keep], rows[keep], cols[keep]
     order = np.lexsort((cols, rows))
     return [Match(int(rows[x]), int(cols[x]), float(v[x])) for x in order]
 
@@ -418,16 +370,11 @@ class MatchResult:
 
     matches: list[Match]
     branches: list[tuple[float, float]]
-    grid_a: tuple[int, int]
-    grid_b: tuple[int, int]
 
 
-# Relative margin below the match threshold within which an entry still
-# counts as a candidate. Soft selection blends the K branch confidences with
-# weights that sum to 1 only up to rounding, which can lift the blend a few
-# ulps above its largest input (hard selection returns one of the inputs).
-# The same margin in log space covers the rounding of the softmax bound.
-_BLEND_MARGIN = 1e-9
+# Margin below log(threshold) within which a shifted score still counts as a
+# candidate; it covers the rounding of exp() and log() in the softmax bound.
+_LOG_MARGIN = 1e-9
 
 
 def _unit_features(f: FeatureGrid) -> FeatureGrid:
@@ -467,18 +414,19 @@ def match_pair(
     """Full coarse-to-fine matching of one image pair.
 
     Gumbel-selects among the rotation branches' confidence matrices,
-    extracts matches, and (when fine grids are provided) refines each match
-    to sub-pixel points: the A point anchors at the matched patch's central
-    fine cell, the B point comes from the expectation over a softmaxed
-    fine-correlation window.
+    extracts mutual nearest matches, and (when fine grids are provided)
+    refines each match to sub-pixel points: the A point anchors at the
+    matched patch's central fine cell, the B point comes from the
+    expectation over a softmaxed fine-correlation window.
 
     The result equals extract_matches(gumbel_select(<every branch's dense
-    dual_softmax>, ...)), but only candidate entries, those at or just below
-    the threshold in some branch, are selected among: no other entry can
-    qualify, nor beat or tie one that does in the mutual check. The
-    candidates are found from each branch's score maxima, then each
-    branch's confidences are computed again and kept only there, so one
-    branch's dense matrices are alive at a time.
+    dual_softmax>, ...)), but only candidate entries, those at or above the
+    threshold in some branch, are selected among: the selected value is one
+    of the branch values, so no other entry can qualify, nor beat or tie one
+    that does in the mutual check. The candidates are found from each
+    branch's score maxima, then each branch's confidences are computed
+    again and kept only there, so one branch's dense matrices are alive at
+    a time.
     """
     branches = cfg.branches()
     # Each (view, angle) is aligned once; the branches share the 0-degree
@@ -491,36 +439,25 @@ def match_pair(
     ga, gb = coarse_a.grid_shape, coarse_b.grid_shape
     na, nb = ga[0] * ga[1], gb[0] * gb[1]
 
-    floor = cfg.match_threshold * (1.0 - _BLEND_MARGIN)
-    log_floor = math.log(floor) - _BLEND_MARGIN if floor > 0 else -math.inf
+    threshold = cfg.match_threshold
+    log_floor = math.log(threshold) - _LOG_MARGIN if threshold > 0 else -math.inf
     index = np.unique(np.concatenate([
         _can_reach(score_matrix(bar_a[theta_a], bar_b[theta_b], cfg.temperature), log_floor)
         for theta_a, theta_b in branches
     ]))
 
     confidence = np.empty((len(branches), index.size))
-    log_mean = np.empty(len(branches)) if cfg.gumbel_granularity == "matrix" else None
     for k, (theta_a, theta_b) in enumerate(branches):
         p = dual_softmax(score_matrix(bar_a[theta_a], bar_b[theta_b], cfg.temperature))
         confidence[k] = p.ravel()[index]
-        if log_mean is not None:
-            log_mean[k] = np.log(np.maximum(p, 1e-300)).mean()
         del p  # before the next branch's matrices are built
-    keep = confidence.max(axis=0) >= floor
+    keep = confidence.max(axis=0) >= threshold
     confidence, index = confidence[:, keep], index[keep]
 
     p_hat, choice = gumbel_select(
-        confidence,
-        cfg.gumbel_temperature,
-        seed,
-        hard=cfg.gumbel_hard,
-        granularity=cfg.gumbel_granularity,
-        return_choice=True,
-        at=index + na * nb * np.arange(len(branches))[:, None],
-        log_mean=log_mean,
+        confidence, seed, at=index + na * nb * np.arange(len(branches))[:, None]
     )
-    matches = extract_matches(p_hat, cfg.match_threshold, cfg.mutual,
-                              entries=np.divmod(index, nb))
+    matches = extract_matches(p_hat, threshold, entries=np.divmod(index, nb))
     for m in matches:
         m.branch = branches[int(choice[np.searchsorted(index, m.patch_a * nb + m.patch_b)])]
 
@@ -551,4 +488,4 @@ def match_pair(
                 cell_center_px(refined.u, fine_b.stride),
                 cell_center_px(refined.v, fine_b.stride),
             )
-    return MatchResult(matches, branches, ga, gb)
+    return MatchResult(matches, branches)

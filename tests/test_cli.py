@@ -2,6 +2,7 @@
 eval, curve; config precedence; exit codes; byte determinism."""
 
 import argparse
+import json
 import math
 import shutil
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from occmatch.cli import RunConfig, build_parser, main
 from occmatch.formats import (
     dump_json,
+    dump_json_line,
     intrinsics_to_json,
     pose_to_json,
     read_curve_csv,
@@ -291,9 +293,8 @@ class TestSettings:
 
     SETTINGS = [
         "angles", "auc_thresholds", "channels", "d_max", "d_min", "depth_bins",
-        "fine_temperature", "fine_window", "gumbel_granularity", "gumbel_hard",
-        "gumbel_temperature", "inlier_threshold", "margin_floor", "margin_relative",
-        "match_threshold", "max_overlap", "min_occlusion", "min_overlap", "mutual",
+        "fine_temperature", "fine_window", "inlier_threshold", "margin_floor",
+        "margin_relative", "match_threshold", "max_overlap", "min_occlusion", "min_overlap",
         "patch_stride", "ransac_confidence", "ransac_iterations", "seed", "temperature",
     ]
     COMMAND_OPTIONS = {
@@ -305,8 +306,8 @@ class TestSettings:
         "eval": {"--matches", "--manifests", "--out-report", "--out-curve"},
     }
     ECHO_FLAGS = [
-        "--angles", "0", "15", "--no-mutual", "--match-threshold", "0.3", "--min-overlap", "0.1",
-        "--seed", "4", "--auc-thresholds", "5", "10", "--margin-floor", "0.04",
+        "--angles", "0", "15", "--fine-window", "9", "--match-threshold", "0.3",
+        "--min-overlap", "0.1", "--seed", "4", "--auc-thresholds", "5", "10", "--margin-floor", "0.04",
         "--depth-bins", "16", "--channels", "64",
     ]
 
@@ -315,7 +316,6 @@ class TestSettings:
         echo = RunConfig().to_json()
         assert sorted(echo) == self.SETTINGS
         flags = {"--config"} | {"--" + n.replace("_", "-") for n in echo}
-        flags |= {"--no-" + n.replace("_", "-") for n, v in echo.items() if isinstance(v, bool)}
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         options = {s for a in sub.choices[command]._actions for s in a.option_strings}
         assert options == {"-h", "--help"} | self.COMMAND_OPTIONS[command] | flags
@@ -343,7 +343,7 @@ class TestSettings:
             return read_json(out / echo_file)["config"]
 
         first = echo(tmp_path / "flags", *self.ECHO_FLAGS)
-        assert first["angles"] == [0.0, 15.0] and first["mutual"] is False
+        assert first["angles"] == [0.0, 15.0] and first["fine_window"] == 9
         write_json(tmp_path / "echo.json", first)
         second = echo(tmp_path / "config", "--config", str(tmp_path / "echo.json"))
         assert dump_json(second) == dump_json(first)
@@ -355,14 +355,16 @@ class TestSettings:
         (["--margin-floor", "0"], None, "margin_floor"),
         (["--channels", "3"], None, "channels"),
         (["--patch-stride", "3"], None, "patch_stride"),  # not a multiple of the fine stride 2
-        (["--gumbel-granularity", "rows"], None, "gumbel_granularity"),
         (["--temperature", "nan"], None, "temperature"),
         (["--margin-relative", "nan"], None, "margin_relative"),
         (["--inlier-threshold", "nan"], None, "inlier_threshold"),
         ([], {"temperature": "abc"}, "temperature"),
         ([], {"angles": 5}, "angles"),
-        ([], {"mutual": 1}, "mutual"),
+        ([], {"gumbel_hard": True}, "gumbel_hard"),  # not a setting
+        ([], {"fine_window": True}, "fine_window"),  # a bool is not an int
         ([], {"lambda1": 1.0}, "lambda1"),
+        (["--width", "0"], None, "--width"),  # the fixture size flags are checked alike
+        (["--height", "-3"], None, "--height"),
     ])
     def test_bad_setting_exits_one_naming_it(self, tmp_path, capsys, flags, config, setting):
         if config is not None:
@@ -373,6 +375,68 @@ class TestSettings:
         err = capsys.readouterr().err
         assert setting in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestMalformedInputs:
+    """A JSON field of the wrong type exits 1 naming the file and the field."""
+
+    @pytest.mark.parametrize("target, where, value", [
+        ("manifest.json", "k", 5),
+        ("manifest.json", "files", [5]),
+        ("manifest.json", "k.width", "abc"),
+        ("manifest.json", "k.width", None),
+        ("manifest.json", "k.height", [5]),
+        ("manifest.json", "k.fx", [5]),
+        ("scene.json", "primitives", 5),
+        ("scene.json", "primitives.0", 5),
+        ("scene.json", "primitives.0.texture", -1),
+        ("supervision.json", "patch_stride", "abc"),
+        ("supervision.json", "vv", 5),
+        ("supervision.json", "vo", [5]),
+        ("supervision.json", "ov", [[1]]),
+        ("matches.jsonl", "a", 5),
+        ("matches.jsonl", "b", [5]),
+        ("matches.jsonl", "a", {}),
+    ])
+    def test_wrong_type_exits_one(self, fresh_pair, tmp_path, capsys, target, where, value):
+        keys = [int(k) if k.isdigit() else k for k in where.split(".")]
+        pair = Path(fresh_pair("identity"))
+        manifest = read_json(pair / "manifest.json")
+        for name in ("scene", "pose_a", "pose_b", "k"):
+            write_json(tmp_path / f"{name}.json", manifest[name])
+        argv = {
+            "manifest.json": ["supervise", "--pair", str(pair)],
+            "scene.json": ["synth", "--scene", str(tmp_path / "scene.json"),
+                           "--pose-a", str(tmp_path / "pose_a.json"),
+                           "--pose-b", str(tmp_path / "pose_b.json"),
+                           "--intrinsics", str(tmp_path / "k.json"), "--out", str(tmp_path / "out")],
+            "supervision.json": ["match", "--pair", str(pair)],
+            "matches.jsonl": ["eval", "--matches", str(pair / "matches.jsonl"),
+                              "--manifests", str(pair / "manifest.json"),
+                              "--out-report", str(tmp_path / "r.json"),
+                              "--out-curve", str(tmp_path / "c.csv")],
+        }[target]
+        assert main(["supervise", "--pair", str(pair)]) == 0
+        assert main(["match", "--pair", str(pair)]) == 0
+        path = (tmp_path if target == "scene.json" else pair) / target
+        if target == "matches.jsonl":
+            lines = path.read_text().splitlines()
+            obj = json.loads(lines[0])
+        else:
+            obj = read_json(path)
+        inner = obj
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        if target == "matches.jsonl":
+            path.write_text("\n".join([dump_json_line(obj), *lines[1:]]) + "\n")
+        else:
+            write_json(path, obj)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        field = next(k for k in reversed(keys) if isinstance(k, str))
+        assert target in err and repr(field) in err and "Traceback" not in err
 
 
 class TestEvalAndCurve:

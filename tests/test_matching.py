@@ -72,14 +72,11 @@ def dense_candidates(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> l
 def dense_reference(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig, seed: int) -> list:
     """(patch_a, patch_b, confidence, branch) of every match, selected and
     extracted on the dense K x Na x Nb stack."""
-    p_hat, choice = gumbel_select(
-        dense_candidates(fa, fb, cfg), cfg.gumbel_temperature, seed,
-        hard=cfg.gumbel_hard, granularity=cfg.gumbel_granularity, return_choice=True,
-    )
+    p_hat, choice = gumbel_select(dense_candidates(fa, fb, cfg), seed)
     branches = cfg.branches()
     return [
         (m.patch_a, m.patch_b, m.confidence, branches[choice[m.patch_a, m.patch_b]])
-        for m in extract_matches(p_hat, cfg.match_threshold, cfg.mutual)
+        for m in extract_matches(p_hat, cfg.match_threshold)
     ]
 
 
@@ -253,7 +250,7 @@ class TestDualSoftmaxJacobian:
 class TestGumbelSelect:
     def test_single_candidate_passes_through(self):
         c = np.array([[0.25, 0.75]])
-        out, choice = gumbel_select([c], 1.0, seed=1, hard=True, return_choice=True)
+        out, choice = gumbel_select([c], seed=1)
         assert np.array_equal(out, c)
         assert np.all(choice == 0)
 
@@ -262,46 +259,32 @@ class TestGumbelSelect:
         # probability 1000/1001 per entry.
         strong = np.full((50, 50), 0.999)
         weak = np.full((50, 50), 0.000999)
-        _, choice = gumbel_select(
-            [strong, weak], 1.0, seed=2, hard=True, return_choice=True
-        )
+        _, choice = gumbel_select([strong, weak], seed=2)
         assert np.mean(choice == 0) > 0.99
 
     def test_equal_candidates_split_evenly(self):
         cands = [np.full((100, 100), 0.5) for _ in range(3)]
-        _, choice = gumbel_select(cands, 1.0, seed=3, hard=True, return_choice=True)
+        _, choice = gumbel_select(cands, seed=3)
         for k in range(3):
             assert abs(np.mean(choice == k) - 1.0 / 3.0) < 0.02
 
     def test_same_seed_is_bit_identical(self):
         rng = np.random.default_rng(95)
         cands = [rng.uniform(0.1, 0.9, size=(6, 6)) for _ in range(3)]
-        a = gumbel_select(cands, 0.7, seed=11)
-        b = gumbel_select(cands, 0.7, seed=11)
-        assert np.array_equal(a, b)
+        a, choice_a = gumbel_select(cands, seed=11)
+        b, choice_b = gumbel_select(cands, seed=11)
+        assert np.array_equal(a, b) and np.array_equal(choice_a, choice_b)
 
     def test_hard_entries_come_from_some_candidate(self):
         rng = np.random.default_rng(96)
         cands = [rng.uniform(0.1, 0.9, size=(4, 4)) for _ in range(2)]
-        out = gumbel_select(cands, 1.0, seed=4, hard=True)
+        out, _ = gumbel_select(cands, seed=4)
         stacked = np.stack(cands)
         assert np.all(np.any(out[None] == stacked, axis=0))
 
-    def test_matrix_granularity_returns_whole_candidate(self):
-        rng = np.random.default_rng(97)
-        cands = [rng.uniform(0.1, 0.9, size=(4, 4)) for _ in range(3)]
-        out = gumbel_select(cands, 1.0, seed=5, hard=True, granularity="matrix")
-        assert any(np.array_equal(out, c) for c in cands)
-
-    def test_soft_mode_blends_between_candidates(self):
-        lo, hi = np.full((3, 3), 0.2), np.full((3, 3), 0.8)
-        out = gumbel_select([lo, hi], 1.0, seed=6, hard=False)
-        assert np.all(out >= 0.2 - 1e-12)
-        assert np.all(out <= 0.8 + 1e-12)
-
     def test_empty_candidates_rejected(self):
         with pytest.raises(EmptyCandidatesError):
-            gumbel_select([], 1.0, seed=0)
+            gumbel_select([], seed=0)
 
 
 class TestExtractMatches:
@@ -320,11 +303,6 @@ class TestExtractMatches:
         p = np.array([[0.90, 0.10, 0.00], [0.85, 0.10, 0.00], [0.00, 0.00, 0.70]])
         got = extract_matches(p, threshold=0.5)
         assert [(m.patch_a, m.patch_b) for m in got] == [(0, 0), (2, 2)]
-
-    def test_non_mutual_keeps_every_entry_above_threshold(self):
-        p = np.array([[0.90, 0.10, 0.00], [0.85, 0.10, 0.00], [0.00, 0.00, 0.70]])
-        got = extract_matches(p, threshold=0.5, mutual=False)
-        assert [(m.patch_a, m.patch_b) for m in got] == [(0, 0), (1, 0), (2, 2)]
 
 
 class TestCoarseLoss:
@@ -461,7 +439,6 @@ class TestMatchPair:
     def test_identical_grids_match_diagonally(self):
         f = unit_columns(32, 4, 4, seed=98)
         result = match_pair(f, f, seed=0)
-        assert result.grid_a == (4, 4)
         pairs = {(m.patch_a, m.patch_b) for m in result.matches}
         assert pairs == {(i, i) for i in range(16)}
         assert match_tuples(result) == dense_reference(f, f, MatchingConfig(), seed=0)
@@ -493,12 +470,8 @@ class TestSparseMatchesDense:
     gumbel_select / extract_matches pair is the oracle."""
 
     @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.2, 1.0])
-    @pytest.mark.parametrize("mutual", [True, False])
-    @pytest.mark.parametrize("granularity", ["entry", "matrix"])
-    @pytest.mark.parametrize("hard", [True, False])
-    def test_same_matches_as_the_dense_stack(self, hard, granularity, mutual, threshold):
-        cfg = MatchingConfig(gumbel_hard=hard, gumbel_granularity=granularity,
-                             mutual=mutual, match_threshold=threshold)
+    def test_same_matches_as_the_dense_stack(self, threshold):
+        cfg = MatchingConfig(match_threshold=threshold)
         for seed in range(3):
             grids = [
                 (unit_columns(16, 5, 6, 200 + seed), unit_columns(16, 6, 4, 300 + seed)),
@@ -509,12 +482,10 @@ class TestSparseMatchesDense:
                 got = match_tuples(match_pair(fa, fb, cfg=cfg, seed=seed))
                 assert got == dense_reference(fa, fb, cfg, seed)
 
-    @pytest.mark.parametrize("granularity", ["entry", "matrix"])
-    def test_tied_confidences_keep_the_smaller_index(self, granularity):
+    def test_tied_confidences_keep_the_smaller_index(self):
         fa, fb = unit_columns(16, 5, 3, 602), tied_column_grid(603)
-        cfg = MatchingConfig(gumbel_granularity=granularity, match_threshold=0.05)
-        p_hat = gumbel_select(dense_candidates(fa, fb, cfg), cfg.gumbel_temperature, 2,
-                              hard=True, granularity=granularity)
+        cfg = MatchingConfig(match_threshold=0.05)
+        p_hat, _ = gumbel_select(dense_candidates(fa, fb, cfg), 2)
         want = dense_reference(fa, fb, cfg, seed=2)
         # A match that ties with another entry of its row: the argmax order decides.
         assert any((p_hat[a] == conf).sum() > 1 for a, _, conf, _ in want)
