@@ -361,6 +361,9 @@ class TestSettings:
         ([], {"temperature": "abc"}, "temperature"),
         ([], {"angles": 5}, "angles"),
         ([], {"gumbel_hard": True}, "gumbel_hard"),  # not a setting
+        ([], {"gumbel_temperature": 1.0}, "gumbel_temperature"),
+        ([], {"gumbel_granularity": "entry"}, "gumbel_granularity"),
+        ([], {"mutual": False}, "mutual"),
         ([], {"fine_window": True}, "fine_window"),  # a bool is not an int
         ([], {"lambda1": 1.0}, "lambda1"),
         (["--width", "0"], None, "--width"),  # the fixture size flags are checked alike

@@ -186,6 +186,49 @@ class TestJsonCodecs:
         assert back.label == "none"
         assert back.branch is None
 
+    @pytest.mark.parametrize("decode, field, value", [
+        ("intrinsics", "fy", "abc"),
+        ("intrinsics", "cx", None),
+        ("intrinsics", "width", 2.5),
+        ("intrinsics", "height", True),
+        ("pose", "R", "abc"),
+        ("pose", "R", [[1.0, 0.0], [0.0]]),
+        ("pose", "t", {}),
+        ("scene", "point", "abc"),
+        ("scene", "normal", None),
+        ("supervision", "patch_stride", True),
+        ("supervision", "vv", [[1, 2.5]]),
+        ("supervision", "ov", [[1, 2, 3]]),
+        ("match", "conf", "abc"),
+        ("match", "pa", 1.5),
+        ("match", "branch", "x"),
+    ])
+    def test_wrong_type_names_the_source_and_field(self, decode, field, value):
+        two_plane = scene_to_json(make_fixture("two_plane").scene)
+        obj, target = {
+            "intrinsics": (intrinsics_to_json(CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2, 2)), None),
+            "pose": (pose_to_json(PoseSE3.identity()), None),
+            "scene": (two_plane, two_plane["primitives"][0]),
+            "supervision": (supervision_to_json(
+                CoarseMatchSet(patch_stride=8, vv=[(0, 0)], vo=[], ov=[(1, 6)]),
+                PairStats(counts={cls: 0 for cls in PixelClass},
+                          occlusion_ratio=0.0, overlap_score=1.0)), None),
+            "match": (match_to_json(Match(patch_a=1, patch_b=2, confidence=0.5,
+                                          branch=(0.0, 0.0))), None),
+        }[decode]
+        (obj if target is None else target)[field] = value
+        read = {"intrinsics": intrinsics_from_json, "pose": pose_from_json,
+                "scene": scene_from_json, "supervision": supervision_from_json,
+                "match": match_from_json}[decode]
+        with pytest.raises(SchemaError, match=rf"^src\.json.*'{field}'"):
+            read(obj, source="src.json")
+
+    def test_nested_point_reads_as_its_flat_values(self):
+        obj = scene_to_json(make_fixture("two_plane").scene)
+        flat = obj["primitives"][0]["point"]
+        obj["primitives"][0]["point"] = [flat]
+        assert scene_from_json(obj).primitives[0].point == tuple(flat)
+
 
 class TestMatchesJsonl:
     def test_round_trip_order_and_values(self, tmp_path):
