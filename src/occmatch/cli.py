@@ -338,6 +338,10 @@ def cmd_match(args: argparse.Namespace) -> int:
         if gt.patch_stride != coarse_a.stride:
             raise SchemaError(f"{supervision_path}: patch_stride {gt.patch_stride} differs from "
                               f"the coarse feature stride {coarse_a.stride}")
+        for name, grid in (("grid_a", coarse_a), ("grid_b", coarse_b)):
+            if getattr(gt, name) != grid.grid_shape:
+                raise SchemaError(f"{supervision_path}: {name} {list(getattr(gt, name))} differs "
+                                  f"from the coarse feature grid {list(grid.grid_shape)}")
     else:
         gt = coarse_match_ground_truth(
             pair.depth("a"), pair.depth("b"), pair.k, pair.k, pair.relative(),
@@ -400,7 +404,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pair = load_pair(Path(manifest_path).parent)
         matches = formats.read_matches(matches_path)
         report = _evaluate_pair(pair, matches, cfg)
-        ratio = float(pair.manifest.get("occlusion_ratio", 0.0))
+        ratio = float(formats._field(pair.manifest, "occlusion_ratio", str(manifest_path),
+                                     formats._is_number, "a number", default=0.0))
         rows.append({
             "id": pair.pair_id,
             "occlusion_ratio": ratio,
@@ -426,16 +431,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    report = formats.read_json(args.report)
-    pairs = report.get("pairs")
-    if not isinstance(pairs, list):
-        raise SchemaError(f"{args.report}: missing or non-list field 'pairs'")
+    pairs = formats._field(formats.read_json(args.report), "pairs", str(args.report),
+                           lambda v: formats._is_list(v, lambda row: isinstance(row, dict)),
+                           "a list of objects")
     entries = []
     for i, row in enumerate(pairs):
         src = f"{args.report}: pairs[{i}]"
-        if "occlusion_ratio" not in row or "pose_err_deg" not in row:
-            raise SchemaError(f"{src}: needs occlusion_ratio and pose_err_deg")
-        entries.append((float(row["occlusion_ratio"]), float(row["pose_err_deg"])))
+        entries.append(tuple(float(formats._field(row, name, src, formats._is_number, "a number"))
+                             for name in ("occlusion_ratio", "pose_err_deg")))
     formats.write_curve_csv(args.out, cumulative_occlusion_curve(entries))
     print(f"curve: {len(entries)} rows -> {args.out}")
     return 0

@@ -223,6 +223,8 @@ def supervision_to_json(matches: CoarseMatchSet, stats: PairStats,
                         config: Optional[dict] = None) -> dict:
     out = {
         "patch_stride": matches.patch_stride,
+        "grid_a": list(matches.grid_a),
+        "grid_b": list(matches.grid_b),
         "vv": [list(p) for p in matches.vv],
         "vo": [list(p) for p in matches.vo],
         "ov": [list(p) for p in matches.ov],
@@ -242,7 +244,9 @@ def supervision_from_json(obj: dict, source: str = "supervision") -> CoarseMatch
         pairs = _field(obj, name, source, lambda v: _is_list(v, lambda p: _is_list(p, _is_int, 2)),
                        "a list of index pairs")
         lists[name] = [tuple(p) for p in pairs]
-    return CoarseMatchSet(patch_stride=stride, **lists)
+    grids = {name: tuple(_field(obj, name, source, lambda v: _is_list(v, _is_int, 2), "[rows, cols]"))
+             for name in ("grid_a", "grid_b")}
+    return CoarseMatchSet(patch_stride=stride, **lists, **grids)
 
 
 def match_to_json(m: Match) -> dict:

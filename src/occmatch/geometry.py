@@ -42,6 +42,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
+        for name in ("fx", "fy", "cx", "cy"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name!r} must be finite, got {getattr(self, name)}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
         if self.width < 1 or self.height < 1:
@@ -70,6 +73,8 @@ class PoseSE3:
     def __post_init__(self) -> None:
         R = _as_readonly(self.R).reshape(3, 3)
         t = _as_readonly(self.t).reshape(3)
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"'t' must be finite, got {t.tolist()}")
         if not np.allclose(R.T @ R, np.eye(3), atol=_ROT_ATOL):
             raise ValueError("rotation is not orthonormal")
         if not np.isclose(np.linalg.det(R), 1.0, atol=_ROT_ATOL):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,6 +26,13 @@ from .matching import FeatureGrid, cell_center_px
 from .supervision import PixelClass, patch_grid
 
 _EPS_HIT = 1e-9
+
+# Descriptor bank constants: the fine grid's stride, each kernel's length
+# scale in grid cells at the pair's median depth, and the frequency seed.
+_FINE_STRIDE = 2
+_COARSE_SCALE_CELLS = 0.5
+_FINE_SCALE_CELLS = 1.0
+_FREQ_SEED = 61
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,6 @@ class SceneSpec:
         if not self.primitives:
             raise ValueError("scene needs at least one primitive")
         object.__setattr__(self, "primitives", tuple(self.primitives))
-
-    def textures(self) -> list[int]:
-        return [p.texture for p in self.primitives]
 
 
 def _plane_hits(p: Plane, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -135,14 +139,13 @@ def render_depth(scene: SceneSpec, pose: PoseSE3, k: CameraIntrinsics) -> DepthM
     return DepthMap(depth.reshape(k.height, k.width))
 
 
-def occluded_by_scene(
-    scene: SceneSpec, viewpoint: np.ndarray, targets: np.ndarray, rel_tol: float = 1e-6
-) -> np.ndarray:
+def occluded_by_scene(scene: SceneSpec, viewpoint: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """True where the segment viewpoint -> target hits a surface strictly
-    before the target point (the point itself registers at parameter 1)."""
+    before the target point (the point itself registers at parameter 1, so
+    hits within 1e-6 of it do not count)."""
     dirs = np.asarray(targets, dtype=np.float64) - np.asarray(viewpoint, dtype=np.float64)
     s, idx = first_hit(scene, viewpoint, dirs)
-    return (idx >= 0) & (s < 1.0 - rel_tol)
+    return (idx >= 0) & (s < 1.0 - 1e-6)
 
 
 def analytic_classes(
@@ -203,26 +206,18 @@ def analytic_stats(classes: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FeatureParams:
-    """Controls of the synthetic descriptor bank.
-
-    Kernel length scales are expressed in units of one grid cell's world
-    footprint at the pair's median depth; channels must be even (cos/sin
-    pairs).
-    """
+    """Controls of the synthetic descriptor bank; channels must be even
+    (cos/sin pairs)."""
 
     channels: int = 128
     coarse_stride: int = 8
-    fine_stride: int = 2
-    coarse_scale_cells: float = 0.5
-    fine_scale_cells: float = 1.0
-    freq_seed: int = 61
 
     def __post_init__(self) -> None:
         if self.channels < 2 or self.channels % 2:
             raise ValueError(f"channels must be even and >= 2, got {self.channels}")
-        if self.coarse_stride < 1 or self.coarse_stride % self.fine_stride:
+        if self.coarse_stride < 1 or self.coarse_stride % _FINE_STRIDE:
             raise ValueError(f"coarse stride must be a positive multiple of the fine stride "
-                             f"{self.fine_stride}, got {self.coarse_stride}")
+                             f"{_FINE_STRIDE}, got {self.coarse_stride}")
 
 
 def _texture_signs(texture: int, m: int) -> np.ndarray:
@@ -255,12 +250,8 @@ def _feature_grid(
 
     hit = prim >= 0
     phase = world[hit] @ omegas.T
-    signs = np.ones((int(hit.sum()), m))
-    textures = np.array([p.texture for p in scene.primitives])
-    for tex in np.unique(textures):
-        tex_cells = np.isin(prim[hit], np.flatnonzero(textures == tex))
-        if tex_cells.any():
-            signs[tex_cells] = _texture_signs(int(tex), m)
+    textures, prim_texture = np.unique([p.texture for p in scene.primitives], return_inverse=True)
+    signs = np.stack([_texture_signs(int(tex), m) for tex in textures])[prim_texture[prim[hit]]]
     feats[:m, hit] = (signs * np.cos(phase)).T
     feats[m:, hit] = (signs * np.sin(phase)).T
 
@@ -276,18 +267,12 @@ def _feature_grid(
 
 @dataclass(frozen=True)
 class SyntheticPair:
-    """A rendered two-view pair with its exact ground truth."""
+    """A rendered two-view pair: what a pair directory stores, plus the
+    oracle's A->B visibility classes behind its manifest statistics."""
 
-    scene: SceneSpec
-    k: CameraIntrinsics
-    pose_a: PoseSE3
-    pose_b: PoseSE3
     depth_a: DepthMap
     depth_b: DepthMap
     classes_a: np.ndarray = field(repr=False)  # A->B visibility classes
-    classes_b: np.ndarray = field(repr=False)
-    reproj_a: np.ndarray = field(repr=False)  # continuous (u, v) in B per A pixel
-    reproj_b: np.ndarray = field(repr=False)
     coarse_a: FeatureGrid = field(repr=False)
     coarse_b: FeatureGrid = field(repr=False)
     fine_a: FeatureGrid = field(repr=False)
@@ -297,10 +282,6 @@ class SyntheticPair:
     def stats_a(self) -> tuple[float, float]:
         return analytic_stats(self.classes_a)
 
-    @property
-    def stats_b(self) -> tuple[float, float]:
-        return analytic_stats(self.classes_b)
-
 
 def make_pair(
     scene: SceneSpec,
@@ -309,49 +290,30 @@ def make_pair(
     k: CameraIntrinsics,
     params: FeatureParams = FeatureParams(),
 ) -> SyntheticPair:
-    """Render both views and assemble depths, oracle class maps, and
-    matched feature grids at the coarse and fine strides."""
+    """Render both views and assemble depths, the A->B oracle class map,
+    and matched feature grids at the coarse and fine strides."""
     depth_a = render_depth(scene, pose_a, k)
     depth_b = render_depth(scene, pose_b, k)
-    classes_a, reproj_a, _ = analytic_classes(scene, depth_a, pose_a, pose_b, k, k)
-    classes_b, reproj_b, _ = analytic_classes(scene, depth_b, pose_b, pose_a, k, k)
+    classes_a, _, _ = analytic_classes(scene, depth_a, pose_a, pose_b, k, k)
 
     valid = np.concatenate([depth_a.data[depth_a.valid_mask], depth_b.data[depth_b.valid_mask]])
     med = float(np.median(valid)) if valid.size else 1.0
     m = params.channels // 2
-    rng = np.random.default_rng(params.freq_seed)
+    rng = np.random.default_rng(_FREQ_SEED)
     base_c = rng.normal(size=(m, 3))
     base_f = rng.normal(size=(m, 3))
-    scale_c = params.coarse_scale_cells * params.coarse_stride * med / k.fx
-    scale_f = params.fine_scale_cells * params.fine_stride * med / k.fx
+    scale_c = _COARSE_SCALE_CELLS * params.coarse_stride * med / k.fx
+    scale_f = _FINE_SCALE_CELLS * _FINE_STRIDE * med / k.fx
 
-    grids = {}
-    for role, (pose, stride, base, scale) in enumerate(
-        [
-            (pose_a, params.coarse_stride, base_c, scale_c),
-            (pose_b, params.coarse_stride, base_c, scale_c),
-            (pose_a, params.fine_stride, base_f, scale_f),
-            (pose_b, params.fine_stride, base_f, scale_f),
-        ]
-    ):
-        grids[role] = _feature_grid(scene, pose, k, stride, base / scale, fallback_seed=role)
-
-    return SyntheticPair(
-        scene=scene,
-        k=k,
-        pose_a=pose_a,
-        pose_b=pose_b,
-        depth_a=depth_a,
-        depth_b=depth_b,
-        classes_a=classes_a,
-        classes_b=classes_b,
-        reproj_a=reproj_a,
-        reproj_b=reproj_b,
-        coarse_a=grids[0],
-        coarse_b=grids[1],
-        fine_a=grids[2],
-        fine_b=grids[3],
-    )
+    roles = [
+        (pose_a, params.coarse_stride, base_c, scale_c),
+        (pose_b, params.coarse_stride, base_c, scale_c),
+        (pose_a, _FINE_STRIDE, base_f, scale_f),
+        (pose_b, _FINE_STRIDE, base_f, scale_f),
+    ]
+    grids = [_feature_grid(scene, pose, k, stride, base / scale, fallback_seed=role)
+             for role, (pose, stride, base, scale) in enumerate(roles)]
+    return SyntheticPair(depth_a, depth_b, classes_a, *grids)
 
 
 def _rot_y(deg: float) -> np.ndarray:

@@ -226,6 +226,21 @@ class TestMatch:
         assert "supervision.json" in err and "patch_stride" in err
         assert not (Path(pair) / "matches.jsonl").exists()
 
+    def test_supervision_of_another_image_size_fails(self, fresh_pair, tmp_path, capsys):
+        # Same stride, other grid: a 192x144 supervision copied into a
+        # 320x240 pair would label every match "none".
+        small = fresh_pair("two_plane")
+        large = tmp_path / "two_plane_320"
+        assert main(["synth", "--fixture", "two_plane", "--width", "320", "--height", "240",
+                     "--out", str(large)]) == 0
+        assert main(["supervise", "--pair", small]) == 0
+        shutil.copy(Path(small) / "supervision.json", large / "supervision.json")
+        capsys.readouterr()
+        assert main(["match", "--pair", str(large)]) == 1
+        err = capsys.readouterr().err
+        assert "supervision.json" in err and "grid_a" in err and "Traceback" not in err
+        assert not (large / "matches.jsonl").exists()
+
     def test_nan_depth_fails_with_file_name(self, fresh_pair, capsys):
         pair = fresh_pair("identity")
         path = Path(pair) / "depth_a.odm"
@@ -400,6 +415,9 @@ class TestMalformedInputs:
         ("matches.jsonl", "a", 5),
         ("matches.jsonl", "b", [5]),
         ("matches.jsonl", "a", {}),
+        ("manifest.json", "k.fx", math.nan),
+        ("manifest.json", "pose_b.t", [math.nan, 0.0, 0.0]),
+        ("supervision.json", "grid_a", [18, 24.0]),
     ])
     def test_wrong_type_exits_one(self, fresh_pair, tmp_path, capsys, target, where, value):
         keys = [int(k) if k.isdigit() else k for k in where.split(".")]
@@ -436,6 +454,35 @@ class TestMalformedInputs:
         else:
             write_json(path, obj)
         capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        field = next(k for k in reversed(keys) if isinstance(k, str))
+        assert target in err and repr(field) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target, where, value", [
+        ("manifest.json", "occlusion_ratio", "abc"),
+        ("report.json", "pairs.0.pose_err_deg", "abc"),
+        ("report.json", "pairs", [5]),
+    ])
+    def test_eval_and_curve_inputs_exit_one(self, fresh_pair, tmp_path, capsys,
+                                            target, where, value):
+        keys = [int(k) if k.isdigit() else k for k in where.split(".")]
+        pair = Path(fresh_pair("identity"))
+        report = tmp_path / "report.json"
+        eval_argv = ["eval", "--matches", str(pair / "matches.jsonl"),
+                     "--manifests", str(pair / "manifest.json"),
+                     "--out-report", str(report), "--out-curve", str(tmp_path / "c.csv")]
+        assert main(["match", "--pair", str(pair)]) == 0
+        assert main(eval_argv) == 0
+        path = pair / target if target == "manifest.json" else report
+        obj = inner = read_json(path)
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        write_json(path, obj)
+        capsys.readouterr()
+        argv = eval_argv if target == "manifest.json" else [
+            "curve", "--report", str(report), "--out", str(tmp_path / "c2.csv")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         field = next(k for k in reversed(keys) if isinstance(k, str))

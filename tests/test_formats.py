@@ -152,7 +152,8 @@ class TestJsonCodecs:
 
     def test_supervision_round_trip(self):
         matches = CoarseMatchSet(
-            patch_stride=8, vv=[(0, 0), (5, 3)], vo=[(7, 2)], ov=[(1, 6)]
+            patch_stride=8, vv=[(0, 0), (5, 3)], vo=[(7, 2)], ov=[(1, 6)],
+            grid_a=(2, 4), grid_b=(3, 4),
         )
         stats = PairStats(
             counts={cls: 0 for cls in PixelClass},
@@ -164,6 +165,7 @@ class TestJsonCodecs:
         assert back.vv == matches.vv
         assert back.vo == matches.vo
         assert back.ov == matches.ov
+        assert (back.grid_a, back.grid_b) == ((2, 4), (3, 4))
 
     def test_match_round_trip_with_points_and_branch(self):
         m = Match(
@@ -202,6 +204,8 @@ class TestJsonCodecs:
         ("match", "conf", "abc"),
         ("match", "pa", 1.5),
         ("match", "branch", "x"),
+        ("supervision", "grid_a", [1, 2.5]),
+        ("supervision", "grid_b", None),
     ])
     def test_wrong_type_names_the_source_and_field(self, decode, field, value):
         two_plane = scene_to_json(make_fixture("two_plane").scene)

@@ -90,6 +90,14 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(100.0, 100.0, 0.0, 0.0, 0, 480)
 
+    @pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_rejected_by_name(self, name, bad):
+        vals = dict(fx=100.0, fy=100.0, cx=320.0, cy=240.0, width=640, height=480)
+        vals[name] = bad
+        with pytest.raises(ValueError, match=f"'{name}' must be finite"):
+            CameraIntrinsics(**vals)
+
 
 class TestPose:
     def test_identity_transform_is_noop(self):
@@ -104,6 +112,11 @@ class TestPose:
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             PoseSE3(r, np.zeros(3))
+
+    @pytest.mark.parametrize("t", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]])
+    def test_nonfinite_translation_rejected(self, t):
+        with pytest.raises(ValueError, match="'t' must be finite"):
+            PoseSE3(np.eye(3), np.array(t))
 
     def test_inverse_composes_to_identity(self):
         pose = random_pose(np.random.default_rng(3))
