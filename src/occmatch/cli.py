@@ -194,7 +194,13 @@ class PairDir:
         return self.path / name
 
     def depth(self, side: str) -> DepthMap:
-        return formats.read_depth(self.file(f"depth_{side}"))
+        path = self.file(f"depth_{side}")
+        depth = formats.read_depth(path)
+        if (depth.width, depth.height) != (self.k.width, self.k.height):
+            raise SchemaError(f"{path}: raster is {depth.width}x{depth.height}, but "
+                              f"{self.path / 'manifest.json'}: fields 'k.width'/'k.height' give "
+                              f"{self.k.width}x{self.k.height}")
+        return depth
 
     def features(self, grid: str, side: str) -> FeatureGrid:
         return formats.read_features(self.file(f"{grid}_{side}"))

@@ -17,6 +17,10 @@ class EmptyCloudError(OccMatchError):
     """No valid depth pixel in either view; nothing to fuse."""
 
 
+class GridSizeError(OccMatchError):
+    """A grid would exceed the memory limit of its module."""
+
+
 class ShapeMismatchError(OccMatchError):
     """Array shapes disagree where they must match."""
 

@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCloudError, ShapeMismatchError
+from .errors import EmptyCloudError, GridSizeError, ShapeMismatchError
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, project_points, unproject_points
 from .numerics import softmax, softmax_jacobian
 from .supervision import patch_grid
+
+# Largest ground-truth grid built, in bytes of float64 values.
+_MAX_GRID_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,11 @@ def build_ground_truth_occupancy(
     if not (depth_t.valid_mask.any() or depth_o.valid_mask.any()):
         raise EmptyCloudError("no valid depth pixel in either view")
     rows, cols = grid_shape(k_t)
+    size = rows * cols * cfg.depth_bins * 8
+    if size > _MAX_GRID_BYTES:
+        raise GridSizeError(f"depth_bins {cfg.depth_bins} needs a {rows}x{cols}x{cfg.depth_bins} "
+                            f"occupancy grid of {size / 2**30:.3g} GiB, over the "
+                            f"{_MAX_GRID_BYTES / 2**30:.3g} GiB limit")
     occ = np.zeros((rows, cols, cfg.depth_bins))
 
     vt, ut = np.nonzero(depth_t.valid_mask)

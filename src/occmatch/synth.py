@@ -26,6 +26,8 @@ from .matching import FeatureGrid, cell_center_px
 from .supervision import PixelClass, patch_grid
 
 _EPS_HIT = 1e-9
+# Relative pad of the ray-reach bound of `_reachable`: far above rounding.
+_REACH_PAD = 1e-9
 
 # Descriptor bank constants: the fine grid's stride, each kernel's length
 # scale in grid cells at the pair's median depth, and the frequency seed.
@@ -94,23 +96,61 @@ def _box_hits(b: Box, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.where(hit & (s > _EPS_HIT), s, np.inf)
 
 
+def _reachable(b: Box, origin: np.ndarray, dirs: np.ndarray, cache: dict) -> Union[slice, np.ndarray]:
+    """Indices of the rays that can reach box `b`, a superset of its hits;
+    every ray when no axis plane through the origin separates the box.
+
+    Along the separating axis `a` where the box is farthest, a ray hits only
+    if it points to the box's side and each other component over d[a] lies
+    in the range of the box corners' central projections, padded well past
+    the rounding of `_box_hits`.
+    """
+    lo = np.asarray(b.box_min) - origin
+    hi = np.asarray(b.box_max) - origin
+    near = np.maximum(lo, -hi)  # > 0 exactly on the axes that separate
+    a = int(np.argmax(near))
+    if near[a] <= 0.0:
+        return slice(None)
+    side = 1.0 if lo[a] > 0.0 else -1.0
+    others = [x for x in range(3) if x != a]
+    if (a, side) not in cache:  # ratios of the rays pointing to that side
+        rows = np.flatnonzero(side * dirs[:, a] > 0.0)
+        with np.errstate(over="ignore"):
+            cache[a, side] = rows, dirs[rows][:, others].T / dirs[rows, a]
+    rows, ratios = cache[a, side]
+    with np.errstate(invalid="ignore"):  # inf/inf of an unbounded box: its inf/near corner bounds it
+        corners = np.stack([lo[others], hi[others]])[:, None] / np.array([lo[a], hi[a]])[:, None]
+    r_min = np.fmin.reduce(corners.reshape(4, 2))
+    r_max = np.fmax.reduce(corners.reshape(4, 2))
+    r_min -= _REACH_PAD * (1.0 + np.abs(r_min))
+    r_max += _REACH_PAD * (1.0 + np.abs(r_max))
+    first = np.flatnonzero((ratios[0] >= r_min[0]) & (ratios[0] <= r_max[0]))
+    second = ratios[1, first]  # the second axis is tested on the survivors only
+    return rows[first[(second >= r_min[1]) & (second <= r_max[1])]]
+
+
 def first_hit(
     scene: SceneSpec, origin: np.ndarray, dirs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest intersection along each ray.
 
     Returns (s, prim_index) with s the ray parameter (inf and -1 where
-    nothing is hit).
+    nothing is hit). Each box is tested only against the rays that can reach
+    it; the rest would read inf, so the result is the same as testing all.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     best = np.full(dirs.shape[0], np.inf)
     idx = np.full(dirs.shape[0], -1, dtype=np.intp)
+    cache: dict = {}
     for i, prim in enumerate(scene.primitives):
-        s = _plane_hits(prim, origin, dirs) if isinstance(prim, Plane) else _box_hits(prim, origin, dirs)
-        closer = s < best
-        best = np.where(closer, s, best)
-        idx = np.where(closer, i, idx)
+        plane = isinstance(prim, Plane)
+        rays = slice(None) if plane else _reachable(prim, origin, dirs, cache)
+        s = (_plane_hits if plane else _box_hits)(prim, origin, dirs[rays])
+        cur = best[rays]
+        closer = s < cur
+        best[rays] = np.where(closer, s, cur)
+        idx[rays] = np.where(closer, i, idx[rays])
     return best, idx
 
 
@@ -155,19 +195,17 @@ def analytic_classes(
     pose_dst: PoseSE3,
     k_src: CameraIntrinsics,
     k_dst: CameraIntrinsics,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact visibility classes of every source pixel w.r.t. the other view.
+) -> np.ndarray:
+    """Exact (H, W) visibility classes of every source pixel w.r.t. the
+    other view.
 
     Occlusion is decided by ray-casting the reprojected point against the
-    scene itself, independent of any destination depth raster. Returns
-    (classes (H, W), uv_dst (H, W, 2), depth_dst (H, W)).
+    scene itself, independent of any destination depth raster.
     """
     h, w = depth_src.data.shape
     vv, uu = np.mgrid[0:h, 0:w].astype(np.float64)
     u, v, d = uu.ravel(), vv.ravel(), depth_src.data.ravel()
     cls = np.full(u.size, int(PixelClass.COVISIBLE), dtype=np.int8)
-    uv = np.full((u.size, 2), np.nan)
-    zb = np.full(u.size, np.nan)
 
     valid = np.flatnonzero(d > 0)
     cls[d <= 0] = PixelClass.INVALID_DEPTH
@@ -178,10 +216,7 @@ def analytic_classes(
         cls[valid[behind]] = PixelClass.BEHIND_CAMERA
 
         front = np.flatnonzero(~behind)  # positions within the valid subset
-        pd = p_dst[front]
-        ub, vb = project_points(pd, k_dst)
-        uv[valid[front], 0], uv[valid[front], 1] = ub, vb
-        zb[valid[front]] = pd[:, 2]
+        ub, vb = project_points(p_dst[front], k_dst)
         inside = (ub >= 0) & (ub <= k_dst.width - 1) & (vb >= 0) & (vb <= k_dst.height - 1)
         cls[valid[front[~inside]]] = PixelClass.OUT_OF_BOUNDS
 
@@ -189,11 +224,7 @@ def analytic_classes(
         occ = occluded_by_scene(scene, pose_dst.t, world[vis])
         cls[valid[vis[occ]]] = PixelClass.OCCLUDED_IN_OTHER
 
-    return (
-        cls.reshape(h, w),
-        uv.reshape(h, w, 2),
-        zb.reshape(h, w),
-    )
+    return cls.reshape(h, w)
 
 
 def analytic_stats(classes: np.ndarray) -> tuple[float, float]:
@@ -294,7 +325,7 @@ def make_pair(
     and matched feature grids at the coarse and fine strides."""
     depth_a = render_depth(scene, pose_a, k)
     depth_b = render_depth(scene, pose_b, k)
-    classes_a, _, _ = analytic_classes(scene, depth_a, pose_a, pose_b, k, k)
+    classes_a = analytic_classes(scene, depth_a, pose_a, pose_b, k, k)
 
     valid = np.concatenate([depth_a.data[depth_a.valid_mask], depth_b.data[depth_b.valid_mask]])
     med = float(np.median(valid)) if valid.size else 1.0

@@ -149,7 +149,7 @@ def _patch_agreement(name: str) -> float:
     for a, _ in gt.vo:
         depth_label[a] = "vo"
 
-    classes, _, _ = analytic_classes(fx.scene, depth_a, fx.pose_a, fx.pose_b, fx.k, fx.k)
+    classes = analytic_classes(fx.scene, depth_a, fx.pose_a, fx.pose_b, fx.k, fx.k)
     u, v = patch_centers(480, 640, 8)
     ana = classes[v.astype(int), u.astype(int)]
 

@@ -489,6 +489,14 @@ class TestMalformedInputs:
         assert target in err and repr(field) in err and "Traceback" not in err
 
 
+    def test_oversized_occupancy_grid_exits_one(self, fresh_pair, capsys):
+        # 72 x 96 columns x 1e8 bins of float64 would be 5.03 TiB (5150 GiB).
+        pair = fresh_pair("identity")
+        assert main(["voxelize", "--pair", pair, "--depth-bins", "100000000"]) == 1
+        err = capsys.readouterr().err
+        assert "depth_bins" in err and "5.15e+03 GiB" in err and "Traceback" not in err
+
+
 class TestEvalAndCurve:
     def run_eval(self, pairs, out_dir):
         report = out_dir / "report.json"

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from occmatch.geometry import CameraIntrinsics, PoseSE3, relative_pose
+from occmatch.geometry import CameraIntrinsics, PoseSE3, project_points, relative_pose, unproject_points
 from occmatch.supervision import PixelClass, classify_points
 from occmatch.synth import (
     FIXTURE_NAMES,
     Box,
     Plane,
     SceneSpec,
+    _box_hits,
+    _plane_hits,
     analytic_classes,
     analytic_stats,
     first_hit,
@@ -27,7 +29,7 @@ IDENTITY = PoseSE3.identity()
 
 def stats_b(fx, pair) -> tuple[float, float]:
     """Occlusion ratio and overlap of view B towards A, from the oracle."""
-    classes_b, _, _ = analytic_classes(fx.scene, pair.depth_b, fx.pose_b, fx.pose_a, fx.k, fx.k)
+    classes_b = analytic_classes(fx.scene, pair.depth_b, fx.pose_b, fx.pose_a, fx.k, fx.k)
     return analytic_stats(classes_b)
 
 
@@ -114,6 +116,138 @@ class TestRenderDepth:
         assert idx[0] == 1
 
 
+def unculled_first_hit(scene: SceneSpec, origin, dirs) -> tuple[np.ndarray, np.ndarray]:
+    """Every ray against every primitive, the same update as `first_hit`."""
+    best = np.full(dirs.shape[0], np.inf)
+    idx = np.full(dirs.shape[0], -1, dtype=np.intp)
+    for i, prim in enumerate(scene.primitives):
+        hits = _plane_hits if isinstance(prim, Plane) else _box_hits
+        s = hits(prim, origin, dirs)
+        closer = s < best
+        best = np.where(closer, s, best)
+        idx = np.where(closer, i, idx)
+    return best, idx
+
+
+def random_scene(rng, n_boxes: int, n_planes: int) -> SceneSpec:
+    """Boxes all around the origin (in front, behind, beside), some planes."""
+    prims = []
+    for _ in range(n_boxes):
+        center = rng.uniform(-4.0, 4.0, 3)
+        half = rng.uniform(0.02, 1.0, 3)
+        prims.append(Box(tuple(center - half), tuple(center + half)))
+    for _ in range(n_planes):
+        normal = np.eye(3)[rng.integers(3)] if rng.random() < 0.5 else rng.normal(size=3)
+        prims.append(Plane(tuple(rng.uniform(-4.0, 4.0, 3)), tuple(normal)))
+    rng.shuffle(prims)
+    return SceneSpec(tuple(prims))
+
+
+def grazing_targets(rng, boxes) -> np.ndarray:
+    """Box corners, points along box edges and points on box faces."""
+    pts = []
+    for b in boxes:
+        lo, hi = np.asarray(b.box_min), np.asarray(b.box_max)
+        corners = np.array([[(lo, hi)[(c >> ax) & 1][ax] for ax in range(3)] for c in range(8)])
+        pts.append(corners)
+        for ax in range(3):  # along the four edges parallel to this axis
+            edge = corners[(corners[:, ax] == lo[ax])].repeat(3, axis=0)
+            edge[:, ax] = rng.uniform(lo[ax], hi[ax], edge.shape[0])
+            pts.append(edge)
+        face, ax = rng.uniform(lo, hi, (6, 3)), np.arange(6) % 3
+        face[np.arange(6), ax] = np.where(np.arange(6) < 3, lo[ax], hi[ax])
+        pts.append(face)
+    return np.concatenate(pts)
+
+
+def ray_bundle(rng, origin, boxes) -> np.ndarray:
+    """Random rays plus rays grazing box corners, edges and faces, each
+    also nudged by a few ulps and in un-normalised and normalised form,
+    and rays with zero components."""
+    targets = grazing_targets(rng, boxes) if boxes else np.zeros((0, 3))
+    exact = targets - origin
+    nudged = np.nextafter(exact, np.where(rng.random(exact.shape) < 0.5, -np.inf, np.inf))
+    norm = np.linalg.norm(exact, axis=1, keepdims=True)
+    unit = exact / np.where(norm > 0, norm, 1.0)
+    rays = [rng.normal(size=(400, 3)), exact, nudged, unit, 3.7 * unit]
+    zeroed = rng.normal(size=(120, 3))
+    zeroed[np.arange(120), np.arange(120) % 3] = 0.0
+    zeroed[80:, (np.arange(40) + 1) % 3] = 0.0
+    flat = np.concatenate([exact, unit])
+    flat[np.arange(len(flat)), rng.integers(0, 3, len(flat))] = 0.0
+    rays += [zeroed, flat, np.eye(3), -np.eye(3)]
+    return np.concatenate(rays)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # denormal components
+class TestFirstHitCulling:
+    """`first_hit` skips rays that cannot reach a box; its results must be
+    bit for bit those of testing every ray against every primitive."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_scenes_match_the_unculled_cast(self, seed):
+        rng = np.random.default_rng([7, seed])
+        n_boxes = [1, 2, 5, 13, 40, 80][seed % 6]
+        scene = random_scene(rng, n_boxes, n_planes=seed % 3)
+        boxes = [p for p in scene.primitives if isinstance(p, Box)]
+        inside = boxes[0]
+        on_face = np.asarray(boxes[1 % len(boxes)].box_min, dtype=np.float64).copy()
+        on_face[1:] += 0.5 * (np.asarray(boxes[1 % len(boxes)].box_max)[1:] - on_face[1:])
+        origins = [
+            rng.uniform(-5.0, 5.0, 3),
+            0.5 * (np.asarray(inside.box_min) + np.asarray(inside.box_max)),  # inside a box
+            on_face,  # exactly on a box face
+            np.asarray(inside.box_max, dtype=np.float64),  # exactly on a box corner
+        ]
+        for origin in origins:
+            dirs = ray_bundle(rng, origin, boxes)
+            want_s, want_idx = unculled_first_hit(scene, origin, dirs)
+            s, idx = first_hit(scene, origin, dirs)
+            assert np.array_equal(s, want_s)
+            assert np.array_equal(idx, want_idx)
+            assert np.isfinite(want_s).any()
+
+    def test_unbounded_boxes_match_the_unculled_cast(self):
+        # Scene files may give a box infinite extents: slabs and half-spaces.
+        rng = np.random.default_rng(3)
+        inf = math.inf
+        boxes = [Box((-inf, -1.0, 1.0), (inf, 1.0, inf)), Box((-inf, -inf, 2.0), (inf, inf, 2.5)),
+                 Box((0.5, -inf, -inf), (inf, inf, -1.0)), Box((-2.0, 0.3, -inf), (-1.0, inf, inf))]
+        scene = SceneSpec(tuple(boxes))
+        for origin in (np.zeros(3), np.array([0.7, -0.4, -3.0]), np.array([3.0, 2.0, 5.0])):
+            dirs = np.concatenate([rng.normal(size=(2000, 3)), ray_bundle(rng, origin, [])])
+            want_s, want_idx = unculled_first_hit(scene, origin, dirs)
+            s, idx = first_hit(scene, origin, dirs)
+            assert np.array_equal(s, want_s) and np.array_equal(idx, want_idx)
+            assert np.isfinite(want_s).any()
+
+    def test_segment_rays_match_the_unculled_cast(self):
+        # occluded_by_scene passes un-normalised rays viewpoint -> target.
+        rng = np.random.default_rng(11)
+        scene = random_scene(rng, 30, n_planes=1)
+        boxes = [p for p in scene.primitives if isinstance(p, Box)]
+        viewpoint = np.array([0.25, -0.1, -6.0])
+        targets = np.concatenate([grazing_targets(rng, boxes), rng.uniform(-5.0, 5.0, (500, 3))])
+        dirs = targets - viewpoint
+        want_s, want_idx = unculled_first_hit(scene, viewpoint, dirs)
+        s, idx = first_hit(scene, viewpoint, dirs)
+        assert np.array_equal(s, want_s) and np.array_equal(idx, want_idx)
+        want = (want_idx >= 0) & (want_s < 1.0 - 1e-6)
+        assert np.array_equal(occluded_by_scene(scene, viewpoint, targets), want)
+
+    def test_rendered_clutter_matches_the_unculled_cast(self):
+        rng = np.random.default_rng(5)
+        scene = random_scene(rng, 64, n_planes=1)
+        k = CameraIntrinsics(40.0, 40.0, 31.5, 23.5, 64, 48)
+        vv, uu = np.mgrid[0:48, 0:64].astype(np.float64)
+        dirs = np.column_stack([(uu.ravel() - k.cx) / k.fx, (vv.ravel() - k.cy) / k.fy,
+                                np.ones(uu.size)])
+        origin = np.array([0.0, 0.0, -6.0])
+        want_s, want_idx = unculled_first_hit(scene, origin, dirs)
+        s, idx = first_hit(scene, origin, dirs)
+        assert np.array_equal(s, want_s) and np.array_equal(idx, want_idx)
+
+
 class TestOccludedByScene:
     def test_point_behind_box_is_blocked(self):
         scene = SceneSpec((Box((-0.5, -0.5, 1.0), (0.5, 0.5, 1.1)),))
@@ -193,14 +327,16 @@ class TestReprojectionConsistency:
         # surface the point lies on.
         fx, pair = pair_cache("stereo")
         covis = pair.classes_a == PixelClass.COVISIBLE
-        _, uv, _ = analytic_classes(fx.scene, pair.depth_a, fx.pose_a, fx.pose_b, fx.k, fx.k)
         vs, us = np.nonzero(covis)
-        for v, u in zip(vs[::997], us[::997]):
-            z = pair.depth_a.at(u, v)
+        vs, us = vs[::997], us[::997]
+        zs = pair.depth_a.data[vs, us]
+        world = fx.pose_a.transform(unproject_points(us.astype(float), vs.astype(float), zs, fx.k))
+        ub, vb = project_points(fx.pose_b.inverse().transform(world), fx.k)
+        for v, u, z, u_b, v_b in zip(vs, us, zs, ub, vb):
             disparity = 16.0 if abs(z - 2.0) < 1e-9 else 8.0
-            assert abs(uv[v, u, 0] - (u - disparity)) < 1e-9
-            assert abs(uv[v, u, 1] - v) < 1e-9
-            assert abs(pair.depth_b.at(int(round(uv[v, u, 0])), v) - z) < 1e-9
+            assert abs(u_b - (u - disparity)) < 1e-9
+            assert abs(v_b - v) < 1e-9
+            assert abs(pair.depth_b.at(int(round(u_b)), v) - z) < 1e-9
 
 
 class TestFixtures:
