@@ -1,11 +1,12 @@
 """Batch command-line front-end over the pair-directory file formats.
 
-Commands: synth, supervise, voxelize, match, eval, curve. Settings merge
-with precedence flags > --config file > fixture overrides recorded in the
-pair manifest > package defaults, and the effective configuration is echoed
-into every JSON output. Seeded commands are deterministic down to the byte.
+Commands: synth, supervise, voxelize, match, eval. Settings merge with
+precedence flags > --config file > fixture overrides recorded in the pair
+manifest > package defaults, every value going through one converter, and
+the effective configuration is echoed into every JSON output. Seeded
+commands are deterministic down to the byte.
 
-Exit codes: 0 success, 2 a supervise filter rejected the pair, 1 any error.
+Exit codes: 0 success, 1 any error, an unreadable command line included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, NoReturn, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,12 +40,19 @@ from .pose_eval import (
     pose_error,
     rotation_error_deg,
 )
-from .supervision import CoarseMatchSet, OcclusionMargin, coarse_match_ground_truth, pair_stats
+from .supervision import (
+    CoarseMatchSet,
+    OcclusionMargin,
+    coarse_match_ground_truth,
+    pair_stats,
+    patch_grid,
+)
 from .synth import FIXTURE_NAMES, FeatureParams, make_fixture, make_pair
 
 _ENV_SEED = "OCCMATCH_SEED"
 
-_PAIR_FILES = ("depth_a", "depth_b", "coarse_a", "coarse_b", "fine_a", "fine_b")
+_FEATURE_FILES = ("coarse_a", "coarse_b", "fine_a", "fine_b")
+_PAIR_FILES = ("depth_a", "depth_b", *_FEATURE_FILES)
 
 
 # Flat setting names that differ from the field of the module config owning them.
@@ -65,19 +73,12 @@ class RunConfig:
     patch_stride: int = 8
     channels: int = 128
     auc_thresholds: tuple[float, ...] = (5.0, 10.0, 20.0)
-    min_overlap: Optional[float] = None
-    max_overlap: Optional[float] = None
-    min_occlusion: Optional[float] = None
     margin: OcclusionMargin = field(default_factory=OcclusionMargin)
     occupancy: OccupancyConfig = field(default_factory=OccupancyConfig)
     matching: MatchingConfig = field(default_factory=MatchingConfig)
     ransac: RansacConfig = field(default_factory=RansacConfig)
 
     def __post_init__(self) -> None:
-        for name in ("min_overlap", "max_overlap", "min_occlusion"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
         self.features()
 
     @property
@@ -112,26 +113,18 @@ def _setting_table() -> dict[str, tuple[Optional[str], str, Any]]:
 _SETTINGS = _setting_table()
 
 
-def _value_type(hint: Any) -> type:
-    """X of a type hint X, Optional[X] or tuple[X, ...]."""
-    return next((a for a in get_args(hint) if a is not type(None)), hint)
-
-
 def _convert(hint: Any, value: Any) -> Any:
-    """A setting's value from a flag, a JSON value or the environment,
-    checked against its type hint."""
-    kind = _value_type(hint)
+    """A setting's value from flag text, a JSON value or the environment,
+    checked against its type hint: int, float or tuple[X, ...]."""
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"expected a list, got {value!r}")
-        return tuple(_convert(kind, v) for v in value)
-    if value is None and get_args(hint):  # Optional[X]
-        return None
+        return tuple(_convert(get_args(hint)[0], v) for v in value)
     if isinstance(value, str):
-        return kind(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        raise ValueError(f"expected {kind.__name__}, got {value!r}")
-    return kind(value)
+        return hint(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if hint is float else int):
+        raise ValueError(f"expected {hint.__name__}, got {value!r}")
+    return hint(value)
 
 
 def merge_config(args: argparse.Namespace, manifest_overrides: Optional[dict] = None) -> RunConfig:
@@ -202,8 +195,30 @@ class PairDir:
                               f"{self.k.width}x{self.k.height}")
         return depth
 
-    def features(self, grid: str, side: str) -> FeatureGrid:
-        return formats.read_features(self.file(f"{grid}_{side}"))
+    def features(self) -> tuple[FeatureGrid, ...]:
+        """coarse_a, coarse_b, fine_a, fine_b. Each grid must have the
+        manifest image's patch grid at its own stride; the views must share
+        each level's stride and channel count, and the fine stride must
+        divide the coarse one."""
+        paths = [self.file(key) for key in _FEATURE_FILES]
+        grids = [formats.read_features(path) for path in paths]
+        for path, grid in zip(paths, grids):
+            want = patch_grid(self.k.height, self.k.width, grid.stride)
+            if grid.grid_shape != want:
+                rows, cols = grid.grid_shape
+                raise SchemaError(f"{path}: fields 'rows'/'cols'/'stride' give {rows}x{cols} cells "
+                                  f"at stride {grid.stride}, but {self.path / 'manifest.json'}: "
+                                  f"fields 'k.width'/'k.height' ({self.k.width}x{self.k.height}) "
+                                  f"give {want[0]}x{want[1]} at that stride")
+        for a, b in ((0, 1), (2, 3)):
+            for name in ("stride", "channels"):
+                if getattr(grids[b], name) != getattr(grids[a], name):
+                    raise SchemaError(f"{paths[b]}: field {name!r} is {getattr(grids[b], name)}, "
+                                      f"but {getattr(grids[a], name)} in {paths[a]}")
+        if grids[0].stride % grids[2].stride:
+            raise SchemaError(f"{paths[2]}: field 'stride' {grids[2].stride} does not divide "
+                              f"the coarse stride {grids[0].stride} of {paths[0]}")
+        return tuple(grids)
 
     def relative(self) -> PoseSE3:
         """Transform taking view-A camera coordinates into view B."""
@@ -286,18 +301,6 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     depth_a, depth_b = pair.depth("a"), pair.depth("b")
     t_ba = pair.relative()
     stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
-
-    reasons = []
-    if cfg.min_occlusion is not None and stats.occlusion_ratio < cfg.min_occlusion:
-        reasons.append(f"occlusion_ratio {stats.occlusion_ratio:.4f} < {cfg.min_occlusion}")
-    if cfg.min_overlap is not None and stats.overlap_score < cfg.min_overlap:
-        reasons.append(f"overlap_score {stats.overlap_score:.4f} < {cfg.min_overlap}")
-    if cfg.max_overlap is not None and stats.overlap_score > cfg.max_overlap:
-        reasons.append(f"overlap_score {stats.overlap_score:.4f} > {cfg.max_overlap}")
-    if reasons:
-        print(f"supervise: pair {pair.pair_id!r} rejected: " + "; ".join(reasons))
-        return 2
-
     gt = coarse_match_ground_truth(
         depth_a, depth_b, pair.k, pair.k, t_ba,
         margin=cfg.margin, patch_stride=cfg.patch_stride,
@@ -332,10 +335,7 @@ def _label_sets(gt: CoarseMatchSet) -> dict[str, set[tuple[int, int]]]:
 def cmd_match(args: argparse.Namespace) -> int:
     pair = load_pair(args.pair)
     cfg = merge_config(args, manifest_overrides=pair.manifest.get("match_overrides"))
-    coarse_a = pair.features("coarse", "a")
-    coarse_b = pair.features("coarse", "b")
-    fine_a = pair.features("fine", "a")
-    fine_b = pair.features("fine", "b")
+    coarse_a, coarse_b, fine_a, fine_b = pair.features()
 
     supervision_path = pair.path / "supervision.json"
     if supervision_path.exists():
@@ -436,31 +436,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
-    pairs = formats._field(formats.read_json(args.report), "pairs", str(args.report),
-                           lambda v: formats._is_list(v, lambda row: isinstance(row, dict)),
-                           "a list of objects")
-    entries = []
-    for i, row in enumerate(pairs):
-        src = f"{args.report}: pairs[{i}]"
-        entries.append(tuple(float(formats._field(row, name, src, formats._is_number, "a number"))
-                             for name in ("occlusion_ratio", "pose_err_deg")))
-    formats.write_curve_csv(args.out, cumulative_occlusion_curve(entries))
-    print(f"curve: {len(entries)} rows -> {args.out}")
-    return 0
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("configuration", "flags > --config file > manifest overrides > "
                              f"defaults; --seed falls back to ${_ENV_SEED}, then 0")
     g.add_argument("--config", type=Path, help="JSON object of settings, by flag name with '_'")
     for name, (_, _, hint) in _SETTINGS.items():
-        g.add_argument("--" + name.replace("_", "-"), type=_value_type(hint),
+        g.add_argument("--" + name.replace("_", "-"),
                        nargs="+" if get_origin(hint) is tuple else None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command line it cannot read like any other error: exit 1."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise SchemaError(f"flags: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="occmatch",
         description="Synthetic two-view matching pipeline over pair directories.",
     )
@@ -508,17 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("curve", help="rebuild the cumulative error curve from a report")
-    p.add_argument("--report", type=Path, required=True, help="report JSON from eval")
-    p.add_argument("--out", type=Path, required=True, help="curve CSV path")
-    p.set_defaults(func=cmd_curve)
-
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OccMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ distributions via a softmax over the depth axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,18 @@ from .geometry import CameraIntrinsics, DepthMap, PoseSE3, project_points, unpro
 from .numerics import softmax, softmax_jacobian
 from .supervision import patch_grid
 
-# Largest ground-truth grid built, in bytes of float64 values.
+# Largest dense array that synth or voxelize builds, in bytes of float64 values.
 _MAX_GRID_BYTES = 1 << 30
+
+
+def check_grid_size(shape: tuple[int, ...], cause: str, what: str) -> None:
+    """Refuse, before allocating, a float64 `what` array of `shape` over
+    `_MAX_GRID_BYTES`; `cause` names the settings that size it."""
+    size = 8 * math.prod(shape)
+    if size > _MAX_GRID_BYTES:
+        raise GridSizeError(f"{cause} needs a {'x'.join(map(str, shape))} {what} of "
+                            f"{size / 2**30:.3g} GiB, over the "
+                            f"{_MAX_GRID_BYTES / 2**30:.3g} GiB limit")
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,6 @@ def build_ground_truth_occupancy(
     k_b: CameraIntrinsics,
     target: str = "a",
     cfg: OccupancyConfig = OccupancyConfig(),
-    normalize: bool = True,
 ) -> OccupancyGrid:
     """Fuse both views into a point cloud and bin it in the target frame.
 
@@ -121,9 +131,8 @@ def build_ground_truth_occupancy(
     reprojection. This keeps a pixel from drifting out of its own cell by
     one ulp of projective round-trip.
 
-    With normalize=True each non-empty column is a uniform distribution
-    over its occupied bins (sums to 1); empty columns stay all-zero.
-    normalize=False keeps raw 0/1 occupancy.
+    Each non-empty column is a uniform distribution over its occupied bins
+    (sums to 1); empty columns stay all-zero.
     """
     if target not in ("a", "b"):
         raise ValueError(f"target must be 'a' or 'b', got {target!r}")
@@ -136,11 +145,7 @@ def build_ground_truth_occupancy(
     if not (depth_t.valid_mask.any() or depth_o.valid_mask.any()):
         raise EmptyCloudError("no valid depth pixel in either view")
     rows, cols = grid_shape(k_t)
-    size = rows * cols * cfg.depth_bins * 8
-    if size > _MAX_GRID_BYTES:
-        raise GridSizeError(f"depth_bins {cfg.depth_bins} needs a {rows}x{cols}x{cfg.depth_bins} "
-                            f"occupancy grid of {size / 2**30:.3g} GiB, over the "
-                            f"{_MAX_GRID_BYTES / 2**30:.3g} GiB limit")
+    check_grid_size((rows, cols, cfg.depth_bins), f"depth_bins {cfg.depth_bins}", "occupancy grid")
     occ = np.zeros((rows, cols, cfg.depth_bins))
 
     vt, ut = np.nonzero(depth_t.valid_mask)
@@ -162,9 +167,8 @@ def build_ground_truth_occupancy(
             c = np.floor(u[inside] / 2.0).astype(np.intp)
             k = depth_bin_index(z[inside], cfg)
             occ[r, c, k] = 1.0
-    if normalize:
-        sums = occ.sum(axis=-1, keepdims=True)
-        np.divide(occ, sums, out=occ, where=sums > 0)
+    sums = occ.sum(axis=-1, keepdims=True)
+    np.divide(occ, sums, out=occ, where=sums > 0)
     return OccupancyGrid(occ)
 
 
@@ -191,25 +195,10 @@ def depth_softmax_jacobian(logits: np.ndarray) -> np.ndarray:
     return softmax_jacobian(logits)
 
 
-def occupancy_loss(
-    estimate: OccupancyGrid,
-    ground_truth: OccupancyGrid,
-    ignore_empty_columns: bool = False,
-) -> float:
-    """Mean absolute difference between the two grids.
-
-    By default the mean runs over all rows*cols*D cells. With
-    ignore_empty_columns=True, columns whose ground truth is all-zero
-    (nothing observed along that ray) are excluded from the mean; if every
-    column is empty the loss is defined as 0.
-    """
+def occupancy_loss(estimate: OccupancyGrid, ground_truth: OccupancyGrid) -> float:
+    """Mean absolute difference between the two grids over all
+    rows*cols*D cells."""
     est, gt = estimate.values, ground_truth.values
     if est.shape != gt.shape:
         raise ShapeMismatchError(f"grid shapes disagree: {est.shape} vs {gt.shape}")
-    diff = np.abs(est - gt)
-    if not ignore_empty_columns:
-        return float(diff.mean())
-    mask = gt.sum(axis=-1) > 0
-    if not mask.any():
-        return 0.0
-    return float(diff[mask].mean())
+    return float(np.abs(est - gt).mean())

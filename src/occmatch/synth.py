@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, project_points, unproject_points
 from .matching import FeatureGrid, cell_center_px
+from .occupancy import check_grid_size
 from .supervision import PixelClass, patch_grid
 
 _EPS_HIT = 1e-9
@@ -322,7 +323,15 @@ def make_pair(
     params: FeatureParams = FeatureParams(),
 ) -> SyntheticPair:
     """Render both views and assemble depths, the A->B oracle class map,
-    and matched feature grids at the coarse and fine strides."""
+    and matched feature grids at the coarse and fine strides.
+
+    Sizes whose ray directions or fine feature grid would pass the
+    occupancy module's array limit are refused before anything is built.
+    """
+    size = f"width x height {k.width}x{k.height}"
+    check_grid_size((k.width * k.height, 3), size, "array of ray directions")
+    check_grid_size((params.channels, *patch_grid(k.height, k.width, _FINE_STRIDE)),
+                    f"channels {params.channels} at {size}", "fine feature grid")
     depth_a = render_depth(scene, pose_a, k)
     depth_b = render_depth(scene, pose_b, k)
     classes_a = analytic_classes(scene, depth_a, pose_a, pose_b, k, k)

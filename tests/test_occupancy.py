@@ -33,7 +33,7 @@ def oracle_bin(z: float) -> int:
     return math.floor((z - CFG.d_min) / ((CFG.d_max - CFG.d_min) / CFG.depth_bins))
 
 
-def oracle_occupancy(target_view, other_view, pose_t, normalize=True) -> np.ndarray:
+def oracle_occupancy(target_view, other_view, pose_t) -> np.ndarray:
     """Triple-loop reference. The target view's pixels bin at their own
     (v // 2, u // 2) cell; the other view's points are unprojected, moved
     into the target frame, and reprojected."""
@@ -62,9 +62,8 @@ def oracle_occupancy(target_view, other_view, pose_t, normalize=True) -> np.ndar
             if not (0 <= ut < 2 * cols and 0 <= vt < 2 * rows):
                 continue
             occ[int(vt // 2), int(ut // 2), oracle_bin(p_t[2])] = 1.0
-    if normalize:
-        sums = occ.sum(axis=-1, keepdims=True)
-        np.divide(occ, sums, out=occ, where=sums > 0)
+    sums = occ.sum(axis=-1, keepdims=True)
+    np.divide(occ, sums, out=occ, where=sums > 0)
     return occ
 
 
@@ -141,15 +140,6 @@ class TestGroundTruthOccupancy:
             )
             want = oracle_occupancy(tgt, oth, pose_t)
             assert np.max(np.abs(grid.values - want)) < 1e-12
-
-    def test_unnormalized_grid_is_binary(self):
-        k = k_of(12, 10)
-        rng = np.random.default_rng(43)
-        depth = DepthMap(rng.uniform(0.5, 8.0, size=(10, 12)))
-        grid = build_ground_truth_occupancy(
-            depth, depth, IDENTITY, IDENTITY, k, k, normalize=False
-        )
-        assert set(np.unique(grid.values)) <= {0.0, 1.0}
 
     def test_every_valid_in_range_pixel_occupies_its_bin(self):
         rng = np.random.default_rng(44)
@@ -254,21 +244,6 @@ class TestOccupancyLoss:
                     total += abs(a[r, c, d] - b[r, c, d])
         want = total / (2 * 3 * 4)
         assert abs(occupancy_loss(OccupancyGrid(a), OccupancyGrid(b)) - want) < 1e-12
-
-    def test_empty_columns_can_be_excluded(self):
-        est = np.full((1, 2, 4), 0.25)
-        gt = np.zeros((1, 2, 4))
-        gt[0, 0, 1] = 1.0
-        masked = occupancy_loss(
-            OccupancyGrid(est), OccupancyGrid(gt), ignore_empty_columns=True
-        )
-        # Only column (0, 0) counts: |.25-0| + |.25-1| + |.25-0|*2 over 4 cells.
-        assert abs(masked - (0.25 + 0.75 + 0.5) / 4) < 1e-12
-
-    def test_all_empty_ground_truth_with_mask_is_zero(self):
-        est = OccupancyGrid(np.full((1, 1, 4), 0.25))
-        gt = OccupancyGrid(np.zeros((1, 1, 4)))
-        assert occupancy_loss(est, gt, ignore_empty_columns=True) == 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
