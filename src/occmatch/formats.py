@@ -15,6 +15,7 @@ extended JSON form (Infinity/NaN) and accepted back.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
@@ -137,6 +138,10 @@ def _is_int(value: Any) -> bool:
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 def _is_list(value: Any, ok: Callable[[Any], bool], length: Optional[int] = None) -> bool:
@@ -267,8 +272,8 @@ def match_to_json(m: Match) -> dict:
 
 
 def match_from_json(obj: dict, source: str = "matches") -> Match:
-    a, b = (_field(obj, f, source, lambda v: v is None or _is_list(v, _is_number, 2),
-                   "null or [u, v]") for f in ("a", "b"))
+    a, b = (_field(obj, f, source, lambda v: v is None or _is_list(v, _is_finite, 2),
+                   "null or [u, v] of finite numbers") for f in ("a", "b"))
     branch = _field(obj, "branch", source, lambda v: v is None or _is_list(v, _is_number),
                     "a list of numbers", default=None)
     return Match(

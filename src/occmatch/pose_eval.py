@@ -3,7 +3,9 @@
 Pixel matches are normalized by the intrinsics, an essential matrix is
 estimated with an 8-point solver inside RANSAC (Sampson-distance inliers,
 least-squares refit on the consensus set), and (R, t) with unit baseline is
-chosen by the cheirality test. Errors are angular for both rotation and
+chosen by the cheirality test. RANSAC draws its 8-point samples one by one
+from a seeded generator but solves and scores them in chunks, with the
+result of the one-at-a-time loop, bit for bit. Errors are angular for both rotation and
 translation direction (the essential matrix fixes t only up to sign and
 scale); a pair's pose error is the max of the two.
 """
@@ -11,7 +13,7 @@ scale); a pair's pose error is the max of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +24,12 @@ from .errors import (
     ZeroTranslationError,
 )
 from .geometry import CameraIntrinsics, PoseSE3
+
+# RANSAC solves and scores its hypotheses in chunks: the first is small
+# because well-conditioned pairs stop after a few draws; each next chunk
+# doubles, up to a cap that bounds the (chunk, N) distance array.
+_FIRST_CHUNK = 8
+_MAX_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -67,52 +75,67 @@ def essential_from_pose(t_ba: PoseSE3) -> np.ndarray:
 def sampson_distance(e: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """First-order epipolar distance of normalized correspondences.
 
-    xa, xb: (N, 2) normalized coordinates; returns (N,) distances
+    e: (3, 3) or a stack (B, 3, 3); xa, xb: (N, 2) normalized coordinates.
+    Returns the (N,) or (B, N) distances
     |xb' E xa| / sqrt((E xa)_1^2 + (E xa)_2^2 + (E' xb)_1^2 + (E' xb)_2^2).
     """
     xa_h = np.column_stack([np.asarray(xa, dtype=np.float64), np.ones(len(xa))])
     xb_h = np.column_stack([np.asarray(xb, dtype=np.float64), np.ones(len(xb))])
-    e_xa = xa_h @ e.T
+    e_xa = xa_h @ np.swapaxes(e, -1, -2)
     et_xb = xb_h @ e
-    num = np.abs(np.sum(xb_h * e_xa, axis=1))
-    den = np.sqrt(e_xa[:, 0] ** 2 + e_xa[:, 1] ** 2 + et_xb[:, 0] ** 2 + et_xb[:, 1] ** 2)
+    num = np.abs(np.sum(xb_h * e_xa, axis=-1))
+    den = np.sqrt(e_xa[..., 0] ** 2 + e_xa[..., 1] ** 2 + et_xb[..., 0] ** 2 + et_xb[..., 1] ** 2)
     return num / np.maximum(den, 1e-300)
 
 
-def _eight_point(xa: np.ndarray, xb: np.ndarray) -> Optional[np.ndarray]:
-    """Least-squares essential matrix from >= 8 normalized correspondences.
+def _conditioning(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hartley transforms (B, 3, 3) that centre each (B, m, 2) point set and
+    scale its mean distance from the centroid to sqrt(2), and a (B,) mask
+    that is False where a set has no spread (its transform then takes the
+    spread as 1, so that it stays finite)."""
+    centroid = x.mean(axis=1)
+    spread = np.sqrt(((x - centroid[:, None]) ** 2).sum(axis=2)).mean(axis=1)
+    ok = spread >= 1e-12
+    s = np.sqrt(2.0) / np.where(ok, spread, 1.0)
+    t = np.zeros((len(x), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = s
+    t[:, 0, 2] = -s * centroid[:, 0]
+    t[:, 1, 2] = -s * centroid[:, 1]
+    t[:, 2, 2] = 1.0
+    return t, ok
 
-    Hartley-conditions both point sets, solves the homogeneous system by
-    SVD, and projects onto the essential manifold (equal singular values,
-    rank 2). Returns None for degenerate inputs.
+
+def _eight_point(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares essential matrices from stacks of >= 8 normalized
+    correspondences.
+
+    xa, xb: (B, m, 2). Hartley-conditions each point set, solves each
+    homogeneous system by SVD, and projects onto the essential manifold
+    (equal singular values, rank 2). Returns the (B, 3, 3) matrices at
+    unit Frobenius norm and a (B,) mask that is False for degenerate sets,
+    whose matrices mean nothing. A degenerate set is masked before the SVD,
+    so it neither raises nor warns.
     """
-
-    def conditioning(x: np.ndarray) -> Optional[np.ndarray]:
-        centroid = x.mean(axis=0)
-        spread = np.sqrt(((x - centroid) ** 2).sum(axis=1)).mean()
-        if spread < 1e-12:
-            return None
-        s = np.sqrt(2.0) / spread
-        return np.array(
-            [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-        )
-
-    t_a = conditioning(xa)
-    t_b = conditioning(xb)
-    if t_a is None or t_b is None:
-        return None
-    xa_h = np.column_stack([xa, np.ones(len(xa))]) @ t_a.T
-    xb_h = np.column_stack([xb, np.ones(len(xb))]) @ t_b.T
+    b, m = xa.shape[:2]
+    t_a, ok_a = _conditioning(xa)
+    t_b, ok_b = _conditioning(xb)
+    ones = np.ones((b, m, 1))
+    xa_h = np.concatenate([xa, ones], axis=2) @ np.swapaxes(t_a, 1, 2)
+    xb_h = np.concatenate([xb, ones], axis=2) @ np.swapaxes(t_b, 1, 2)
     # One row per correspondence: coefficients of E11..E33 (row-major).
-    a = (xb_h[:, :, None] * xa_h[:, None, :]).reshape(len(xa), 9)
+    a = (xb_h[:, :, :, None] * xa_h[:, :, None, :]).reshape(b, m, 9)
     _, _, vh = np.linalg.svd(a)
-    e = t_b.T @ vh[-1].reshape(3, 3) @ t_a
+    e = np.swapaxes(t_b, 1, 2) @ vh[:, -1].reshape(b, 3, 3) @ t_a
     u, s, vt = np.linalg.svd(e)
-    if s[1] < 1e-12:
-        return None
-    sigma = (s[0] + s[1]) / 2.0
-    e = u @ np.diag([sigma, sigma, 0.0]) @ vt
-    return e / np.linalg.norm(e)
+    valid = ok_a & ok_b & (s[:, 1] >= 1e-12)
+    sigma = np.zeros((b, 3, 3))
+    sigma[:, 0, 0] = sigma[:, 1, 1] = (s[:, 0] + s[:, 1]) / 2.0
+    e = u @ sigma @ vt
+    # Frobenius norms as the dot product of each flattened matrix with
+    # itself, the way np.linalg.norm computes one matrix's, to the last bit.
+    flat = e.reshape(b, 1, 9)
+    norm = np.sqrt(flat @ np.swapaxes(flat, 1, 2))[:, 0, 0]
+    return e / np.where(valid, norm, 1.0)[:, None, None], valid
 
 
 def _triangulate_depths(
@@ -162,6 +185,31 @@ def decompose_essential(
     return best[1], best[2]
 
 
+def _scored_hypotheses(
+    xa: np.ndarray, xb: np.ndarray, cfg: RansacConfig
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(iteration, inlier count, Sampson distances, inlier mask) of each
+    non-degenerate RANSAC hypothesis, in draw order.
+
+    Each iteration draws one 8-point sample from the seeded generator; the
+    samples are solved and scored a chunk at a time, so a consumer that
+    stops early leaves the rest of the chunk unused and draws no more.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    n = len(xa)
+    start, size = 0, _FIRST_CHUNK
+    while start < cfg.max_iterations:
+        stop = min(start + size, cfg.max_iterations)
+        samples = np.array([rng.choice(n, size=8, replace=False) for _ in range(start, stop)])
+        e, valid = _eight_point(xa[samples], xb[samples])
+        d = sampson_distance(e, xa, xb)
+        inliers = d < cfg.inlier_threshold
+        counts = np.count_nonzero(inliers, axis=1)
+        for i in np.flatnonzero(valid):
+            yield start + int(i), int(counts[i]), d[i], inliers[i]
+        start, size = stop, min(2 * size, _MAX_CHUNK)
+
+
 def essential_from_matches(
     px_a: np.ndarray,
     px_b: np.ndarray,
@@ -182,21 +230,15 @@ def essential_from_matches(
     if n < 8:
         raise InsufficientMatchesError(f"need at least 8 matches, got {n}")
 
-    rng = np.random.default_rng(cfg.rng_seed)
     best_count = -1
     best_err = np.inf
     best_inliers: Optional[np.ndarray] = None
-    for it in range(cfg.max_iterations):
-        sample = rng.choice(n, size=8, replace=False)
-        e = _eight_point(xa[sample], xb[sample])
-        if e is None:
-            continue
-        d = sampson_distance(e, xa, xb)
-        inliers = d < cfg.inlier_threshold
-        count = int(np.count_nonzero(inliers))
-        err = float(d[inliers].sum())
-        if count > best_count or (count == best_count and err < best_err):
-            best_count, best_err, best_inliers = count, err, inliers
+    for it, count, d, inliers in _scored_hypotheses(xa, xb, cfg):
+        # Only a hypothesis that can become the best needs its error sum.
+        if count >= best_count:
+            err = float(d[inliers].sum())
+            if count > best_count or err < best_err:
+                best_count, best_err, best_inliers = count, err, inliers
         # Standard adaptive stop once the consensus explains the data.
         if best_count >= 8:
             w_in = best_count / n
@@ -206,9 +248,10 @@ def essential_from_matches(
     if best_inliers is None or best_count < 8:
         raise DegenerateConfigurationError("RANSAC found no 8-point consensus")
 
-    e = _eight_point(xa[best_inliers], xb[best_inliers])
-    if e is None:
+    e, valid = _eight_point(xa[None, best_inliers], xb[None, best_inliers])
+    if not valid[0]:
         raise DegenerateConfigurationError("inlier set is degenerate for the 8-point solve")
+    e = e[0]
     inliers = sampson_distance(e, xa, xb) < cfg.inlier_threshold
     if np.count_nonzero(inliers) < 8:
         inliers = best_inliers

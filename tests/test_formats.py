@@ -206,6 +206,8 @@ class TestJsonCodecs:
         ("match", "branch", "x"),
         ("supervision", "grid_a", [1, 2.5]),
         ("supervision", "grid_b", None),
+        ("match", "a", [float("nan"), 4.5]),
+        ("match", "b", [1.0, float("-inf")]),
     ])
     def test_wrong_type_names_the_source_and_field(self, decode, field, value):
         two_plane = scene_to_json(make_fixture("two_plane").scene)

@@ -1,6 +1,7 @@
 """Fuzzed pair directories: a flipped byte or truncated raster, or a JSON
 field of the manifest or the supervision replaced or removed, makes
-supervise, voxelize and match exit 0 or 1, never raise."""
+supervise, voxelize and match exit 0 or 1, never raise; a field of one
+matches.jsonl line replaced or removed does the same to eval."""
 
 import contextlib
 import io
@@ -23,6 +24,7 @@ def base_pair(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--fixture", "two_plane", "--out", str(pair)]) == 0
         assert main(["supervise", "--pair", str(pair)]) == 0
+        assert main(["match", "--pair", str(pair)]) == 0
     return pair
 
 
@@ -58,6 +60,12 @@ def mutate(pair: Path, data) -> None:
         return
     path = pair / data.draw(st.sampled_from(("manifest.json", "supervision.json")))
     obj = json.loads(path.read_text())
+    mutate_field(obj, kind, data)
+    path.write_text(json.dumps(obj))
+
+
+def mutate_field(obj, kind: str, data) -> None:
+    """Replace (with any JSON value) or remove one field of `obj`."""
     *parents, key = data.draw(st.sampled_from(json_paths(obj)))
     inner = obj
     for k in parents:
@@ -66,18 +74,21 @@ def mutate(pair: Path, data) -> None:
         inner[key] = data.draw(JSON_VALUES)
     else:
         del inner[key]
-    path.write_text(json.dumps(obj))
+
+
+def run_clean(argv: list[str]) -> None:
+    """Run one command, which must exit 0 or 1 with no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1), (argv[0], code)
+    assert "Traceback" not in err.getvalue()
 
 
 def run_stages(pair: Path, out: Path) -> None:
-    for argv in (["supervise", "--pair", str(pair), "--out", str(out / "s.json")],
-                 ["voxelize", "--pair", str(pair), "--out-dir", str(out / "vox")],
-                 ["match", "--pair", str(pair), "--out", str(out / "m.jsonl")]):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        assert code in (0, 1), (argv[0], code)
-        assert "Traceback" not in err.getvalue()
+    run_clean(["supervise", "--pair", str(pair), "--out", str(out / "s.json")])
+    run_clean(["voxelize", "--pair", str(pair), "--out-dir", str(out / "vox")])
+    run_clean(["match", "--pair", str(pair), "--out", str(out / "m.jsonl")])
 
 
 @given(data=st.data())
@@ -89,6 +100,40 @@ def test_mutated_pair_directory_exits_cleanly(base_pair, data):
         shutil.copytree(base_pair, pair)
         mutate(pair, data)
         run_stages(pair, Path(tmp))
+
+
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_mutated_matches_line_exits_cleanly(base_pair, data):
+    with tempfile.TemporaryDirectory(dir=base_pair.parent) as tmp:
+        pair = Path(tmp) / "pair"
+        shutil.copytree(base_pair, pair)
+        path = pair / "matches.jsonl"
+        lines = path.read_text().splitlines()
+        at = data.draw(st.integers(0, len(lines) - 1))
+        obj = json.loads(lines[at])
+        mutate_field(obj, data.draw(st.sampled_from(("replace", "remove"))), data)
+        lines[at] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        run_clean(["eval", "--matches", str(path), "--manifests", str(pair / "manifest.json"),
+                   "--out-report", f"{tmp}/r.json", "--out-curve", f"{tmp}/c.csv"])
+
+
+# NaN match points once ended eval in a LinAlgError from the SVD of the
+# first 8-point sample that held one.
+def test_nan_match_point_names_the_line(base_pair, tmp_path, capsys):
+    pair = tmp_path / "pair"
+    shutil.copytree(base_pair, pair)
+    path = pair / "matches.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    for obj in objs:
+        obj["a"][0] = float("nan")
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    assert main(["eval", "--matches", str(path), "--manifests", str(pair / "manifest.json"),
+                 "--out-report", str(tmp_path / "r.json"), "--out-curve", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: line 1: field 'a'" in err and "Traceback" not in err
 
 
 # A manifest image size that disagrees with the depth rasters once ended

@@ -2,6 +2,7 @@
 occlusion-ordered error curve."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from occmatch.errors import (
     InsufficientMatchesError,
     ZeroTranslationError,
 )
+from occmatch import pose_eval
 from occmatch.geometry import CameraIntrinsics, PoseSE3
 from occmatch.pose_eval import (
     RansacConfig,
+    _eight_point,
     auc,
     cumulative_occlusion_curve,
     decompose_essential,
@@ -112,6 +115,17 @@ class TestSampsonDistance:
             assert abs(got[i] - num / den) < 1e-12
 
 
+    def test_stacked_matrices_score_like_each_matrix_alone(self):
+        rng = np.random.default_rng(15)
+        xa = rng.normal(size=(30, 2))
+        xb = rng.normal(size=(30, 2))
+        stack = rng.normal(size=(5, 3, 3))
+        got = sampson_distance(stack, xa, xb)
+        assert got.shape == (5, 30)
+        for e, row in zip(stack, got):
+            assert np.array_equal(sampson_distance(e, xa, xb), row)
+
+
 class TestEssentialFromMatches:
     def test_noise_free_matches_recover_the_pose(self):
         px_a, px_b = make_correspondences(100, GT_POSE, seed=4)
@@ -168,6 +182,214 @@ class TestEssentialFromMatches:
         assert np.array_equal(r1, r2)
         assert np.array_equal(t1, t2)
         assert np.array_equal(m1, m2)
+
+
+def _reference_sampson(e, xa, xb):
+    xa_h = np.column_stack([xa, np.ones(len(xa))])
+    xb_h = np.column_stack([xb, np.ones(len(xb))])
+    e_xa = xa_h @ e.T
+    et_xb = xb_h @ e
+    num = np.abs(np.sum(xb_h * e_xa, axis=1))
+    den = np.sqrt(e_xa[:, 0] ** 2 + e_xa[:, 1] ** 2 + et_xb[:, 0] ** 2 + et_xb[:, 1] ** 2)
+    return num / np.maximum(den, 1e-300)
+
+
+def _reference_eight_point(xa, xb):
+    def conditioning(x):
+        centroid = x.mean(axis=0)
+        spread = np.sqrt(((x - centroid) ** 2).sum(axis=1)).mean()
+        if spread < 1e-12:
+            return None
+        s = np.sqrt(2.0) / spread
+        return np.array(
+            [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
+        )
+
+    t_a = conditioning(xa)
+    t_b = conditioning(xb)
+    if t_a is None or t_b is None:
+        return None
+    xa_h = np.column_stack([xa, np.ones(len(xa))]) @ t_a.T
+    xb_h = np.column_stack([xb, np.ones(len(xb))]) @ t_b.T
+    a = (xb_h[:, :, None] * xa_h[:, None, :]).reshape(len(xa), 9)
+    _, _, vh = np.linalg.svd(a)
+    e = t_b.T @ vh[-1].reshape(3, 3) @ t_a
+    u, s, vt = np.linalg.svd(e)
+    if s[1] < 1e-12:
+        return None
+    sigma = (s[0] + s[1]) / 2.0
+    e = u @ np.diag([sigma, sigma, 0.0]) @ vt
+    return e / np.linalg.norm(e)
+
+
+def _reference_ransac(px_a, px_b, cfg):
+    """The one-hypothesis-at-a-time RANSAC loop that the chunked one must
+    reproduce bit for bit. Returns the outcome (the (E, R, t, inliers)
+    tuple or the exception type), the iterations run and the iterations
+    whose sample was not degenerate and was scored."""
+    xa = normalize_pixels(px_a, K)
+    xb = normalize_pixels(px_b, K)
+    n = len(xa)
+    rng = np.random.default_rng(cfg.rng_seed)
+    best_count, best_err, best_inliers = -1, np.inf, None
+    scored = []
+    for it in range(cfg.max_iterations):
+        sample = rng.choice(n, size=8, replace=False)
+        e = _reference_eight_point(xa[sample], xb[sample])
+        if e is None:
+            continue
+        scored.append(it)
+        d = _reference_sampson(e, xa, xb)
+        inliers = d < cfg.inlier_threshold
+        count = int(np.count_nonzero(inliers))
+        err = float(d[inliers].sum())
+        if count > best_count or (count == best_count and err < best_err):
+            best_count, best_err, best_inliers = count, err, inliers
+        if best_count >= 8:
+            w_in = best_count / n
+            denom = np.log1p(-min(w_in**8, 1.0 - 1e-15))
+            if it + 1 >= np.log1p(-cfg.confidence) / denom:
+                break
+    iterations = it + 1
+    if best_inliers is None or best_count < 8:
+        return DegenerateConfigurationError, iterations, scored
+    e = _reference_eight_point(xa[best_inliers], xb[best_inliers])
+    if e is None:
+        return DegenerateConfigurationError, iterations, scored
+    inliers = _reference_sampson(e, xa, xb) < cfg.inlier_threshold
+    if np.count_nonzero(inliers) < 8:
+        inliers = best_inliers
+    try:
+        r, t = decompose_essential(e, xa[inliers], xb[inliers])
+    except DegenerateConfigurationError:
+        return DegenerateConfigurationError, iterations, scored
+    return (e, r, t, inliers), iterations, scored
+
+
+def _early_stop_set():
+    return make_correspondences(100, GT_POSE, seed=16)
+
+
+def _capped_set():
+    """70 exact correspondences among 200: about 35 % inliers, far too few
+    for the adaptive stop within 1,000 iterations, and few enough that
+    some seeds draw no clean sample and find no consensus."""
+    px_a, px_b = make_correspondences(70, GT_POSE, seed=17)
+    rng = np.random.default_rng(18)
+    junk_a = rng.uniform([0, 0], [639, 479], size=(130, 2))
+    junk_b = rng.uniform([0, 0], [639, 479], size=(130, 2))
+    return np.vstack([px_a, junk_a]), np.vstack([px_b, junk_b])
+
+
+def _noisy_set():
+    """120 correspondences with 0.05 px of noise next to 40 random ones:
+    each hypothesis finds a different consensus, the best one keeps
+    improving, and the adaptive stop falls a few hundred draws in."""
+    px_a, px_b = make_correspondences(120, GT_POSE, seed=22)
+    rng = np.random.default_rng(23)
+    px_b = px_b + rng.normal(scale=0.05, size=px_b.shape)
+    junk_a = rng.uniform([0, 0], [639, 479], size=(40, 2))
+    junk_b = rng.uniform([0, 0], [639, 479], size=(40, 2))
+    return np.vstack([px_a, junk_a]), np.vstack([px_b, junk_b])
+
+
+def _two_motions_set():
+    """Two groups of 30 exact correspondences, each moved by its own pose:
+    a clean sample of either group explains exactly its 30 matches, and
+    the smaller error sum, rounding noise at 1e-13, breaks the tie."""
+    other = PoseSE3(axis_angle((0.0, 1.0, 0.0), 8.0), np.array([-0.2, 0.15, 0.1]))
+    a1, b1 = make_correspondences(30, GT_POSE, seed=24)
+    a2, b2 = make_correspondences(30, other, seed=25)
+    return np.vstack([a1, a2]), np.vstack([b1, b2])
+
+
+def _mostly_exact_set():
+    """80 exact correspondences and 20 random ones: the first clean sample
+    finds all 80, and the adaptive stop follows some 30 draws later."""
+    px_a, px_b = make_correspondences(80, GT_POSE, seed=27)
+    rng = np.random.default_rng(28)
+    junk_a = rng.uniform([0, 0], [639, 479], size=(20, 2))
+    junk_b = rng.uniform([0, 0], [639, 479], size=(20, 2))
+    return np.vstack([px_a, junk_a]), np.vstack([px_b, junk_b])
+
+
+def _repeated_set():
+    """40 copies of one correspondence next to 9 others: about one 8-point
+    sample in six is 8 copies, which has no spread and is skipped; the
+    others are underdetermined, so the outcome varies with the seed."""
+    px_a, px_b = make_correspondences(10, GT_POSE, seed=19)
+    return (np.vstack([np.repeat(px_a[:1], 40, axis=0), px_a[1:]]),
+            np.vstack([np.repeat(px_b[:1], 40, axis=0), px_b[1:]]))
+
+
+MATCH_SETS = {"early_stop": _early_stop_set, "mostly_exact": _mostly_exact_set,
+              "noisy": _noisy_set, "capped": _capped_set, "two_motions": _two_motions_set,
+              "repeated": _repeated_set}
+SEEDS = (0, 1, 7)
+
+
+class TestChunkedRansacEquivalence:
+    """Hypotheses are solved and scored a chunk at a time; every output
+    must equal the sequential loop's bit for bit, whether the run stops
+    inside a chunk, at a chunk boundary or at the iteration cap."""
+
+    @pytest.mark.parametrize("name", sorted(MATCH_SETS))
+    @pytest.mark.parametrize("max_iterations", [1, 7, 8, 9, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("rng_seed", SEEDS)
+    def test_matches_the_sequential_loop(self, name, max_iterations, rng_seed, monkeypatch):
+        px_a, px_b = MATCH_SETS[name]()
+        cfg = RansacConfig(max_iterations=max_iterations, rng_seed=rng_seed)
+        want, _, want_scored = _reference_ransac(px_a, px_b, cfg)
+        scored = []
+        hypotheses = pose_eval._scored_hypotheses
+
+        def recorded(*args):
+            for hypothesis in hypotheses(*args):
+                scored.append(hypothesis[0])
+                yield hypothesis
+
+        monkeypatch.setattr(pose_eval, "_scored_hypotheses", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not isinstance(want, tuple):
+                with pytest.raises(want):
+                    essential_from_matches(px_a, px_b, K, K, cfg)
+                assert scored == want_scored
+                return
+            got = essential_from_matches(px_a, px_b, K, K, cfg)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)
+        assert scored == want_scored
+
+    def test_match_sets_exercise_their_case(self):
+        runs = {name: [_reference_ransac(*make(), RansacConfig(rng_seed=seed)) for seed in SEEDS]
+                for name, make in MATCH_SETS.items()}
+        # All exact: the first hypothesis explains every match.
+        assert all(isinstance(out, tuple) and it == 1 for out, it, _ in runs["early_stop"])
+        # One consensus, then the stop some chunks later; the consensus keeps
+        # improving and the stop falls a few hundred draws in.
+        assert all(isinstance(out, tuple) and 8 < it < 64 for out, it, _ in runs["mostly_exact"])
+        assert all(isinstance(out, tuple) and 64 < it < 1000 for out, it, _ in runs["noisy"])
+        # No stop before the cap; a clean sample is found on some seeds only.
+        assert all(it == 1000 for _, it, _ in runs["capped"])
+        assert {isinstance(out, tuple) for out, _, _ in runs["capped"]} == {True, False}
+        # Either group can win the tie on the inlier count.
+        winners = {int(out[3][:30].sum() > out[3][30:].sum()) for out, _, _ in runs["two_motions"]}
+        assert winners == {0, 1}
+        # Degenerate samples are skipped, before and after a consensus.
+        assert all(len(scored) < it for _, it, scored in runs["repeated"])
+        assert any(isinstance(out, tuple) for out, _, _ in runs["repeated"])
+
+    def test_degenerate_samples_are_masked_without_warnings(self):
+        xa = np.zeros((3, 8, 2))
+        xa[1] = np.random.default_rng(20).normal(size=(8, 2))
+        xb = np.random.default_rng(21).normal(size=(3, 8, 2))
+        xb[2] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e, valid = _eight_point(xa, xb)
+        assert valid.tolist() == [False, True, False]
+        assert np.array_equal(e[1], _reference_eight_point(xa[1], xb[1]))
 
 
 class TestDecomposeEssential:
