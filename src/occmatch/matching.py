@@ -33,6 +33,10 @@ from .numerics import bilinear_sample, gumbel_noise, softmax
 from .supervision import CoarseMatchSet
 
 _LOG_CLAMP = 1e-12
+# Rows of a score matrix per product (see score_matrix).
+_BLOCK_ROWS = 256
+# Matches refined per stacked window product in match_pair.
+_REFINE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,16 @@ def rotation_align(f: FeatureGrid, theta_deg: float) -> FeatureGrid:
     return FeatureGrid(acc / 5.0, stride=f.stride)
 
 
-def score_matrix(f_a: FeatureGrid, f_b: FeatureGrid, temperature: float) -> np.ndarray:
+def score_matrix(
+    f_a: FeatureGrid, f_b: FeatureGrid, temperature: float, block: Optional[int] = None
+) -> np.ndarray:
     """Temperature-scaled inner products of flattened (row-major) cells.
 
-    Returns (n_a, n_b) with S[i, j] = <f_a_i, f_b_j> / temperature.
+    Returns (n_a, n_b) with S[i, j] = <f_a_i, f_b_j> / temperature, or with
+    `block` only rows [block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS) of it.
+    Each block of rows is one product, also in the whole matrix: BLAS does
+    not promise that a row comes out with the same bits in products of
+    different heights, so the blocks match_pair works through are these.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -165,7 +175,13 @@ def score_matrix(f_a: FeatureGrid, f_b: FeatureGrid, temperature: float) -> np.n
         )
     fa = f_a.values.reshape(f_a.channels, -1)
     fb = f_b.values.reshape(f_b.channels, -1)
-    return fa.T @ fb / temperature
+    if block is not None:
+        rows = fa[:, block * _BLOCK_ROWS:(block + 1) * _BLOCK_ROWS]
+        return rows.T @ fb / temperature
+    out = np.empty((fa.shape[1], fb.shape[1]))
+    for lo in range(0, fa.shape[1], _BLOCK_ROWS):
+        out[lo:lo + _BLOCK_ROWS] = fa[:, lo:lo + _BLOCK_ROWS].T @ fb / temperature
+    return out
 
 
 def dual_softmax(s: np.ndarray) -> np.ndarray:
@@ -309,27 +325,29 @@ def coarse_loss(p_hat: np.ndarray, gt: CoarseMatchSet, lambda1: float = 1.0) -> 
     )
 
 
-def refine_fine_match(heatmap: np.ndarray, window_center: PixelPoint) -> PixelPoint:
-    """Expectation-refined location from an odd square heatmap.
+def refine_fine_match(heatmaps: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Expectation-refined locations from a stack of odd square heatmaps.
 
-    The heatmap (already non-negative, e.g. a softmaxed correlation window)
-    is normalized by its sum; the returned point is window_center plus the
-    expected (du, dv) offset, in the same units as one heatmap cell.
+    Each (w, w) heatmap of the (m, w, w) stack (already non-negative, e.g. a
+    softmaxed correlation window) is normalized by its sum; row i of the
+    returned (m, 2) array is centers[i] = (u, v) plus the expected (du, dv)
+    offset, in the same units as one heatmap cell.
     """
-    h = np.asarray(heatmap, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2 == 0:
-        raise DegenerateHeatmapError(f"heatmap must be odd square, got shape {h.shape}")
+    h = np.asarray(heatmaps, dtype=np.float64)
+    if h.ndim != 3 or h.shape[1] != h.shape[2] or h.shape[1] % 2 == 0:
+        raise DegenerateHeatmapError(
+            f"heatmaps must be a stack of odd squares, got shape {h.shape}")
     if np.any(h < 0):
         raise DegenerateHeatmapError("heatmap entries must be non-negative")
-    total = h.sum()
-    if not total > 0:
+    total = h.sum(axis=(1, 2))
+    if not np.all(total > 0):
         raise DegenerateHeatmapError("heatmap mass must be positive")
-    half = h.shape[0] // 2
+    half = h.shape[1] // 2
     offsets = np.arange(-half, half + 1, dtype=np.float64)
-    w = h / total
-    du = float((w.sum(axis=0) * offsets).sum())
-    dv = float((w.sum(axis=1) * offsets).sum())
-    return PixelPoint(window_center.u + du, window_center.v + dv)
+    w = h / total[:, None, None]
+    du = (w.sum(axis=1) * offsets).sum(axis=1)
+    dv = (w.sum(axis=2) * offsets).sum(axis=1)
+    return np.asarray(centers, dtype=np.float64) + np.column_stack([du, dv])
 
 
 def fine_loss(
@@ -382,25 +400,112 @@ def _unit_features(f: FeatureGrid) -> FeatureGrid:
     return FeatureGrid(f.values / np.maximum(norms, 1e-12), stride=f.stride)
 
 
-def _can_reach(s: np.ndarray, log_floor: float) -> np.ndarray:
-    """Flat indices of the entries of a score matrix whose dual-softmax
-    confidence can reach exp(log_floor): a confidence is at most its
-    row-softmax and its column-softmax factor, and each factor at most
-    exp(s - max) along its own axis. The shifted scores are the ones the
-    softmax computes; the column test runs only where the row test held."""
-    flat = np.flatnonzero(s - s.max(axis=1, keepdims=True) >= log_floor)
-    col_max = s.max(axis=0)[flat % s.shape[1]]
-    return flat[s.ravel()[flat] - col_max >= log_floor]
+def _n_cells(f: FeatureGrid) -> int:
+    return f.grid_shape[0] * f.grid_shape[1]
 
 
-def _anchor_cell(patch_row: int, patch_col: int, ratio: int) -> tuple[int, int]:
-    # Fine cell holding the patch's integer center pixel.
-    return patch_row * ratio + ratio // 2, patch_col * ratio + ratio // 2
+def _candidates(
+    f_a: FeatureGrid, f_b: FeatureGrid, temperature: float, log_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First pass over the row blocks of one branch's score matrix.
+
+    Returns its column maxima and the flat indices of the entries whose
+    dual-softmax confidence can reach exp(log_floor): a confidence is at
+    most its row-softmax and its column-softmax factor, and each factor at
+    most exp(s - max) along its own axis. The shifted scores are the ones
+    the softmax computes. The row test runs per block; the column test runs
+    on the survivors once the column maxima are complete.
+    """
+    nb = _n_cells(f_b)
+    col_max = np.full(nb, -np.inf)
+    flat, score = [], []
+    for block, lo in enumerate(range(0, _n_cells(f_a), _BLOCK_ROWS)):
+        s = score_matrix(f_a, f_b, temperature, block=block)
+        np.maximum(col_max, s.max(axis=0), out=col_max)
+        local = np.flatnonzero(s - s.max(axis=1, keepdims=True) >= log_floor)
+        flat.append(local + lo * nb)
+        score.append(s.ravel()[local])
+    flat, score = np.concatenate(flat), np.concatenate(score)
+    return col_max, flat[score - col_max[flat % nb] >= log_floor]
+
+
+def _confidences(
+    f_a: FeatureGrid, f_b: FeatureGrid, temperature: float,
+    col_max: np.ndarray, index: np.ndarray,
+) -> np.ndarray:
+    """Second pass: one branch's dual-softmax confidences at the sorted flat
+    `index`, bit for bit dual_softmax(score_matrix(...)).ravel()[index].
+
+    The row softmax lives within a block. numpy's axis-0 sum adds the rows
+    in order, so adding each block's exp(s - col_max) below the running
+    column sums gives its bits. A single column is one vector, which numpy
+    sums pairwise, so its n_a exponentials are kept whole.
+    """
+    na, nb = _n_cells(f_a), _n_cells(f_b)
+    whole = nb == 1
+    acc = np.zeros(((na if whole else min(na, _BLOCK_ROWS)) + 1, nb))
+    row_factor = np.empty(index.size)
+    col_num = np.empty(index.size)
+    for block, lo in enumerate(range(0, na, _BLOCK_ROWS)):
+        s = score_matrix(f_a, f_b, temperature, block=block)
+        at = 1 + (lo if whole else 0)
+        e_col = acc[at:at + s.shape[0]]
+        np.exp(np.subtract(s, col_max, out=e_col), out=e_col)
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        a, b = np.searchsorted(index, (lo * nb, (lo + s.shape[0]) * nb))
+        r, c = np.divmod(index[a:b] - lo * nb, nb)
+        row_factor[a:b] = s[r, c] / s.sum(axis=1)[r]
+        col_num[a:b] = e_col[r, c]
+        if not whole:
+            acc[0] = acc[:s.shape[0] + 1].sum(axis=0)
+    col_sum = acc[1:].sum(axis=0) if whole else acc[0]
+    return row_factor * (col_num / col_sum[index % nb])
+
+
+def _anchor_cells(patch: np.ndarray, grid_cols: int, ratio: int) -> tuple[np.ndarray, np.ndarray]:
+    # Fine cells holding the patches' integer center pixels.
+    row, col = np.divmod(patch, grid_cols)
+    return row * ratio + ratio // 2, col * ratio + ratio // 2
 
 
 def cell_center_px(cell: float, stride: int) -> float:
     """Pixel coordinate of the centre of grid cell `cell` (continuous) at `stride`."""
     return stride * cell + (stride - 1) / 2.0
+
+
+def _refine(
+    matches: list[Match], coarse_a: FeatureGrid, coarse_b: FeatureGrid,
+    fine_a: FeatureGrid, fine_b: FeatureGrid, cfg: MatchingConfig,
+) -> None:
+    """Fill each match's points, _REFINE_CHUNK matches per window product."""
+    if coarse_a.stride % fine_a.stride or coarse_b.stride % fine_b.stride:
+        raise ValueError("coarse stride must be a multiple of the fine stride")
+    ar, ac = _anchor_cells(np.array([m.patch_a for m in matches], dtype=np.intp),
+                           coarse_a.grid_shape[1], coarse_a.stride // fine_a.stride)
+    br, bc = _anchor_cells(np.array([m.patch_b for m in matches], dtype=np.intp),
+                           coarse_b.grid_shape[1], coarse_b.stride // fine_b.stride)
+    hb, wb = fine_b.grid_shape
+    half = cfg.fine_window // 2
+    steps = np.arange(-half, half + 1)
+    refined = np.empty((len(matches), 2))
+    for lo in range(0, len(matches), _REFINE_CHUNK):
+        at = slice(lo, lo + _REFINE_CHUNK)
+        anchors = fine_a.values[:, ar[at], ac[at]]
+        channels, n = anchors.shape
+        # Correlation windows around B's anchors, replicate-clamped at edges.
+        rr = np.clip(br[at, None] + steps, 0, hb - 1)
+        cc = np.clip(bc[at, None] + steps, 0, wb - 1)
+        windows = fine_b.values[:, rr[:, :, None], cc[:, None, :]].reshape(channels, n, -1)
+        corr = (anchors.T[:, None, :] @ windows.transpose(1, 0, 2))[:, 0]
+        heat = softmax(corr / cfg.fine_temperature, axis=1)
+        refined[at] = refine_fine_match(heat.reshape(n, cfg.fine_window, cfg.fine_window),
+                                        np.column_stack([bc[at], br[at]]))
+    point_a = cell_center_px(np.column_stack([ac, ar]), fine_a.stride)
+    point_b = cell_center_px(refined, fine_b.stride)
+    for m, pa, pb in zip(matches, point_a.tolist(), point_b.tolist()):
+        m.point_a = PixelPoint(*pa)
+        m.point_b = PixelPoint(*pb)
 
 
 def match_pair(
@@ -423,10 +528,12 @@ def match_pair(
     dual_softmax>, ...)), but only candidate entries, those at or above the
     threshold in some branch, are selected among: the selected value is one
     of the branch values, so no other entry can qualify, nor beat or tie one
-    that does in the mutual check. The candidates are found from each
-    branch's score maxima, then each branch's confidences are computed
-    again and kept only there, so one branch's dense matrices are alive at
-    a time.
+    that does in the mutual check. Each branch's score matrix is worked
+    through in two passes over its row blocks. The first keeps the column
+    maxima and the candidates; the second computes every branch's
+    confidences at the candidates of all. So no Na x Nb array is alive at
+    any point. The refinement runs _REFINE_CHUNK matches at a time: one
+    window gather, one stacked product and one softmax per chunk.
     """
     branches = cfg.branches()
     # Each (view, angle) is aligned once; the branches share the 0-degree
@@ -436,21 +543,19 @@ def match_pair(
              for t in dict.fromkeys(ta for ta, _ in branches)}
     bar_b = {t: _unit_features(rotation_align(coarse_b, t))
              for t in dict.fromkeys(tb for _, tb in branches)}
-    ga, gb = coarse_a.grid_shape, coarse_b.grid_shape
-    na, nb = ga[0] * ga[1], gb[0] * gb[1]
+    na, nb = _n_cells(coarse_a), _n_cells(coarse_b)
 
     threshold = cfg.match_threshold
     log_floor = math.log(threshold) - _LOG_MARGIN if threshold > 0 else -math.inf
-    index = np.unique(np.concatenate([
-        _can_reach(score_matrix(bar_a[theta_a], bar_b[theta_b], cfg.temperature), log_floor)
+    col_max, found = zip(*(
+        _candidates(bar_a[theta_a], bar_b[theta_b], cfg.temperature, log_floor)
         for theta_a, theta_b in branches
-    ]))
-
-    confidence = np.empty((len(branches), index.size))
-    for k, (theta_a, theta_b) in enumerate(branches):
-        p = dual_softmax(score_matrix(bar_a[theta_a], bar_b[theta_b], cfg.temperature))
-        confidence[k] = p.ravel()[index]
-        del p  # before the next branch's matrices are built
+    ))
+    index = np.unique(np.concatenate(found))
+    confidence = np.stack([
+        _confidences(bar_a[theta_a], bar_b[theta_b], cfg.temperature, cm, index)
+        for (theta_a, theta_b), cm in zip(branches, col_max)
+    ])
     keep = confidence.max(axis=0) >= threshold
     confidence, index = confidence[:, keep], index[keep]
 
@@ -458,34 +563,10 @@ def match_pair(
         confidence, seed, at=index + na * nb * np.arange(len(branches))[:, None]
     )
     matches = extract_matches(p_hat, threshold, entries=np.divmod(index, nb))
-    for m in matches:
-        m.branch = branches[int(choice[np.searchsorted(index, m.patch_a * nb + m.patch_b)])]
+    picked = choice[np.searchsorted(index, [m.patch_a * nb + m.patch_b for m in matches])]
+    for m, k in zip(matches, picked.tolist()):
+        m.branch = branches[k]
 
     if fine_a is not None and fine_b is not None:
-        if coarse_a.stride % fine_a.stride or coarse_b.stride % fine_b.stride:
-            raise ValueError("coarse stride must be a multiple of the fine stride")
-        ratio_a = coarse_a.stride // fine_a.stride
-        ratio_b = coarse_b.stride // fine_b.stride
-        half = cfg.fine_window // 2
-        hb, wb = fine_b.grid_shape
-        for m in matches:
-            ra, ca = divmod(m.patch_a, ga[1])
-            rb, cb = divmod(m.patch_b, gb[1])
-            ar, ac = _anchor_cell(ra, ca, ratio_a)
-            br, bc = _anchor_cell(rb, cb, ratio_b)
-            anchor = fine_a.values[:, ar, ac]
-            # Correlation window around B's anchor, replicate-clamped at edges.
-            rr = np.clip(np.arange(br - half, br + half + 1), 0, hb - 1)
-            cc = np.clip(np.arange(bc - half, bc + half + 1), 0, wb - 1)
-            window = fine_b.values[:, rr[:, None], cc[None, :]]
-            corr = np.tensordot(anchor, window, axes=(0, 0))
-            heat = softmax(corr.ravel() / cfg.fine_temperature).reshape(corr.shape)
-            refined = refine_fine_match(heat, PixelPoint(float(bc), float(br)))
-            m.point_a = PixelPoint(
-                cell_center_px(ac, fine_a.stride), cell_center_px(ar, fine_a.stride)
-            )
-            m.point_b = PixelPoint(
-                cell_center_px(refined.u, fine_b.stride),
-                cell_center_px(refined.v, fine_b.stride),
-            )
+        _refine(matches, coarse_a, coarse_b, fine_a, fine_b, cfg)
     return MatchResult(matches, branches)

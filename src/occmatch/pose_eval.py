@@ -78,14 +78,18 @@ def sampson_distance(e: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
     e: (3, 3) or a stack (B, 3, 3); xa, xb: (N, 2) normalized coordinates.
     Returns the (N,) or (B, N) distances
     |xb' E xa| / sqrt((E xa)_1^2 + (E xa)_2^2 + (E' xb)_1^2 + (E' xb)_2^2).
+    A point so far out that the denominator overflows is at distance inf,
+    so it never counts as an inlier.
     """
     xa_h = np.column_stack([np.asarray(xa, dtype=np.float64), np.ones(len(xa))])
     xb_h = np.column_stack([np.asarray(xb, dtype=np.float64), np.ones(len(xb))])
-    e_xa = xa_h @ np.swapaxes(e, -1, -2)
-    et_xb = xb_h @ e
-    num = np.abs(np.sum(xb_h * e_xa, axis=-1))
-    den = np.sqrt(e_xa[..., 0] ** 2 + e_xa[..., 1] ** 2 + et_xb[..., 0] ** 2 + et_xb[..., 1] ** 2)
-    return num / np.maximum(den, 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_xa = xa_h @ np.swapaxes(e, -1, -2)
+        et_xb = xb_h @ e
+        num = np.abs(np.sum(xb_h * e_xa, axis=-1))
+        den = np.sqrt(e_xa[..., 0] ** 2 + e_xa[..., 1] ** 2
+                      + et_xb[..., 0] ** 2 + et_xb[..., 1] ** 2)
+        return np.where(np.isfinite(den), num / np.maximum(den, 1e-300), np.inf)
 
 
 def _conditioning(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

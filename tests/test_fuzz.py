@@ -39,7 +39,7 @@ def json_paths(obj, prefix=()) -> list[tuple]:
 
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(1e308) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )

@@ -2,10 +2,12 @@
 stochastic branch selection, and the loss terms built on them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from occmatch import matching
 from occmatch.errors import (
     ChannelMismatchError,
     DegenerateHeatmapError,
@@ -18,6 +20,7 @@ from occmatch.geometry import PixelPoint
 from occmatch.matching import (
     FeatureGrid,
     MatchingConfig,
+    cell_center_px,
     coarse_loss,
     dual_softmax,
     dual_softmax_jacobian,
@@ -31,6 +34,7 @@ from occmatch.matching import (
     score_matrix,
     total_loss,
 )
+from occmatch.numerics import softmax
 from occmatch.supervision import CoarseMatchSet
 
 
@@ -50,11 +54,11 @@ def manual_bilinear(grid: np.ndarray, r: float, c: float) -> np.ndarray:
     )
 
 
-def unit_columns(channels: int, h: int, w: int, seed: int) -> FeatureGrid:
+def unit_columns(channels: int, h: int, w: int, seed: int, stride: int = 8) -> FeatureGrid:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(channels, h, w))
     v /= np.linalg.norm(v, axis=0, keepdims=True)
-    return FeatureGrid(v, stride=8)
+    return FeatureGrid(v, stride=stride)
 
 
 def dense_candidates(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> list[np.ndarray]:
@@ -355,34 +359,44 @@ class TestCoarseLoss:
 
 
 class TestRefineFineMatch:
+    CENTER = np.array([[10.0, 20.0]])
+
     def test_one_hot_center_returns_center(self):
-        h = np.zeros((5, 5))
-        h[2, 2] = 1.0
-        got = refine_fine_match(h, PixelPoint(10.0, 20.0))
-        assert (got.u, got.v) == (10.0, 20.0)
+        h = np.zeros((1, 5, 5))
+        h[0, 2, 2] = 1.0
+        assert refine_fine_match(h, self.CENTER).tolist() == [[10.0, 20.0]]
 
     def test_one_hot_right_neighbor_shifts_u_by_one(self):
-        h = np.zeros((5, 5))
-        h[2, 3] = 1.0
-        got = refine_fine_match(h, PixelPoint(10.0, 20.0))
-        assert (got.u, got.v) == (11.0, 20.0)
+        h = np.zeros((1, 5, 5))
+        h[0, 2, 3] = 1.0
+        assert refine_fine_match(h, self.CENTER).tolist() == [[11.0, 20.0]]
 
     def test_two_equal_peaks_average_to_midpoint(self):
-        h = np.zeros((5, 5))
-        h[2, 0] = h[2, 4] = 1.0
-        got = refine_fine_match(h, PixelPoint(10.0, 20.0))
-        assert (got.u, got.v) == (10.0, 20.0)
+        h = np.zeros((1, 5, 5))
+        h[0, 2, 0] = h[0, 2, 4] = 1.0
+        assert refine_fine_match(h, self.CENTER).tolist() == [[10.0, 20.0]]
+
+    def test_each_heatmap_of_a_stack_refines_its_own_center(self):
+        h = np.zeros((3, 3, 3))
+        h[0, 1, 1] = h[1, 0, 1] = h[2, 2, 2] = 1.0
+        centers = np.array([[0.0, 0.0], [5.0, 5.0], [-1.0, 2.0]])
+        assert refine_fine_match(h, centers).tolist() == [[0.0, 0.0], [5.0, 4.0], [0.0, 3.0]]
 
     def test_rejects_even_nonsquare_negative_and_empty(self):
-        center = PixelPoint(0.0, 0.0)
+        center = np.zeros((1, 2))
         with pytest.raises(DegenerateHeatmapError):
-            refine_fine_match(np.ones((4, 4)), center)
+            refine_fine_match(np.ones((1, 4, 4)), center)
         with pytest.raises(DegenerateHeatmapError):
-            refine_fine_match(np.ones((3, 5)), center)
+            refine_fine_match(np.ones((1, 3, 5)), center)
         with pytest.raises(DegenerateHeatmapError):
-            refine_fine_match(np.full((3, 3), -1.0), center)
+            refine_fine_match(np.ones((3, 3)), center)
         with pytest.raises(DegenerateHeatmapError):
-            refine_fine_match(np.zeros((3, 3)), center)
+            refine_fine_match(np.full((1, 3, 3), -1.0), center)
+        with pytest.raises(DegenerateHeatmapError):
+            refine_fine_match(np.zeros((1, 3, 3)), center)
+        # One empty heatmap in a stack fails the whole stack.
+        with pytest.raises(DegenerateHeatmapError):
+            refine_fine_match(np.stack([np.ones((3, 3)), np.zeros((3, 3))]), np.zeros((2, 2)))
 
 
 class TestFineLoss:
@@ -465,9 +479,49 @@ def tied_column_grid(seed: int) -> FeatureGrid:
     return FeatureGrid(np.repeat(rows, 4, axis=2), stride=8)
 
 
+def reference_points(fa, fb, fine_a, fine_b, cfg, matches) -> tuple[list, bool]:
+    """The per-match refinement match_pair ran before it was chunked: one
+    tensordot, one softmax and one expectation per match. Returns each
+    match's (point_a, point_b) and whether any window was clamped."""
+    ratio_a, ratio_b = fa.stride // fine_a.stride, fb.stride // fine_b.stride
+    half = cfg.fine_window // 2
+    hb, wb = fine_b.grid_shape
+    offsets = np.arange(-half, half + 1, dtype=np.float64)
+    out, clamped = [], False
+    for m in matches:
+        ra, ca = divmod(m.patch_a, fa.grid_shape[1])
+        rb, cb = divmod(m.patch_b, fb.grid_shape[1])
+        ar, ac = ra * ratio_a + ratio_a // 2, ca * ratio_a + ratio_a // 2
+        br, bc = rb * ratio_b + ratio_b // 2, cb * ratio_b + ratio_b // 2
+        rows, cols = np.arange(br - half, br + half + 1), np.arange(bc - half, bc + half + 1)
+        rr, cc = np.clip(rows, 0, hb - 1), np.clip(cols, 0, wb - 1)
+        clamped |= not (np.array_equal(rr, rows) and np.array_equal(cc, cols))
+        window = fine_b.values[:, rr[:, None], cc[None, :]]
+        corr = np.tensordot(fine_a.values[:, ar, ac], window, axes=(0, 0))
+        heat = softmax(corr.ravel() / cfg.fine_temperature).reshape(corr.shape)
+        w = heat / heat.sum()
+        du = float((w.sum(axis=0) * offsets).sum())
+        dv = float((w.sum(axis=1) * offsets).sum())
+        out.append((
+            PixelPoint(cell_center_px(ac, fine_a.stride), cell_center_px(ar, fine_a.stride)),
+            PixelPoint(cell_center_px(float(bc) + du, fine_b.stride),
+                       cell_center_px(float(br) + dv, fine_b.stride)),
+        ))
+    return out, clamped
+
+
+def smallest_non_divisor(n: int) -> int:
+    return next(d for d in range(2, n + 2) if n % d)
+
+
 class TestSparseMatchesDense:
     """match_pair selects only among candidate entries; the dense
-    gumbel_select / extract_matches pair is the oracle."""
+    gumbel_select / extract_matches pair is the oracle. It works through
+    row blocks of the score matrices and refines matches in chunks;
+    whatever the block and chunk sizes, every match must equal the dense
+    selection followed by the per-match refinement, bit for bit. The dense
+    matrices come from score_matrix, which forms each block of rows with
+    one product, as match_pair does."""
 
     @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.2, 1.0])
     def test_same_matches_as_the_dense_stack(self, threshold):
@@ -490,3 +544,59 @@ class TestSparseMatchesDense:
         # A match that ties with another entry of its row: the argmax order decides.
         assert any((p_hat[a] == conf).sum() > 1 for a, _, conf, _ in want)
         assert match_tuples(match_pair(fa, fb, cfg=cfg, seed=2)) == want
+
+    BLOCKS = {"one": lambda na: 1, "non_divisor": smallest_non_divisor,
+              "na": lambda na: na, "over_na": lambda na: na + 3}
+    CHUNKS = {"one": lambda n: 1, "non_divisor": smallest_non_divisor,
+              "over_count": lambda n: n + 1}
+
+    @staticmethod
+    def cases():
+        # Coarse stride 4 over fine stride 2: an anchor sits one fine cell
+        # from its patch's edge, so border patches clamp their windows.
+        for seed in range(2):
+            yield (unit_columns(16, 5, 6, 200 + seed, 4), unit_columns(16, 6, 4, 300 + seed, 4),
+                   MatchingConfig(match_threshold=0.05))
+            same = unit_columns(16, 4, 4, 400 + seed, 4)
+            yield same, same, MatchingConfig(fine_window=7, fine_temperature=0.05)
+            yield (unit_columns(16, 5, 3, 500 + seed, 4),
+                   FeatureGrid(tied_column_grid(seed).values, stride=4),
+                   MatchingConfig(match_threshold=0.05))
+            # A single B cell: its column sum is one vector.
+            yield (unit_columns(16, 3, 4, 600 + seed, 4), unit_columns(16, 1, 1, 700 + seed, 4),
+                   MatchingConfig())
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("chunk", sorted(CHUNKS))
+    def test_every_match_equals_the_dense_reference(self, block, chunk, monkeypatch):
+        clamped = False
+        for index, (fa, fb, cfg) in enumerate(self.cases()):
+            fine_a = unit_columns(8, fa.grid_shape[0] * 2, fa.grid_shape[1] * 2, 800 + index, 2)
+            fine_b = unit_columns(8, fb.grid_shape[0] * 2, fb.grid_shape[1] * 2, 900 + index, 2)
+            monkeypatch.setattr(matching, "_BLOCK_ROWS", self.BLOCKS[block](fa.values[0].size))
+            p_hat, choice = gumbel_select(dense_candidates(fa, fb, cfg), index)
+            want = extract_matches(p_hat, cfg.match_threshold)
+            assert want
+            points, clamped_here = reference_points(fa, fb, fine_a, fine_b, cfg, want)
+            clamped |= clamped_here
+            branches = cfg.branches()
+            want = [(m.patch_a, m.patch_b, m.confidence, branches[choice[m.patch_a, m.patch_b]],
+                     *point) for m, point in zip(want, points)]
+
+            monkeypatch.setattr(matching, "_REFINE_CHUNK", self.CHUNKS[chunk](len(want)))
+            got = match_pair(fa, fb, fine_a, fine_b, cfg=cfg, seed=index)
+            assert [(m.patch_a, m.patch_b, m.confidence, m.branch, m.point_a, m.point_b)
+                    for m in got.matches] == want
+        assert clamped
+
+
+def test_matcher_peak_memory_stays_below_one_dense_score_matrix():
+    fa, fb = unit_columns(16, 60, 40, 1000), unit_columns(16, 60, 40, 1001)
+    dense_bytes = (60 * 40) ** 2 * 8
+    tracemalloc.start()
+    try:
+        match_pair(fa, fb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes

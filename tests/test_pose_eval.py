@@ -126,7 +126,28 @@ class TestSampsonDistance:
             assert np.array_equal(sampson_distance(e, xa, xb), row)
 
 
+    def test_overflowing_denominator_is_infinitely_far(self):
+        e = essential_from_pose(GT_POSE)
+        xa = np.array([[1e308, 0.5], [0.1, 0.2]])
+        xb = np.array([[0.3, -0.2], [0.1, 0.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = sampson_distance(e, xa, xb)
+        assert d[0] == np.inf and np.isfinite(d[1])
+
+
 class TestEssentialFromMatches:
+    def test_overflowing_match_point_is_an_outlier(self):
+        # A point at 1e308 px once scored distance 0, joined every consensus
+        # and made the refit degenerate.
+        px_a, px_b = make_correspondences(60, GT_POSE, seed=29)
+        px_a[7, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, r, t, inliers = essential_from_matches(px_a, px_b, K, K)
+        assert not inliers[7] and inliers.sum() == 59
+        assert pose_error(r, t, GT_POSE.R, GT_POSE.t).rotation_deg < 0.1
+
     def test_noise_free_matches_recover_the_pose(self):
         px_a, px_b = make_correspondences(100, GT_POSE, seed=4)
         _, r, t, inliers = essential_from_matches(px_a, px_b, K, K)
