@@ -95,11 +95,12 @@ def sampson_distance(e: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
 def _conditioning(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hartley transforms (B, 3, 3) that centre each (B, m, 2) point set and
     scale its mean distance from the centroid to sqrt(2), and a (B,) mask
-    that is False where a set has no spread (its transform then takes the
-    spread as 1, so that it stays finite)."""
+    that is False where a set has no spread or one that overflows (its
+    transform then takes the spread as 1, so that it stays finite)."""
     centroid = x.mean(axis=1)
-    spread = np.sqrt(((x - centroid[:, None]) ** 2).sum(axis=2)).mean(axis=1)
-    ok = spread >= 1e-12
+    with np.errstate(over="ignore"):
+        spread = np.sqrt(((x - centroid[:, None]) ** 2).sum(axis=2)).mean(axis=1)
+    ok = np.isfinite(spread) & (spread >= 1e-12)
     s = np.sqrt(2.0) / np.where(ok, spread, 1.0)
     t = np.zeros((len(x), 3, 3))
     t[:, 0, 0] = t[:, 1, 1] = s

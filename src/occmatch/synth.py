@@ -10,7 +10,9 @@ never against a rendered depth raster.
 Feature grids encode each cell's world point with a fixed bank of random
 trigonometric frequencies and a per-texture sign pattern, so cells that see
 the same surface point get near-identical descriptors across views while
-distant points and different textures decorrelate.
+distant points and different textures decorrelate. Each phase is reduced to
+[-1/2, 1/2] turns in float64 and its cos/sin evaluated in float32, the
+precision the grid files store; each cell is then scaled to unit norm.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ class FeatureParams:
 
 def _texture_signs(texture: int, m: int) -> np.ndarray:
     rng = np.random.default_rng([97, texture])
-    return np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    return np.where(rng.random(m) < 0.5, np.float32(-1.0), np.float32(1.0))
 
 
 def _grid_centers(k: CameraIntrinsics, stride: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
@@ -273,27 +275,36 @@ def _feature_grid(
 ) -> FeatureGrid:
     """Unit descriptors of each cell's world point (cos/sin of frequency
     projections, per-texture sign flips); unseen cells get decorrelated
-    random unit vectors."""
+    random unit vectors.
+
+    Each phase is reduced to [-1/2, 1/2] turns in float64, so far points
+    keep their precision, and its cos/sin run in float32, which is what
+    the grid files store. Each cell is then scaled by its measured float64
+    norm.
+    """
     u, v, (rows, cols) = _grid_centers(k, stride)
     depth, prim, world = _cast_pixels(scene, pose, k, u, v)
     m = omegas.shape[0]
     n = u.size
     feats = np.empty((2 * m, n))
 
-    hit = prim >= 0
-    phase = world[hit] @ omegas.T
+    # Every cell is encoded; a missed cell's ray reads the camera centre and
+    # the last texture's signs (prim -1), and is overwritten below.
+    turns = np.matmul(omegas / (2.0 * math.pi), world.T, out=feats[m:])
+    turns -= np.rint(turns, out=feats[:m])
+    angle = np.empty((m, n), dtype=np.float32)
+    np.multiply(turns, 2.0 * math.pi, out=angle, casting="same_kind")
     textures, prim_texture = np.unique([p.texture for p in scene.primitives], return_inverse=True)
-    signs = np.stack([_texture_signs(int(tex), m) for tex in textures])[prim_texture[prim[hit]]]
-    feats[:m, hit] = (signs * np.cos(phase)).T
-    feats[m:, hit] = (signs * np.sin(phase)).T
+    signs = np.stack([_texture_signs(int(tex), m) for tex in textures], axis=1)[:, prim_texture[prim]]
+    feats[:m] = np.cos(angle) * signs
+    feats[m:] = np.sin(angle, out=angle) * signs
 
-    miss = ~hit
+    miss = prim < 0
     if miss.any():
         rng = np.random.default_rng([131, fallback_seed])
-        rnd = rng.normal(size=(2 * m, int(miss.sum())))
-        feats[:, miss] = rnd / np.linalg.norm(rnd, axis=0, keepdims=True) * math.sqrt(m)
+        feats[:, miss] = rng.normal(size=(2 * m, int(miss.sum())))
 
-    feats /= math.sqrt(m)  # exact unit norm: cos^2 + sin^2 sums to m
+    feats /= np.sqrt(np.einsum("ij,ij->j", feats, feats))
     return FeatureGrid(feats.reshape(2 * m, rows, cols), stride=stride)
 
 

@@ -5,6 +5,7 @@ import argparse
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -576,6 +577,24 @@ class TestEvalAndCurve:
         assert row["t_err_deg"] == 0.0
         assert row["rot_err_deg"] < 0.5
         assert row["pose_err_deg"] == row["rot_err_deg"]
+
+    def test_overflowing_match_point_exits_cleanly(self, fresh_pair, tmp_path):
+        # The 1e308 point overflows the spread of every RANSAC sample that
+        # draws it; such samples are masked without a numpy warning.
+        pair = fresh_pair("rotation")
+        assert main(["match", "--pair", pair]) == 0
+        path = Path(pair) / "matches.jsonl"
+        lines = path.read_text().splitlines()
+        match = json.loads(lines[5])
+        match["a"][0] = 1e308
+        lines[5] = json.dumps(match)
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, report_path, _ = self.run_eval([pair], tmp_path)
+        assert code == 0
+        row = read_json(report_path)["pairs"][0]
+        assert row["pose_err_deg"] < 0.5 and row["inliers"] > 0
 
     def test_curve_rows_follow_occlusion_order(self, fresh_pair, tmp_path):
         pairs = [fresh_pair("stereo"), fresh_pair("two_plane")]

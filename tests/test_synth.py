@@ -14,7 +14,11 @@ from occmatch.synth import (
     Plane,
     SceneSpec,
     _box_hits,
+    _cast_pixels,
+    _feature_grid,
+    _grid_centers,
     _plane_hits,
+    _texture_signs,
     analytic_classes,
     analytic_stats,
     first_hit,
@@ -387,8 +391,44 @@ class TestFeatureGrids:
 
     def test_features_are_unit_norm(self, pair_cache):
         _, pair = pair_cache("two_plane")
-        norms = np.linalg.norm(pair.coarse_a.values, axis=0)
-        assert np.max(np.abs(norms - 1.0)) < 1e-9
+        for grid in (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b):
+            norms = np.linalg.norm(grid.values, axis=0)
+            assert np.max(np.abs(norms - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("scene, least_phase", [
+        (make_fixture("two_plane").scene, 10.0),
+        # A plane 600 m ahead: phases reach ~1e4 rad, so the float64
+        # range reduction before the float32 cos/sin is what keeps them.
+        (SceneSpec((Plane((0.0, 0.0, 600.0), (0.0, 0.0, 1.0), texture=3),
+                    Box((-0.5, -0.5, 1.0), (0.5, 0.5, 1.1), texture=1))), 5e3),
+    ], ids=["two_plane", "far_plane"])
+    def test_float32_trig_matches_a_float64_encoding(self, scene, least_phase):
+        fx = make_fixture("two_plane")
+        rng = np.random.default_rng(3)
+        omegas = rng.normal(size=(64, 3)) / 0.0625
+        grid = _feature_grid(scene, fx.pose_b, fx.k, 8, omegas, fallback_seed=0)
+        u, v, _ = _grid_centers(fx.k, 8)
+        _, prim, world = _cast_pixels(scene, fx.pose_b, fx.k, u, v)
+        assert np.all(prim >= 0)
+        phase = world @ omegas.T
+        assert np.abs(phase).max() > least_phase
+        textures = np.array([p.texture for p in scene.primitives])[prim]
+        signs = np.stack([_texture_signs(int(t), 64) for t in textures]).astype(np.float64)
+        ref = np.concatenate([signs * np.cos(phase), signs * np.sin(phase)], axis=1).T / 8.0
+        assert np.max(np.abs(grid.values.reshape(128, -1) - ref)) < 1e-6
+
+    def test_missed_cells_get_unit_random_features(self):
+        fx = make_fixture("two_plane")
+        scene = SceneSpec((Box((-0.5, -0.5, 1.0), (0.5, 0.5, 1.1)),))
+        omegas = np.random.default_rng(3).normal(size=(64, 3))
+        grid = _feature_grid(scene, fx.pose_a, fx.k, 8, omegas, fallback_seed=0)
+        u, v, _ = _grid_centers(fx.k, 8)
+        _, prim, _ = _cast_pixels(scene, fx.pose_a, fx.k, u, v)
+        values = grid.values.reshape(128, -1)
+        assert 0 < np.count_nonzero(prim < 0) < prim.size
+        assert np.max(np.abs(np.linalg.norm(values, axis=0) - 1.0)) < 1e-9
+        missed = values[:, prim < 0]
+        assert np.abs(missed.T @ missed - np.eye(missed.shape[1])).max() < 0.6
 
     def test_pair_construction_is_deterministic(self):
         fx = make_fixture("two_plane", width=96, height=72)
