@@ -81,10 +81,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.features()
 
-    @property
-    def seed(self) -> int:
-        return self.ransac.rng_seed
-
     def features(self) -> FeatureParams:
         return FeatureParams(channels=self.channels, coarse_stride=self.patch_stride)
 
@@ -353,7 +349,7 @@ def cmd_match(args: argparse.Namespace) -> int:
             pair.depth("a"), pair.depth("b"), pair.k, pair.k, pair.relative(),
             margin=cfg.margin, patch_stride=coarse_a.stride,
         )
-    result = match_pair(coarse_a, coarse_b, fine_a, fine_b, cfg.matching, seed=cfg.seed)
+    result = match_pair(coarse_a, coarse_b, fine_a, fine_b, cfg.matching)
     labels = _label_sets(gt)
     for m in result.matches:
         key = (m.patch_a, m.patch_b)
@@ -364,6 +360,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     formats.write_json(out.with_name("match_config.json"), {
         "pair": pair.pair_id,
         "branches": [list(b) for b in result.branches],
+        "branch_counts": [sum(m.branch == b for m in result.matches) for b in result.branches],
         "config": cfg.to_json(),
     })
     print(f"match: {len(result.matches)} matches -> {out}")
@@ -374,8 +371,11 @@ def _threshold_key(t: float) -> str:
     return str(int(t)) if float(t).is_integer() else str(t)
 
 
-def _evaluate_pair(pair: PairDir, matches: list[Match], cfg: RunConfig) -> PoseErrorReport:
-    """Pose error of one pair; failures come back as infinite errors.
+def _evaluate_pair(
+    pair: PairDir, matches: list[Match], cfg: RunConfig
+) -> tuple[PoseErrorReport, Optional[str]]:
+    """Pose error of one pair and why no pose was solved (None if one was);
+    a failure comes back as infinite errors and its exception's message.
 
     A (near-)zero ground-truth baseline leaves the translation direction
     unobservable; by the usual evaluation convention its error is 0 and
@@ -388,14 +388,14 @@ def _evaluate_pair(pair: PairDir, matches: list[Match], cfg: RunConfig) -> PoseE
         _, r_est, t_est, inliers = essential_from_matches(
             px_a.reshape(-1, 2), px_b.reshape(-1, 2), pair.k, pair.k, cfg.ransac
         )
-    except (InsufficientMatchesError, DegenerateConfigurationError):
-        return PoseErrorReport(np.inf, np.inf, np.inf, 0)
+    except (InsufficientMatchesError, DegenerateConfigurationError) as exc:
+        return PoseErrorReport(np.inf, np.inf, np.inf, 0), str(exc)
     count = int(inliers.sum())
     try:
-        return pose_error(r_est, t_est, gt.R, gt.t, inlier_count=count)
+        return pose_error(r_est, t_est, gt.R, gt.t, inlier_count=count), None
     except ZeroTranslationError:
         rot = rotation_error_deg(r_est, gt.R)
-        return PoseErrorReport(rot, 0.0, rot, count)
+        return PoseErrorReport(rot, 0.0, rot, count), None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -409,7 +409,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for matches_path, manifest_path in zip(args.matches, args.manifests):
         pair = load_pair(Path(manifest_path).parent)
         matches = formats.read_matches(matches_path)
-        report = _evaluate_pair(pair, matches, cfg)
+        report, failure = _evaluate_pair(pair, matches, cfg)
         ratio = float(formats._field(pair.manifest, "occlusion_ratio", str(manifest_path),
                                      formats._is_number, "a number", default=0.0))
         rows.append({
@@ -419,6 +419,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "t_err_deg": report.translation_deg,
             "pose_err_deg": report.pose_deg,
             "inliers": report.inlier_count,
+            "failure": failure,
         })
         curve_entries.append((ratio, report.pose_deg))
 
@@ -438,7 +439,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("configuration", "flags > --config file > manifest overrides > "
-                             f"defaults; --seed falls back to ${_ENV_SEED}, then 0")
+                             f"defaults; --seed seeds eval's RANSAC and falls back to "
+                             f"${_ENV_SEED}, then 0")
     g.add_argument("--config", type=Path, help="JSON object of settings, by flag name with '_'")
     for name, (_, _, hint) in _SETTINGS.items():
         g.add_argument("--" + name.replace("_", "-"),

@@ -3,9 +3,9 @@
 Coarse feature grids are smoothed by a 5-tap neighborhood average whose four
 off-center taps can be rotated by an angle theta (bilinear resampling in
 index space, replicate padding). Scores are temperature-scaled inner
-products, confidences come from a dual softmax, and one of the candidate
-rotation branches (0/0, theta/0, 0/theta) is picked per entry by a
-Gumbel-max draw. Mutual nearest neighbours above threshold are refined to
+products, confidences come from a dual softmax, and per entry the candidate
+rotation branch (0/0, theta/0, 0/theta) with the highest confidence is
+picked. Mutual nearest neighbours above threshold are refined to
 sub-pixel points with an expectation over a local fine-feature correlation
 window.
 """
@@ -219,19 +219,12 @@ def dual_softmax_jacobian(s: np.ndarray) -> np.ndarray:
     return term_row + term_col
 
 
-def gumbel_select(
-    candidates: Sequence[np.ndarray], seed: int, at: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def gumbel_select(candidates: Sequence[np.ndarray], seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Pick one candidate matrix per entry by a Gumbel-max draw.
 
     Per entry, candidate k scores log p_k plus Gumbel noise from the seeded
     generator, and the highest score wins. Returns the winning candidate's
     value and index per entry; a single candidate passes through unchanged.
-
-    The candidates may be a subset of the entries of larger matrices, e.g.
-    (K, n) columns: `at` (shaped like the stack) then gives each entry's
-    position in the noise stream of the full stack. Every entry is drawn on
-    its own, so the result equals the full selection at those entries.
     """
     if len(candidates) == 0:
         raise EmptyCandidatesError("no candidate matrices to select from")
@@ -240,7 +233,7 @@ def gumbel_select(
         raise ShapeMismatchError(f"candidate shapes disagree: {sorted(shapes)}")
     stack = np.stack([np.asarray(c, dtype=np.float64) for c in candidates])
     rng = np.random.default_rng(seed)
-    scores = np.log(np.maximum(stack, 1e-300)) + gumbel_noise(rng, stack.shape, at=at)
+    scores = np.log(np.maximum(stack, 1e-300)) + gumbel_noise(rng, stack.shape)
     choice = np.argmax(scores, axis=0)
     return np.take_along_axis(stack, choice[None], axis=0)[0], choice
 
@@ -514,23 +507,23 @@ def match_pair(
     fine_a: Optional[FeatureGrid] = None,
     fine_b: Optional[FeatureGrid] = None,
     cfg: MatchingConfig = MatchingConfig(),
-    seed: int = 0,
 ) -> MatchResult:
     """Full coarse-to-fine matching of one image pair.
 
-    Gumbel-selects among the rotation branches' confidence matrices,
-    extracts mutual nearest matches, and (when fine grids are provided)
-    refines each match to sub-pixel points: the A point anchors at the
-    matched patch's central fine cell, the B point comes from the
-    expectation over a softmaxed fine-correlation window.
+    Takes per entry the rotation branch with the highest confidence (the
+    lower branch index on a tie), extracts mutual nearest matches, and
+    (when fine grids are provided) refines each match to sub-pixel points:
+    the A point anchors at the matched patch's central fine cell, the B
+    point comes from the expectation over a softmaxed fine-correlation
+    window.
 
-    The result equals extract_matches(gumbel_select(<every branch's dense
-    dual_softmax>, ...)), but only candidate entries, those at or above the
-    threshold in some branch, are selected among: the selected value is one
-    of the branch values, so no other entry can qualify, nor beat or tie one
-    that does in the mutual check. Each branch's score matrix is worked
-    through in two passes over its row blocks. The first keeps the column
-    maxima and the candidates; the second computes every branch's
+    The result equals extract_matches(<every branch's dense dual_softmax>
+    .max(axis=0), ...), each match's branch being the stack's argmax(axis=0)
+    there, but only candidate entries, those that can reach the threshold
+    in some branch, are looked at: no other entry can qualify, nor beat or
+    tie one that does in the mutual check. Each branch's score matrix is
+    worked through in two passes over its row blocks. The first keeps the
+    column maxima and the candidates; the second computes every branch's
     confidences at the candidates of all. So no Na x Nb array is alive at
     any point. The refinement runs _REFINE_CHUNK matches at a time: one
     window gather, one stacked product and one softmax per chunk.
@@ -543,7 +536,7 @@ def match_pair(
              for t in dict.fromkeys(ta for ta, _ in branches)}
     bar_b = {t: _unit_features(rotation_align(coarse_b, t))
              for t in dict.fromkeys(tb for _, tb in branches)}
-    na, nb = _n_cells(coarse_a), _n_cells(coarse_b)
+    nb = _n_cells(coarse_b)
 
     threshold = cfg.match_threshold
     log_floor = math.log(threshold) - _LOG_MARGIN if threshold > 0 else -math.inf
@@ -556,15 +549,9 @@ def match_pair(
         _confidences(bar_a[theta_a], bar_b[theta_b], cfg.temperature, cm, index)
         for (theta_a, theta_b), cm in zip(branches, col_max)
     ])
-    keep = confidence.max(axis=0) >= threshold
-    confidence, index = confidence[:, keep], index[keep]
-
-    p_hat, choice = gumbel_select(
-        confidence, seed, at=index + na * nb * np.arange(len(branches))[:, None]
-    )
-    matches = extract_matches(p_hat, threshold, entries=np.divmod(index, nb))
-    picked = choice[np.searchsorted(index, [m.patch_a * nb + m.patch_b for m in matches])]
-    for m, k in zip(matches, picked.tolist()):
+    matches = extract_matches(confidence.max(axis=0), threshold, entries=np.divmod(index, nb))
+    at = np.searchsorted(index, [m.patch_a * nb + m.patch_b for m in matches])
+    for m, k in zip(matches, confidence[:, at].argmax(axis=0).tolist()):
         m.branch = branches[k]
 
     if fine_a is not None and fine_b is not None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -47,42 +45,10 @@ def bilinear_sample(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.
     return top * (1.0 - fr) + bot * fr
 
 
-# Positions closer than this are drawn as one run; wider gaps are jumped.
-_MAX_DRAWN_GAP = 256
-
-
-def _uniform_at(rng: np.random.Generator, at: np.ndarray) -> np.ndarray:
-    """U[0, 1) draws at stream positions `at` of rng: the values
-    rng.random(n)[at] would give for any n > at.max(), found by jumping
-    the bit generator over the positions that are not needed. Each double
-    takes one 64-bit output of the stream, so position p is reached by
-    advancing p outputs. Leaves rng past the last position drawn."""
-    pos, inverse = np.unique(at, return_inverse=True)
-    if pos.size == 0:
-        return np.empty(at.shape)
-    u = np.empty(pos.size)
-    cuts = np.flatnonzero(np.diff(pos) > _MAX_DRAWN_GAP) + 1
-    bounds = np.concatenate(([0], cuts, [pos.size]))
-    bit_gen = rng.bit_generator
-    cursor = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        start, stop = int(pos[lo]), int(pos[hi - 1]) + 1
-        bit_gen.advance(start - cursor)
-        u[lo:hi] = rng.random(stop - start)[pos[lo:hi] - start]
-        cursor = stop
-    return u[inverse].reshape(at.shape)
-
-
-def gumbel_noise(
-    rng: np.random.Generator, shape: tuple[int, ...], at: Optional[np.ndarray] = None
-) -> np.ndarray:
+def gumbel_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Standard Gumbel(0, 1) samples: -log(-log u), u ~ U[0, 1).
 
-    The small epsilon keeps u = 0 draws finite. With `at`, an integer
-    array of `shape`, each sample is the one at that flat position of the
-    stream a plain call would read, so a subset of a large draw costs only
-    its own samples.
+    The small epsilon keeps u = 0 draws finite.
     """
     eps = 1e-20
-    u = rng.random(shape) if at is None else _uniform_at(rng, np.asarray(at).reshape(shape))
-    return -np.log(-np.log(u + eps) + eps)
+    return -np.log(-np.log(rng.random(shape) + eps) + eps)

@@ -37,7 +37,7 @@ from occmatch.synth import Plane, SceneSpec
 def synth_root(tmp_path_factory):
     """Render each needed fixture once; tests copy before mutating."""
     root = tmp_path_factory.mktemp("pairs")
-    for name in ("identity", "rotation", "stereo", "two_plane"):
+    for name in ("identity", "rotation", "stereo", "two_plane", "box_roll30"):
         assert main(["synth", "--fixture", name, "--out", str(root / name)]) == 0
     return root
 
@@ -199,6 +199,29 @@ class TestMatch:
         sidecar = read_json(f"{pair}/match_config.json")
         assert sidecar["pair"] == "identity"
         assert sidecar["branches"] == [[0.0, 0.0], [30.0, 0.0], [0.0, 30.0]]
+        assert sidecar["branch_counts"] == [432, 0, 0]
+
+    @pytest.mark.parametrize("name", ["identity", "stereo"])
+    def test_unrolled_pair_takes_the_unrotated_branch(self, fresh_pair, name):
+        pair = fresh_pair(name)
+        assert main(["match", "--pair", pair]) == 0
+        matches = read_matches(f"{pair}/matches.jsonl")
+        assert matches and all(m.branch == (0.0, 0.0) for m in matches)
+
+    def test_rolled_pair_takes_the_branch_that_undoes_its_roll(self, fresh_pair):
+        pair = fresh_pair("box_roll30")
+        assert main(["match", "--pair", pair]) == 0
+        matches = read_matches(f"{pair}/matches.jsonl")
+        assert sum(m.branch == (0.0, 30.0) for m in matches) / len(matches) > 0.70
+        counts = read_json(f"{pair}/match_config.json")["branch_counts"]
+        assert sum(counts) == len(matches) and counts[2] > 0.70 * len(matches)
+
+    def test_output_does_not_depend_on_the_seed(self, fresh_pair):
+        a = fresh_pair("box_roll30", "seed0")
+        b = fresh_pair("box_roll30", "seed5")
+        assert main(["match", "--pair", a, "--seed", "0"]) == 0
+        assert main(["match", "--pair", b, "--seed", "5"]) == 0
+        assert (Path(a) / "matches.jsonl").read_bytes() == (Path(b) / "matches.jsonl").read_bytes()
 
     def test_same_seed_is_byte_identical(self, fresh_pair):
         a = fresh_pair("stereo", "s1")
@@ -562,6 +585,7 @@ class TestEvalAndCurve:
         assert row["id"] == "stereo"
         assert row["pose_err_deg"] < 0.1
         assert row["inliers"] >= 300
+        assert row["failure"] is None
         assert set(report["auc"]) == {"5", "10", "20"}
         assert report["auc"]["5"] > 98.0
         assert read_curve_csv(curve_path) == [(1, row["pose_err_deg"])]
@@ -615,6 +639,17 @@ class TestEvalAndCurve:
         assert row["pose_err_deg"] == math.inf
         assert row["inliers"] == 0
         assert read_json(report_path)["auc"]["5"] == 0.0
+
+    def test_too_few_matches_name_the_failure(self, fresh_pair, tmp_path):
+        pair = fresh_pair("stereo")
+        assert main(["match", "--pair", pair]) == 0
+        path = Path(pair) / "matches.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:7]))
+        code, report_path, _ = self.run_eval([pair], tmp_path)
+        assert code == 0
+        row = read_json(report_path)["pairs"][0]
+        assert row["pose_err_deg"] == math.inf
+        assert row["failure"] == "need at least 8 matches, got 7"
 
     def test_matches_manifest_count_mismatch_fails(self, fresh_pair, tmp_path, capsys):
         pair = fresh_pair("stereo")

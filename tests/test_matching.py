@@ -1,5 +1,5 @@
 """Feature smoothing, rotation-sampled alignment, dual-softmax matching,
-stochastic branch selection, and the loss terms built on them."""
+highest-confidence branch selection, and the loss terms built on them."""
 
 import math
 import tracemalloc
@@ -73,10 +73,17 @@ def dense_candidates(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> l
     return out
 
 
-def dense_reference(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig, seed: int) -> list:
+def dense_selection(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig):
+    """Each entry's highest confidence over the dense K x Na x Nb stack and
+    the branch index it comes from."""
+    stack = np.stack(dense_candidates(fa, fb, cfg))
+    return stack.max(axis=0), stack.argmax(axis=0)
+
+
+def dense_reference(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> list:
     """(patch_a, patch_b, confidence, branch) of every match, selected and
     extracted on the dense K x Na x Nb stack."""
-    p_hat, choice = gumbel_select(dense_candidates(fa, fb, cfg), seed)
+    p_hat, choice = dense_selection(fa, fb, cfg)
     branches = cfg.branches()
     return [
         (m.patch_a, m.patch_b, m.confidence, branches[choice[m.patch_a, m.patch_b]])
@@ -452,22 +459,22 @@ class TestMatchingConfig:
 class TestMatchPair:
     def test_identical_grids_match_diagonally(self):
         f = unit_columns(32, 4, 4, seed=98)
-        result = match_pair(f, f, seed=0)
+        result = match_pair(f, f)
         pairs = {(m.patch_a, m.patch_b) for m in result.matches}
         assert pairs == {(i, i) for i in range(16)}
-        assert match_tuples(result) == dense_reference(f, f, MatchingConfig(), seed=0)
+        assert match_tuples(result) == dense_reference(f, f, MatchingConfig())
         assert all(m.point_a is None and m.point_b is None for m in result.matches)
 
     def test_same_seed_reproduces_bitwise(self):
         fa = unit_columns(32, 4, 4, seed=99)
         fb = unit_columns(32, 4, 4, seed=100)
-        r1 = match_pair(fa, fb, seed=7)
-        r2 = match_pair(fa, fb, seed=7)
+        r1 = match_pair(fa, fb)
+        r2 = match_pair(fa, fb)
         assert match_tuples(r1) == match_tuples(r2)
 
     def test_branches_recorded_on_matches(self):
         f = unit_columns(32, 3, 3, seed=101)
-        result = match_pair(f, f, seed=0)
+        result = match_pair(f, f)
         branches = set(MatchingConfig().branches())
         assert all(m.branch in branches for m in result.matches)
 
@@ -515,13 +522,13 @@ def smallest_non_divisor(n: int) -> int:
 
 
 class TestSparseMatchesDense:
-    """match_pair selects only among candidate entries; the dense
-    gumbel_select / extract_matches pair is the oracle. It works through
-    row blocks of the score matrices and refines matches in chunks;
-    whatever the block and chunk sizes, every match must equal the dense
-    selection followed by the per-match refinement, bit for bit. The dense
-    matrices come from score_matrix, which forms each block of rows with
-    one product, as match_pair does."""
+    """match_pair selects only among candidate entries; extract_matches on
+    the dense stack's maximum, with the branch from its argmax, is the
+    oracle. It works through row blocks of the score matrices and refines
+    matches in chunks; whatever the block and chunk sizes, every match must
+    equal the dense selection followed by the per-match refinement, bit for
+    bit. The dense matrices come from score_matrix, which forms each block
+    of rows with one product, as match_pair does."""
 
     @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.2, 1.0])
     def test_same_matches_as_the_dense_stack(self, threshold):
@@ -533,17 +540,17 @@ class TestSparseMatchesDense:
                 (unit_columns(16, 5, 3, 500 + seed), tied_column_grid(seed)),
             ]
             for fa, fb in grids:
-                got = match_tuples(match_pair(fa, fb, cfg=cfg, seed=seed))
-                assert got == dense_reference(fa, fb, cfg, seed)
+                got = match_tuples(match_pair(fa, fb, cfg=cfg))
+                assert got == dense_reference(fa, fb, cfg)
 
     def test_tied_confidences_keep_the_smaller_index(self):
         fa, fb = unit_columns(16, 5, 3, 602), tied_column_grid(603)
         cfg = MatchingConfig(match_threshold=0.05)
-        p_hat, _ = gumbel_select(dense_candidates(fa, fb, cfg), 2)
-        want = dense_reference(fa, fb, cfg, seed=2)
+        p_hat, _ = dense_selection(fa, fb, cfg)
+        want = dense_reference(fa, fb, cfg)
         # A match that ties with another entry of its row: the argmax order decides.
         assert any((p_hat[a] == conf).sum() > 1 for a, _, conf, _ in want)
-        assert match_tuples(match_pair(fa, fb, cfg=cfg, seed=2)) == want
+        assert match_tuples(match_pair(fa, fb, cfg=cfg)) == want
 
     BLOCKS = {"one": lambda na: 1, "non_divisor": smallest_non_divisor,
               "na": lambda na: na, "over_na": lambda na: na + 3}
@@ -574,7 +581,7 @@ class TestSparseMatchesDense:
             fine_a = unit_columns(8, fa.grid_shape[0] * 2, fa.grid_shape[1] * 2, 800 + index, 2)
             fine_b = unit_columns(8, fb.grid_shape[0] * 2, fb.grid_shape[1] * 2, 900 + index, 2)
             monkeypatch.setattr(matching, "_BLOCK_ROWS", self.BLOCKS[block](fa.values[0].size))
-            p_hat, choice = gumbel_select(dense_candidates(fa, fb, cfg), index)
+            p_hat, choice = dense_selection(fa, fb, cfg)
             want = extract_matches(p_hat, cfg.match_threshold)
             assert want
             points, clamped_here = reference_points(fa, fb, fine_a, fine_b, cfg, want)
@@ -584,7 +591,7 @@ class TestSparseMatchesDense:
                      *point) for m, point in zip(want, points)]
 
             monkeypatch.setattr(matching, "_REFINE_CHUNK", self.CHUNKS[chunk](len(want)))
-            got = match_pair(fa, fb, fine_a, fine_b, cfg=cfg, seed=index)
+            got = match_pair(fa, fb, fine_a, fine_b, cfg=cfg)
             assert [(m.patch_a, m.patch_b, m.confidence, m.branch, m.point_a, m.point_b)
                     for m in got.matches] == want
         assert clamped

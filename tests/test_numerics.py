@@ -118,15 +118,3 @@ class TestGumbelNoise:
         g = gumbel_noise(np.random.default_rng(6), (200_000,))
         assert abs(g.mean() - 0.5772156649) < 0.01
         assert np.all(np.isfinite(g))
-
-    def test_positions_pick_the_plain_draws(self):
-        # Unsorted, repeated, adjacent and far-apart positions, the last in
-        # the middle of a wide gap that is jumped rather than drawn.
-        full = gumbel_noise(np.random.default_rng(7), (5000,))
-        at = np.array([[4999, 3, 3, 4], [0, 1200, 2, 700]])
-        got = gumbel_noise(np.random.default_rng(7), at.shape, at=at)
-        assert np.array_equal(got, full[at])
-
-    def test_no_positions_give_no_samples(self):
-        at = np.zeros((3, 0), dtype=np.intp)
-        assert gumbel_noise(np.random.default_rng(7), at.shape, at=at).shape == (3, 0)
