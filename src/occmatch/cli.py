@@ -420,6 +420,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "pose_err_deg": report.pose_deg,
             "inliers": report.inlier_count,
             "failure": failure,
+            "matches": len(matches),
+            "labels": {k: sum(m.label == k for m in matches) for k in formats.MATCH_LABELS},
         })
         curve_entries.append((ratio, report.pose_deg))
 

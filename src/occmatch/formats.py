@@ -254,6 +254,10 @@ def supervision_from_json(obj: dict, source: str = "supervision") -> CoarseMatch
     return CoarseMatchSet(patch_stride=stride, **lists, **grids)
 
 
+# A match's label: the ground-truth class of its patch pair, or "none".
+MATCH_LABELS = ("vv", "vo", "ov", "none")
+
+
 def match_to_json(m: Match) -> dict:
     """One matches.jsonl record. `a`/`b` are refined pixel coordinates
     (u, v); patch indices and the chosen alignment branch ride along as
@@ -283,7 +287,8 @@ def match_from_json(obj: dict, source: str = "matches") -> Match:
         point_a=PixelPoint(*map(float, a)) if a is not None else None,
         point_b=PixelPoint(*map(float, b)) if b is not None else None,
         branch=tuple(map(float, branch)) if branch is not None else None,
-        label=str(_require(obj, "label", source)),
+        label=_field(obj, "label", source, lambda v: v in MATCH_LABELS,
+                     f"one of {', '.join(MATCH_LABELS)}"),
     )
 
 

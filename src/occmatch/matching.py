@@ -3,11 +3,12 @@
 Coarse feature grids are smoothed by a 5-tap neighborhood average whose four
 off-center taps can be rotated by an angle theta (bilinear resampling in
 index space, replicate padding). Scores are temperature-scaled inner
-products, confidences come from a dual softmax, and per entry the candidate
-rotation branch (0/0, theta/0, 0/theta) with the highest confidence is
-picked. Mutual nearest neighbours above threshold are refined to
-sub-pixel points with an expectation over a local fine-feature correlation
-window.
+products, and confidences come from a dual softmax whose column sums are
+kept online, in one pass over each score matrix's row blocks. Per entry the
+candidate rotation branch (0/0, theta/0, 0/theta) with the highest
+confidence is picked. Mutual nearest neighbours above threshold are refined
+to sub-pixel points with an expectation over a local fine-feature
+correlation window.
 """
 
 from __future__ import annotations
@@ -162,10 +163,8 @@ def score_matrix(
     """Temperature-scaled inner products of flattened (row-major) cells.
 
     Returns (n_a, n_b) with S[i, j] = <f_a_i, f_b_j> / temperature, or with
-    `block` only rows [block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS) of it.
-    Each block of rows is one product, also in the whole matrix: BLAS does
-    not promise that a row comes out with the same bits in products of
-    different heights, so the blocks match_pair works through are these.
+    `block` only rows [block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS) of it,
+    the blocks match_pair works through.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -176,12 +175,8 @@ def score_matrix(
     fa = f_a.values.reshape(f_a.channels, -1)
     fb = f_b.values.reshape(f_b.channels, -1)
     if block is not None:
-        rows = fa[:, block * _BLOCK_ROWS:(block + 1) * _BLOCK_ROWS]
-        return rows.T @ fb / temperature
-    out = np.empty((fa.shape[1], fb.shape[1]))
-    for lo in range(0, fa.shape[1], _BLOCK_ROWS):
-        out[lo:lo + _BLOCK_ROWS] = fa[:, lo:lo + _BLOCK_ROWS].T @ fb / temperature
-    return out
+        fa = fa[:, block * _BLOCK_ROWS:(block + 1) * _BLOCK_ROWS]
+    return fa.T @ fb / temperature
 
 
 def dual_softmax(s: np.ndarray) -> np.ndarray:
@@ -397,63 +392,43 @@ def _n_cells(f: FeatureGrid) -> int:
     return f.grid_shape[0] * f.grid_shape[1]
 
 
-def _candidates(
+def _branch_confidences(
     f_a: FeatureGrid, f_b: FeatureGrid, temperature: float, log_floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First pass over the row blocks of one branch's score matrix.
+    """One branch's dual-softmax confidences at its candidates, in one pass
+    over the row blocks of its score matrix.
 
-    Returns its column maxima and the flat indices of the entries whose
-    dual-softmax confidence can reach exp(log_floor): a confidence is at
-    most its row-softmax and its column-softmax factor, and each factor at
-    most exp(s - max) along its own axis. The shifted scores are the ones
-    the softmax computes. The row test runs per block; the column test runs
-    on the survivors once the column maxima are complete.
+    Returns the sorted flat indices of the entries whose confidence can
+    reach exp(log_floor), and those confidences: a confidence is at most
+    its row-softmax and its column-softmax factor, and each factor at most
+    exp(s - max) along its own axis. The row test and the row softmax run
+    per block. The column sums are kept online: when a column's maximum
+    grows, its running sum is rescaled by exp(old max - new max)
+    (Milakov and Gimelshein 2018). The column test runs on the survivors
+    once the maxima are complete.
     """
     nb = _n_cells(f_b)
     col_max = np.full(nb, -np.inf)
-    flat, score = [], []
+    col_sum = np.zeros(nb)
+    flat, score, row_factor = [], [], []
     for block, lo in enumerate(range(0, _n_cells(f_a), _BLOCK_ROWS)):
         s = score_matrix(f_a, f_b, temperature, block=block)
-        np.maximum(col_max, s.max(axis=0), out=col_max)
-        local = np.flatnonzero(s - s.max(axis=1, keepdims=True) >= log_floor)
+        new_max = np.maximum(col_max, s.max(axis=0))
+        col_sum *= np.exp(col_max - new_max)
+        col_max = new_max
+        e = s - col_max
+        col_sum += np.exp(e, out=e).sum(axis=0)
+        np.subtract(s, s.max(axis=1, keepdims=True), out=e)
+        local = np.flatnonzero(e >= log_floor)
+        np.exp(e, out=e)
         flat.append(local + lo * nb)
         score.append(s.ravel()[local])
-    flat, score = np.concatenate(flat), np.concatenate(score)
-    return col_max, flat[score - col_max[flat % nb] >= log_floor]
-
-
-def _confidences(
-    f_a: FeatureGrid, f_b: FeatureGrid, temperature: float,
-    col_max: np.ndarray, index: np.ndarray,
-) -> np.ndarray:
-    """Second pass: one branch's dual-softmax confidences at the sorted flat
-    `index`, bit for bit dual_softmax(score_matrix(...)).ravel()[index].
-
-    The row softmax lives within a block. numpy's axis-0 sum adds the rows
-    in order, so adding each block's exp(s - col_max) below the running
-    column sums gives its bits. A single column is one vector, which numpy
-    sums pairwise, so its n_a exponentials are kept whole.
-    """
-    na, nb = _n_cells(f_a), _n_cells(f_b)
-    whole = nb == 1
-    acc = np.zeros(((na if whole else min(na, _BLOCK_ROWS)) + 1, nb))
-    row_factor = np.empty(index.size)
-    col_num = np.empty(index.size)
-    for block, lo in enumerate(range(0, na, _BLOCK_ROWS)):
-        s = score_matrix(f_a, f_b, temperature, block=block)
-        at = 1 + (lo if whole else 0)
-        e_col = acc[at:at + s.shape[0]]
-        np.exp(np.subtract(s, col_max, out=e_col), out=e_col)
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        a, b = np.searchsorted(index, (lo * nb, (lo + s.shape[0]) * nb))
-        r, c = np.divmod(index[a:b] - lo * nb, nb)
-        row_factor[a:b] = s[r, c] / s.sum(axis=1)[r]
-        col_num[a:b] = e_col[r, c]
-        if not whole:
-            acc[0] = acc[:s.shape[0] + 1].sum(axis=0)
-    col_sum = acc[1:].sum(axis=0) if whole else acc[0]
-    return row_factor * (col_num / col_sum[index % nb])
+        row_factor.append(e.ravel()[local] / e.sum(axis=1)[local // nb])
+    flat, score, row_factor = map(np.concatenate, (flat, score, row_factor))
+    col = flat % nb
+    keep = score - col_max[col] >= log_floor
+    col = col[keep]
+    return flat[keep], row_factor[keep] * (np.exp(score[keep] - col_max[col]) / col_sum[col])
 
 
 def _anchor_cells(patch: np.ndarray, grid_cols: int, ratio: int) -> tuple[np.ndarray, np.ndarray]:
@@ -519,14 +494,15 @@ def match_pair(
 
     The result equals extract_matches(<every branch's dense dual_softmax>
     .max(axis=0), ...), each match's branch being the stack's argmax(axis=0)
-    there, but only candidate entries, those that can reach the threshold
-    in some branch, are looked at: no other entry can qualify, nor beat or
-    tie one that does in the mutual check. Each branch's score matrix is
-    worked through in two passes over its row blocks. The first keeps the
-    column maxima and the candidates; the second computes every branch's
-    confidences at the candidates of all. So no Na x Nb array is alive at
-    any point. The refinement runs _REFINE_CHUNK matches at a time: one
-    window gather, one stacked product and one softmax per chunk.
+    there, up to the rounding of the column sums. Only candidate entries,
+    those that can reach the threshold in some branch, are looked at: no
+    other entry can qualify, nor beat or tie one that does in the mutual
+    check. A branch's confidence at an entry it does not list is below the
+    threshold, so it never wins there, and each branch needs only its own
+    candidates, found in one pass over its score matrix's row blocks. So no
+    Na x Nb array is alive at any point. The refinement runs _REFINE_CHUNK
+    matches at a time: one window gather, one stacked product and one
+    softmax per chunk.
     """
     branches = cfg.branches()
     # Each (view, angle) is aligned once; the branches share the 0-degree
@@ -540,18 +516,19 @@ def match_pair(
 
     threshold = cfg.match_threshold
     log_floor = math.log(threshold) - _LOG_MARGIN if threshold > 0 else -math.inf
-    col_max, found = zip(*(
-        _candidates(bar_a[theta_a], bar_b[theta_b], cfg.temperature, log_floor)
+    index, confidence = zip(*(
+        _branch_confidences(bar_a[theta_a], bar_b[theta_b], cfg.temperature, log_floor)
         for theta_a, theta_b in branches
     ))
-    index = np.unique(np.concatenate(found))
-    confidence = np.stack([
-        _confidences(bar_a[theta_a], bar_b[theta_b], cfg.temperature, cm, index)
-        for (theta_a, theta_b), cm in zip(branches, col_max)
-    ])
-    matches = extract_matches(confidence.max(axis=0), threshold, entries=np.divmod(index, nb))
-    at = np.searchsorted(index, [m.patch_a * nb + m.patch_b for m in matches])
-    for m, k in zip(matches, confidence[:, at].argmax(axis=0).tolist()):
+    branch = np.repeat(np.arange(len(branches)), [i.size for i in index])
+    index, confidence = np.concatenate(index), np.concatenate(confidence)
+    best = _best_per_group(index, branch, confidence)
+    index, confidence, branch = index[best], confidence[best], branch[best]
+    matches = extract_matches(confidence, threshold, entries=np.divmod(index, nb))
+    order = np.argsort(index)
+    at = order[np.searchsorted(index, [m.patch_a * nb + m.patch_b for m in matches],
+                               sorter=order)]
+    for m, k in zip(matches, branch[at].tolist()):
         m.branch = branches[k]
 
     if fine_a is not None and fine_b is not None:

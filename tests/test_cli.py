@@ -491,6 +491,8 @@ class TestMalformedInputs:
         ("matches.jsonl", "a", 5),
         ("matches.jsonl", "b", [5]),
         ("matches.jsonl", "a", {}),
+        ("matches.jsonl", "label", "bogus"),
+        ("matches.jsonl", "label", 5),
         ("manifest.json", "k.fx", math.nan),
         ("manifest.json", "pose_b.t", [math.nan, 0.0, 0.0]),
         ("supervision.json", "grid_a", [18, 24.0]),
@@ -589,6 +591,19 @@ class TestEvalAndCurve:
         assert set(report["auc"]) == {"5", "10", "20"}
         assert report["auc"]["5"] > 98.0
         assert read_curve_csv(curve_path) == [(1, row["pose_err_deg"])]
+
+    def test_rows_count_matches_by_label(self, fresh_pair, tmp_path):
+        pair = fresh_pair("two_plane")
+        assert main(["match", "--pair", pair]) == 0
+        labels = [json.loads(line)["label"]
+                  for line in (Path(pair) / "matches.jsonl").read_text().splitlines()]
+        code, report_path, _ = self.run_eval([pair], tmp_path)
+        assert code == 0
+        row = read_json(report_path)["pairs"][0]
+        assert row["matches"] == len(labels) > 300
+        assert row["labels"] == {k: labels.count(k) for k in ("vv", "vo", "ov", "none")}
+        assert sum(row["labels"].values()) == row["matches"]
+        assert row["labels"]["vv"] > 300 and row["labels"]["none"] > 0
 
     def test_pure_rotation_scores_rotation_only(self, fresh_pair, tmp_path):
         # Zero baseline leaves the translation direction unobservable; the

@@ -61,16 +61,17 @@ def unit_columns(channels: int, h: int, w: int, seed: int, stride: int = 8) -> F
     return FeatureGrid(v, stride=stride)
 
 
+def unit_aligned(f: FeatureGrid, theta: float) -> FeatureGrid:
+    """rotation_align re-normalized to unit cells, as match_pair scores them."""
+    v = rotation_align(f, theta).values
+    return FeatureGrid(v / np.maximum(np.linalg.norm(v, axis=0), 1e-12), f.stride)
+
+
 def dense_candidates(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> list[np.ndarray]:
     """Every branch's dense dual-softmax matrix, built as match_pair defines it."""
-    out = []
-    for theta_a, theta_b in cfg.branches():
-        bars = []
-        for f, theta in ((fa, theta_a), (fb, theta_b)):
-            v = rotation_align(f, theta).values
-            bars.append(FeatureGrid(v / np.maximum(np.linalg.norm(v, axis=0), 1e-12), f.stride))
-        out.append(dual_softmax(score_matrix(bars[0], bars[1], cfg.temperature)))
-    return out
+    return [dual_softmax(score_matrix(unit_aligned(fa, theta_a), unit_aligned(fb, theta_b),
+                                      cfg.temperature))
+            for theta_a, theta_b in cfg.branches()]
 
 
 def dense_selection(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig):
@@ -521,14 +522,51 @@ def smallest_non_divisor(n: int) -> int:
     return next(d for d in range(2, n + 2) if n % d)
 
 
+# Relative tolerance between match_pair's one-pass confidences and the dense
+# stack's: the online column sums round differently from numpy's axis sums.
+RTOL = 1e-12
+
+
+def assert_matches_dense_stack(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig,
+                               matches) -> None:
+    """`matches` are a mutual-nearest selection on the dense K x Na x Nb stack
+    of dual_softmax confidences, up to RTOL.
+
+    Each match sits at or above the threshold, its confidence is the stack's
+    maximum at its entry, the largest of its row and of its column, and its
+    branch's dense confidence is that maximum, all within RTOL. Every dense
+    mutual match without a rival within RTOL (in its row, its column or at
+    the threshold) is returned, and no row or column is matched twice.
+    """
+    stack = np.stack(dense_candidates(fa, fb, cfg))
+    p_hat = stack.max(axis=0)
+    branches = cfg.branches()
+    for m in matches:
+        want = p_hat[m.patch_a, m.patch_b]
+        assert m.confidence >= cfg.match_threshold
+        assert abs(m.confidence - want) <= RTOL * want
+        assert p_hat[m.patch_a].max() <= want * (1 + RTOL)
+        assert p_hat[:, m.patch_b].max() <= want * (1 + RTOL)
+        assert stack[branches.index(m.branch), m.patch_a, m.patch_b] >= want * (1 - RTOL)
+    got = {(m.patch_a, m.patch_b) for m in matches}
+    assert len({a for a, _ in got}) == len({b for _, b in got}) == len(got) == len(matches)
+    for m in extract_matches(p_hat, cfg.match_threshold * (1 + RTOL)):
+        v = m.confidence
+        rivals = (np.sum(p_hat[m.patch_a] >= v * (1 - RTOL))
+                  + np.sum(p_hat[:, m.patch_b] >= v * (1 - RTOL)))
+        if rivals == 2:
+            assert (m.patch_a, m.patch_b) in got
+
+
 class TestSparseMatchesDense:
-    """match_pair selects only among candidate entries; extract_matches on
-    the dense stack's maximum, with the branch from its argmax, is the
-    oracle. It works through row blocks of the score matrices and refines
-    matches in chunks; whatever the block and chunk sizes, every match must
-    equal the dense selection followed by the per-match refinement, bit for
-    bit. The dense matrices come from score_matrix, which forms each block
-    of rows with one product, as match_pair does."""
+    """match_pair selects only among candidate entries, keeping each
+    branch's column sums online in one pass over its row blocks; extract_
+    matches on the dense stack's maximum, with the branch from its argmax,
+    is the oracle. The online sums round differently from the dense
+    dual_softmax's, so confidences agree within RTOL and ties or near-ties
+    within RTOL may resolve either way (assert_matches_dense_stack). The
+    refined points are exact: whatever the block and chunk sizes, they
+    equal the per-match refinement of the returned matches."""
 
     @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.2, 1.0])
     def test_same_matches_as_the_dense_stack(self, threshold):
@@ -540,17 +578,17 @@ class TestSparseMatchesDense:
                 (unit_columns(16, 5, 3, 500 + seed), tied_column_grid(seed)),
             ]
             for fa, fb in grids:
-                got = match_tuples(match_pair(fa, fb, cfg=cfg))
-                assert got == dense_reference(fa, fb, cfg)
+                assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg).matches)
 
     def test_tied_confidences_keep_the_smaller_index(self):
         fa, fb = unit_columns(16, 5, 3, 602), tied_column_grid(603)
         cfg = MatchingConfig(match_threshold=0.05)
         p_hat, _ = dense_selection(fa, fb, cfg)
         want = dense_reference(fa, fb, cfg)
-        # A match that ties with another entry of its row: the argmax order decides.
+        # A dense match ties exactly with another entry of its row; the
+        # one-pass sums may round either side of that tie up.
         assert any((p_hat[a] == conf).sum() > 1 for a, _, conf, _ in want)
-        assert match_tuples(match_pair(fa, fb, cfg=cfg)) == want
+        assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg).matches)
 
     BLOCKS = {"one": lambda na: 1, "non_divisor": smallest_non_divisor,
               "na": lambda na: na, "over_na": lambda na: na + 3}
@@ -569,7 +607,7 @@ class TestSparseMatchesDense:
             yield (unit_columns(16, 5, 3, 500 + seed, 4),
                    FeatureGrid(tied_column_grid(seed).values, stride=4),
                    MatchingConfig(match_threshold=0.05))
-            # A single B cell: its column sum is one vector.
+            # A single B cell: one column sum over every block.
             yield (unit_columns(16, 3, 4, 600 + seed, 4), unit_columns(16, 1, 1, 700 + seed, 4),
                    MatchingConfig())
 
@@ -581,20 +619,55 @@ class TestSparseMatchesDense:
             fine_a = unit_columns(8, fa.grid_shape[0] * 2, fa.grid_shape[1] * 2, 800 + index, 2)
             fine_b = unit_columns(8, fb.grid_shape[0] * 2, fb.grid_shape[1] * 2, 900 + index, 2)
             monkeypatch.setattr(matching, "_BLOCK_ROWS", self.BLOCKS[block](fa.values[0].size))
-            p_hat, choice = dense_selection(fa, fb, cfg)
-            want = extract_matches(p_hat, cfg.match_threshold)
-            assert want
-            points, clamped_here = reference_points(fa, fb, fine_a, fine_b, cfg, want)
+            n_dense = len(dense_reference(fa, fb, cfg))
+            assert n_dense
+            monkeypatch.setattr(matching, "_REFINE_CHUNK", self.CHUNKS[chunk](n_dense))
+            got = match_pair(fa, fb, fine_a, fine_b, cfg=cfg).matches
+            assert got
+            assert_matches_dense_stack(fa, fb, cfg, got)
+            points, clamped_here = reference_points(fa, fb, fine_a, fine_b, cfg, got)
             clamped |= clamped_here
-            branches = cfg.branches()
-            want = [(m.patch_a, m.patch_b, m.confidence, branches[choice[m.patch_a, m.patch_b]],
-                     *point) for m, point in zip(want, points)]
-
-            monkeypatch.setattr(matching, "_REFINE_CHUNK", self.CHUNKS[chunk](len(want)))
-            got = match_pair(fa, fb, fine_a, fine_b, cfg=cfg)
-            assert [(m.patch_a, m.patch_b, m.confidence, m.branch, m.point_a, m.point_b)
-                    for m in got.matches] == want
+            assert [(m.point_a, m.point_b) for m in got] == points
         assert clamped
+
+    def test_one_score_pass_per_branch(self, monkeypatch):
+        fa, fb = unit_columns(16, 5, 6, 210), unit_columns(16, 6, 4, 310)
+        monkeypatch.setattr(matching, "_BLOCK_ROWS", 7)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("block"))
+            return score_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "score_matrix", counted)
+        cfg = MatchingConfig()
+        match_pair(fa, fb, cfg=cfg)
+        assert len(calls) == len(cfg.branches()) * math.ceil(30 / 7)
+        assert calls == list(range(math.ceil(30 / 7))) * len(cfg.branches())
+
+    def test_sharp_scores_underflow_the_rescale(self, monkeypatch):
+        # At temperature 1e-3 a column's maximum grows by more than 745 over
+        # some rows, so exp(old max - new max) underflows to 0 and the
+        # running sum restarts from the new block alone.
+        fa, fb = unit_columns(4, 6, 5, 220), unit_columns(4, 5, 6, 320)
+        cfg = MatchingConfig(temperature=1e-3, match_threshold=0.05)
+        s = score_matrix(unit_aligned(fa, 0.0), unit_aligned(fb, 0.0), cfg.temperature)
+        running = np.maximum.accumulate(s, axis=0)
+        assert np.any(np.exp(running[:-1] - running[1:]) == 0.0)
+        monkeypatch.setattr(matching, "_BLOCK_ROWS", 1)
+        got = match_pair(fa, fb, cfg=cfg).matches
+        assert got
+        assert_matches_dense_stack(fa, fb, cfg, got)
+
+
+@pytest.mark.parametrize("name", ["identity", "rotation", "stereo", "two_plane", "box_roll30"])
+def test_fixture_matches_equal_the_dense_reference(name, pair_cache):
+    fixture, pair = pair_cache(name)
+    cfg = MatchingConfig(**fixture.match_overrides)
+    want = dense_reference(pair.coarse_a, pair.coarse_b, cfg)
+    got = match_pair(pair.coarse_a, pair.coarse_b, cfg=cfg).matches
+    assert [(m.patch_a, m.patch_b, m.branch) for m in got] == [(a, b, k) for a, b, _, k in want]
+    assert np.allclose([m.confidence for m in got], [c for _, _, c, _ in want], rtol=1e-12, atol=0)
 
 
 def test_matcher_peak_memory_stays_below_one_dense_score_matrix():
