@@ -491,11 +491,11 @@ class TestMalformedInputs:
         ("matches.jsonl", "a", 5),
         ("matches.jsonl", "b", [5]),
         ("matches.jsonl", "a", {}),
-        ("matches.jsonl", "label", "bogus"),
-        ("matches.jsonl", "label", 5),
         ("manifest.json", "k.fx", math.nan),
         ("manifest.json", "pose_b.t", [math.nan, 0.0, 0.0]),
         ("supervision.json", "grid_a", [18, 24.0]),
+        ("matches.jsonl", "label", "bogus"),
+        ("matches.jsonl", "label", 5),
     ])
     def test_wrong_type_exits_one(self, fresh_pair, tmp_path, capsys, target, where, value):
         keys = [int(k) if k.isdigit() else k for k in where.split(".")]
