@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, NoReturn, Optional, Sequence, get_args, get_origin, get_type_hints
@@ -398,6 +399,14 @@ def _evaluate_pair(
         return PoseErrorReport(rot, 0.0, rot, count), None
 
 
+def _branch_counts(matches: list[Match]) -> list:
+    """Histogram of the matches' branches as [[theta_a, theta_b], n] pairs,
+    sorted by branch; matches without a branch count under null, last."""
+    counts = Counter(m.branch for m in matches)
+    order = sorted(counts, key=lambda b: (b is None, b or ()))
+    return [[None if b is None else list(b), counts[b]] for b in order]
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     if len(args.matches) != len(args.manifests):
@@ -422,6 +431,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "failure": failure,
             "matches": len(matches),
             "labels": {k: sum(m.label == k for m in matches) for k in formats.MATCH_LABELS},
+            "branch_counts": _branch_counts(matches),
         })
         curve_entries.append((ratio, report.pose_deg))
 

@@ -6,6 +6,9 @@ Binary layouts (all multi-byte values little-endian):
   occupancy   "OCG1" | u32 (1, rows, cols, bins) | float32 (row, col, bin) order
   features    "OFG1" | u32 (channels, rows, cols, stride) | float32 channel-major
 
+Feature grids are read as float32 views of the file's bytes, without a
+copy; depth and occupancy rasters are copied to float64 by their types.
+
 JSON stays human-editable; readers validate field by field and raise
 SchemaError messages naming the file and field so batch runs fail loudly
 at the offending input. Non-finite floats are serialized in Python's
@@ -52,7 +55,7 @@ def _payload(path: Path, raw: memoryview, count: int) -> np.ndarray:
     found = len(raw) // 4
     if found != count:
         raise SchemaError(f"{path}: expected {count} float32 values, found {found}")
-    return np.frombuffer(raw, dtype="<f4", count=count).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f4", count=count)
 
 
 def _build(source: Union[Path, str], make, *args, **kwargs):

@@ -9,6 +9,10 @@ candidate rotation branch (0/0, theta/0, 0/theta) with the highest
 confidence is picked. Mutual nearest neighbours above threshold are refined
 to sub-pixel points with an expectation over a local fine-feature
 correlation window.
+
+Alignment, scores, their exps and the refinement's window products run in
+the grids' dtype, float32 as the grid files store it; the norms, the row and
+column sums and the confidences are float64.
 """
 
 from __future__ import annotations
@@ -43,13 +47,19 @@ _REFINE_CHUNK = 64
 @dataclass(frozen=True)
 class FeatureGrid:
     """Dense per-cell descriptors, values (C, h, w); each cell spans
-    `stride` x `stride` pixels."""
+    `stride` x `stride` pixels.
+
+    The values keep the floating dtype they are given (float32 as the grid
+    files store it, or float64); any other dtype is promoted to at least
+    float32, so integers become float64.
+    """
 
     values: np.ndarray = field(repr=False)
     stride: int = 8
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values)
+        v = np.asarray(v, dtype=np.result_type(v, np.float32))
         if v.ndim != 3:
             raise ValueError(f"feature values must be (C, h, w), got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -162,8 +172,8 @@ def score_matrix(
 ) -> np.ndarray:
     """Temperature-scaled inner products of flattened (row-major) cells.
 
-    Returns (n_a, n_b) with S[i, j] = <f_a_i, f_b_j> / temperature, or with
-    `block` only rows [block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS) of it,
+    Returns (n_a, n_b) with S[i, j] = <f_a_i, f_b_j> / temperature, in the
+    grids' dtype, or with `block` only rows [block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS) of it,
     the blocks match_pair works through.
     """
     if temperature <= 0:
@@ -380,12 +390,16 @@ class MatchResult:
 
 # Margin below log(threshold) within which a shifted score still counts as a
 # candidate; it covers the rounding of exp() and log() in the softmax bound.
-_LOG_MARGIN = 1e-9
+# A float32 exp rounds at about 6e-8 relative, so the margin sits above that.
+_LOG_MARGIN = 1e-6
 
 
 def _unit_features(f: FeatureGrid) -> FeatureGrid:
-    norms = np.linalg.norm(f.values, axis=0, keepdims=True)
-    return FeatureGrid(f.values / np.maximum(norms, 1e-12), stride=f.stride)
+    # Norms are summed in float64; the quotient keeps the grid's dtype.
+    v = f.values
+    norms = np.sqrt(np.einsum("chw,chw->hw", v, v, dtype=np.float64))
+    return FeatureGrid(np.divide(v, np.maximum(norms, 1e-12), out=np.empty_like(v)),
+                       stride=f.stride)
 
 
 def _n_cells(f: FeatureGrid) -> int:
@@ -405,10 +419,11 @@ def _branch_confidences(
     per block. The column sums are kept online: when a column's maximum
     grows, its running sum is rescaled by exp(old max - new max)
     (Milakov and Gimelshein 2018). The column test runs on the survivors
-    once the maxima are complete.
+    once the maxima are complete. Scores and their exps keep the grids'
+    dtype; the sums and the confidences are float64.
     """
     nb = _n_cells(f_b)
-    col_max = np.full(nb, -np.inf)
+    col_max = np.full(nb, -np.inf, dtype=f_b.values.dtype)
     col_sum = np.zeros(nb)
     flat, score, row_factor = [], [], []
     for block, lo in enumerate(range(0, _n_cells(f_a), _BLOCK_ROWS)):
@@ -417,13 +432,13 @@ def _branch_confidences(
         col_sum *= np.exp(col_max - new_max)
         col_max = new_max
         e = s - col_max
-        col_sum += np.exp(e, out=e).sum(axis=0)
+        col_sum += np.exp(e, out=e).sum(axis=0, dtype=np.float64)
         np.subtract(s, s.max(axis=1, keepdims=True), out=e)
         local = np.flatnonzero(e >= log_floor)
         np.exp(e, out=e)
         flat.append(local + lo * nb)
         score.append(s.ravel()[local])
-        row_factor.append(e.ravel()[local] / e.sum(axis=1)[local // nb])
+        row_factor.append(e.ravel()[local] / e.sum(axis=1, dtype=np.float64)[local // nb])
     flat, score, row_factor = map(np.concatenate, (flat, score, row_factor))
     col = flat % nb
     keep = score - col_max[col] >= log_floor

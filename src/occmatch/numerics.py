@@ -38,8 +38,8 @@ def bilinear_sample(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.
     q0 = np.floor(q).astype(np.intp)
     r1 = np.minimum(r0 + 1, h - 1)
     q1 = np.minimum(q0 + 1, w - 1)
-    fr = r - r0
-    fq = q - q0
+    fr = (r - r0).astype(grid.dtype, copy=False)
+    fq = (q - q0).astype(grid.dtype, copy=False)
     top = grid[:, r0, q0] * (1.0 - fq) + grid[:, r0, q1] * fq
     bot = grid[:, r1, q0] * (1.0 - fq) + grid[:, r1, q1] * fq
     return top * (1.0 - fr) + bot * fr

@@ -12,7 +12,8 @@ trigonometric frequencies and a per-texture sign pattern, so cells that see
 the same surface point get near-identical descriptors across views while
 distant points and different textures decorrelate. Each phase is reduced to
 [-1/2, 1/2] turns in float64 and its cos/sin evaluated in float32, the
-precision the grid files store; each cell is then scaled to unit norm.
+precision the grid files store; each cell is then scaled to unit norm in
+float64 and the grid held as float32.
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def _feature_grid(
     Each phase is reduced to [-1/2, 1/2] turns in float64, so far points
     keep their precision, and its cos/sin run in float32, which is what
     the grid files store. Each cell is then scaled by its measured float64
-    norm.
+    norm, and the grid is held as float32, the values the files store.
     """
     u, v, (rows, cols) = _grid_centers(k, stride)
     depth, prim, world = _cast_pixels(scene, pose, k, u, v)
@@ -305,7 +306,7 @@ def _feature_grid(
         feats[:, miss] = rng.normal(size=(2 * m, int(miss.sum())))
 
     feats /= np.sqrt(np.einsum("ij,ij->j", feats, feats))
-    return FeatureGrid(feats.reshape(2 * m, rows, cols), stride=stride)
+    return FeatureGrid(feats.reshape(2 * m, rows, cols).astype(np.float32), stride=stride)
 
 
 @dataclass(frozen=True)

@@ -605,6 +605,37 @@ class TestEvalAndCurve:
         assert sum(row["labels"].values()) == row["matches"]
         assert row["labels"]["vv"] > 300 and row["labels"]["none"] > 0
 
+    @pytest.mark.parametrize("name", ["identity", "box_roll30"])
+    def test_rows_count_matches_by_branch(self, name, fresh_pair, tmp_path):
+        pair = fresh_pair(name)
+        assert main(["match", "--pair", pair]) == 0
+        branches = [tuple(json.loads(line)["branch"])
+                    for line in (Path(pair) / "matches.jsonl").read_text().splitlines()]
+        code, report_path, _ = self.run_eval([pair], tmp_path)
+        assert code == 0
+        row = read_json(report_path)["pairs"][0]
+        counts = row["branch_counts"]
+        assert [b for b, _ in counts] == sorted(map(list, set(branches)))
+        assert {tuple(b): n for b, n in counts} == {b: branches.count(b) for b in set(branches)}
+        assert sum(n for _, n in counts) == row["matches"] == len(branches)
+        if name == "identity":
+            assert counts == [[[0.0, 0.0], row["matches"]]]
+        else:
+            assert len(counts) > 1
+
+    def test_matches_without_a_branch_count_under_null(self, fresh_pair, tmp_path):
+        pair = fresh_pair("identity")
+        assert main(["match", "--pair", pair]) == 0
+        path = Path(pair) / "matches.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records[:3]:
+            del record["branch"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code, report_path, _ = self.run_eval([pair], tmp_path)
+        assert code == 0
+        counts = read_json(report_path)["pairs"][0]["branch_counts"]
+        assert counts == [[[0.0, 0.0], len(records) - 3], [None, 3]]
+
     def test_pure_rotation_scores_rotation_only(self, fresh_pair, tmp_path):
         # Zero baseline leaves the translation direction unobservable; the
         # pair is scored on rotation alone with translation error 0.

@@ -102,6 +102,15 @@ class TestFeatureRoundTrip:
         assert np.array_equal(back.values, grid.values)
         assert back.stride == 8
 
+    def test_synth_grids_read_back_bit_for_bit(self, tmp_path, pair_cache):
+        _, pair = pair_cache("two_plane")
+        for grid in (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b):
+            path = tmp_path / "grid.ofg"
+            write_features(path, grid)
+            back = read_features(path)
+            assert back.values.dtype == grid.values.dtype == np.float32
+            assert back.values.tobytes() == grid.values.tobytes()
+
     def test_wrong_payload_size_rejected(self, tmp_path):
         path = tmp_path / "short.ofg"
         path.write_bytes(b"OFG1" + struct.pack("<4I", 2, 2, 2, 8) + b"\x00" * 12)

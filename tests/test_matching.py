@@ -3,6 +3,7 @@ highest-confidence branch selection, and the loss terms built on them."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,8 +68,14 @@ def unit_aligned(f: FeatureGrid, theta: float) -> FeatureGrid:
     return FeatureGrid(v / np.maximum(np.linalg.norm(v, axis=0), 1e-12), f.stride)
 
 
+def as_dtype(f: FeatureGrid, dtype) -> FeatureGrid:
+    return FeatureGrid(f.values.astype(dtype), f.stride)
+
+
 def dense_candidates(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> list[np.ndarray]:
-    """Every branch's dense dual-softmax matrix, built as match_pair defines it."""
+    """Every branch's dense dual-softmax matrix, built as match_pair defines it,
+    in float64 whatever the grids' dtype."""
+    fa, fb = as_dtype(fa, np.float64), as_dtype(fb, np.float64)
     return [dual_softmax(score_matrix(unit_aligned(fa, theta_a), unit_aligned(fb, theta_b),
                                       cfg.temperature))
             for theta_a, theta_b in cfg.branches()]
@@ -525,17 +532,25 @@ def smallest_non_divisor(n: int) -> int:
 # Relative tolerance between match_pair's one-pass confidences and the dense
 # stack's: the online column sums round differently from numpy's axis sums.
 RTOL = 1e-12
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def dense_rtol(dtype, cfg: MatchingConfig) -> float:
+    """RTOL on float64 grids. On float32 grids the scores round at a few
+    float32 ulps of their unit-scale inner products, divided by the
+    temperature, and a confidence moves by about twice that."""
+    return RTOL if dtype == np.float64 else 16 * EPS32 / cfg.temperature
 
 
 def assert_matches_dense_stack(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig,
-                               matches) -> None:
-    """`matches` are a mutual-nearest selection on the dense K x Na x Nb stack
-    of dual_softmax confidences, up to RTOL.
+                               matches, rtol: float = RTOL) -> None:
+    """`matches` are a mutual-nearest selection on the dense float64 K x Na x Nb
+    stack of dual_softmax confidences, up to rtol.
 
     Each match sits at or above the threshold, its confidence is the stack's
     maximum at its entry, the largest of its row and of its column, and its
-    branch's dense confidence is that maximum, all within RTOL. Every dense
-    mutual match without a rival within RTOL (in its row, its column or at
+    branch's dense confidence is that maximum, all within rtol. Every dense
+    mutual match without a rival within rtol (in its row, its column or at
     the threshold) is returned, and no row or column is matched twice.
     """
     stack = np.stack(dense_candidates(fa, fb, cfg))
@@ -544,16 +559,16 @@ def assert_matches_dense_stack(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingCo
     for m in matches:
         want = p_hat[m.patch_a, m.patch_b]
         assert m.confidence >= cfg.match_threshold
-        assert abs(m.confidence - want) <= RTOL * want
-        assert p_hat[m.patch_a].max() <= want * (1 + RTOL)
-        assert p_hat[:, m.patch_b].max() <= want * (1 + RTOL)
-        assert stack[branches.index(m.branch), m.patch_a, m.patch_b] >= want * (1 - RTOL)
+        assert abs(m.confidence - want) <= rtol * want
+        assert p_hat[m.patch_a].max() <= want * (1 + rtol)
+        assert p_hat[:, m.patch_b].max() <= want * (1 + rtol)
+        assert stack[branches.index(m.branch), m.patch_a, m.patch_b] >= want * (1 - rtol)
     got = {(m.patch_a, m.patch_b) for m in matches}
     assert len({a for a, _ in got}) == len({b for _, b in got}) == len(got) == len(matches)
-    for m in extract_matches(p_hat, cfg.match_threshold * (1 + RTOL)):
+    for m in extract_matches(p_hat, cfg.match_threshold * (1 + rtol)):
         v = m.confidence
-        rivals = (np.sum(p_hat[m.patch_a] >= v * (1 - RTOL))
-                  + np.sum(p_hat[:, m.patch_b] >= v * (1 - RTOL)))
+        rivals = (np.sum(p_hat[m.patch_a] >= v * (1 - rtol))
+                  + np.sum(p_hat[:, m.patch_b] >= v * (1 - rtol)))
         if rivals == 2:
             assert (m.patch_a, m.patch_b) in got
 
@@ -561,12 +576,18 @@ def assert_matches_dense_stack(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingCo
 class TestSparseMatchesDense:
     """match_pair selects only among candidate entries, keeping each
     branch's column sums online in one pass over its row blocks; extract_
-    matches on the dense stack's maximum, with the branch from its argmax,
-    is the oracle. The online sums round differently from the dense
-    dual_softmax's, so confidences agree within RTOL and ties or near-ties
-    within RTOL may resolve either way (assert_matches_dense_stack). The
-    refined points are exact: whatever the block and chunk sizes, they
-    equal the per-match refinement of the returned matches."""
+    matches on the dense float64 stack's maximum, with the branch from its
+    argmax, is the oracle. The online sums round differently from the dense
+    dual_softmax's, and on float32 grids the scores round in float32, so
+    confidences agree within dense_rtol and ties or near-ties within it may
+    resolve either way (assert_matches_dense_stack). The refined points are
+    exact: whatever the block and chunk sizes, they equal the per-match
+    refinement of the returned matches. Grids are cast to DTYPE."""
+
+    DTYPE = np.float64
+
+    def cast(self, *grids: FeatureGrid) -> list[FeatureGrid]:
+        return [as_dtype(f, self.DTYPE) for f in grids]
 
     @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.2, 1.0])
     def test_same_matches_as_the_dense_stack(self, threshold):
@@ -578,17 +599,20 @@ class TestSparseMatchesDense:
                 (unit_columns(16, 5, 3, 500 + seed), tied_column_grid(seed)),
             ]
             for fa, fb in grids:
-                assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg).matches)
+                fa, fb = self.cast(fa, fb)
+                assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg).matches,
+                                           dense_rtol(self.DTYPE, cfg))
 
     def test_tied_confidences_keep_the_smaller_index(self):
-        fa, fb = unit_columns(16, 5, 3, 602), tied_column_grid(603)
+        fa, fb = self.cast(unit_columns(16, 5, 3, 602), tied_column_grid(603))
         cfg = MatchingConfig(match_threshold=0.05)
         p_hat, _ = dense_selection(fa, fb, cfg)
         want = dense_reference(fa, fb, cfg)
         # A dense match ties exactly with another entry of its row; the
         # one-pass sums may round either side of that tie up.
         assert any((p_hat[a] == conf).sum() > 1 for a, _, conf, _ in want)
-        assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg).matches)
+        assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg).matches,
+                                   dense_rtol(self.DTYPE, cfg))
 
     BLOCKS = {"one": lambda na: 1, "non_divisor": smallest_non_divisor,
               "na": lambda na: na, "over_na": lambda na: na + 3}
@@ -618,20 +642,21 @@ class TestSparseMatchesDense:
         for index, (fa, fb, cfg) in enumerate(self.cases()):
             fine_a = unit_columns(8, fa.grid_shape[0] * 2, fa.grid_shape[1] * 2, 800 + index, 2)
             fine_b = unit_columns(8, fb.grid_shape[0] * 2, fb.grid_shape[1] * 2, 900 + index, 2)
+            fa, fb, fine_a, fine_b = self.cast(fa, fb, fine_a, fine_b)
             monkeypatch.setattr(matching, "_BLOCK_ROWS", self.BLOCKS[block](fa.values[0].size))
             n_dense = len(dense_reference(fa, fb, cfg))
             assert n_dense
             monkeypatch.setattr(matching, "_REFINE_CHUNK", self.CHUNKS[chunk](n_dense))
             got = match_pair(fa, fb, fine_a, fine_b, cfg=cfg).matches
             assert got
-            assert_matches_dense_stack(fa, fb, cfg, got)
+            assert_matches_dense_stack(fa, fb, cfg, got, dense_rtol(self.DTYPE, cfg))
             points, clamped_here = reference_points(fa, fb, fine_a, fine_b, cfg, got)
             clamped |= clamped_here
             assert [(m.point_a, m.point_b) for m in got] == points
         assert clamped
 
     def test_one_score_pass_per_branch(self, monkeypatch):
-        fa, fb = unit_columns(16, 5, 6, 210), unit_columns(16, 6, 4, 310)
+        fa, fb = self.cast(unit_columns(16, 5, 6, 210), unit_columns(16, 6, 4, 310))
         monkeypatch.setattr(matching, "_BLOCK_ROWS", 7)
         calls = []
 
@@ -649,7 +674,7 @@ class TestSparseMatchesDense:
         # At temperature 1e-3 a column's maximum grows by more than 745 over
         # some rows, so exp(old max - new max) underflows to 0 and the
         # running sum restarts from the new block alone.
-        fa, fb = unit_columns(4, 6, 5, 220), unit_columns(4, 5, 6, 320)
+        fa, fb = self.cast(unit_columns(4, 6, 5, 220), unit_columns(4, 5, 6, 320))
         cfg = MatchingConfig(temperature=1e-3, match_threshold=0.05)
         s = score_matrix(unit_aligned(fa, 0.0), unit_aligned(fb, 0.0), cfg.temperature)
         running = np.maximum.accumulate(s, axis=0)
@@ -657,17 +682,75 @@ class TestSparseMatchesDense:
         monkeypatch.setattr(matching, "_BLOCK_ROWS", 1)
         got = match_pair(fa, fb, cfg=cfg).matches
         assert got
-        assert_matches_dense_stack(fa, fb, cfg, got)
+        assert_matches_dense_stack(fa, fb, cfg, got, dense_rtol(self.DTYPE, cfg))
+
+
+class TestSparseMatchesDenseFloat32(TestSparseMatchesDense):
+    """The same checks on float32 grids, as the grid files store them."""
+
+    DTYPE = np.float32
 
 
 @pytest.mark.parametrize("name", ["identity", "rotation", "stereo", "two_plane", "box_roll30"])
 def test_fixture_matches_equal_the_dense_reference(name, pair_cache):
+    # On float64 copies of the fixture grids; the float32 grids are compared
+    # with these copies in test_float32_grids_match_like_float64_copies.
     fixture, pair = pair_cache(name)
     cfg = MatchingConfig(**fixture.match_overrides)
-    want = dense_reference(pair.coarse_a, pair.coarse_b, cfg)
-    got = match_pair(pair.coarse_a, pair.coarse_b, cfg=cfg).matches
+    coarse_a, coarse_b = as_dtype(pair.coarse_a, np.float64), as_dtype(pair.coarse_b, np.float64)
+    want = dense_reference(coarse_a, coarse_b, cfg)
+    got = match_pair(coarse_a, coarse_b, cfg=cfg).matches
     assert [(m.patch_a, m.patch_b, m.branch) for m in got] == [(a, b, k) for a, b, _, k in want]
     assert np.allclose([m.confidence for m in got], [c for _, _, c, _ in want], rtol=1e-12, atol=0)
+
+
+class TestFloat32Path:
+    """Float32 grids, as the grid files store them, stay float32 through the
+    score products; the sums that decide a threshold run in float64."""
+
+    def test_feature_grid_keeps_its_floating_dtype(self):
+        for dtype in (np.float32, np.float64):
+            assert FeatureGrid(np.zeros((2, 3, 4), dtype=dtype)).values.dtype == dtype
+        assert FeatureGrid(np.zeros((2, 3, 4), dtype=np.int64)).values.dtype == np.float64
+
+    def test_scores_stay_float32_inside_match_pair(self, pair_cache, monkeypatch):
+        _, pair = pair_cache("identity")
+        dtypes = []
+
+        def recorded(*args, **kwargs):
+            s = score_matrix(*args, **kwargs)
+            dtypes.append(s.dtype)
+            return s
+
+        monkeypatch.setattr(matching, "score_matrix", recorded)
+        match_pair(pair.coarse_a, pair.coarse_b)
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("name", ["identity", "rotation", "stereo", "two_plane", "box_roll30"])
+    def test_float32_grids_match_like_float64_copies(self, name, pair_cache):
+        fixture, pair = pair_cache(name)
+        cfg = MatchingConfig(**fixture.match_overrides)
+        grids = (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b)
+        assert {g.values.dtype for g in grids} == {np.dtype(np.float32)}
+        got = match_pair(*grids, cfg=cfg).matches
+        want = match_pair(*(as_dtype(g, np.float64) for g in grids), cfg=cfg).matches
+        assert got
+        assert ([(m.patch_a, m.patch_b, m.branch) for m in got]
+                == [(m.patch_a, m.patch_b, m.branch) for m in want])
+        assert np.allclose([m.confidence for m in got], [m.confidence for m in want],
+                           rtol=dense_rtol(np.float32, cfg), atol=0)
+        points = [np.array([(*m.point_a, *m.point_b) for m in ms]) for ms in (got, want)]
+        assert np.abs(points[0] - points[1]).max() <= 1e-5
+
+    def test_a_returned_confidence_works_as_the_threshold(self):
+        fa, fb = (as_dtype(unit_columns(16, 5, 6, 230 + i), np.float32) for i in range(2))
+        cfg = MatchingConfig(match_threshold=0.0)
+        matches = match_pair(fa, fb, cfg=cfg).matches
+        assert matches
+        for m in matches:
+            again = match_pair(fa, fb, cfg=replace(cfg, match_threshold=m.confidence)).matches
+            assert (m.patch_a, m.patch_b, m.confidence) in [
+                (x.patch_a, x.patch_b, x.confidence) for x in again]
 
 
 def test_matcher_peak_memory_stays_below_one_dense_score_matrix():

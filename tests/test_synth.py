@@ -392,8 +392,9 @@ class TestFeatureGrids:
     def test_features_are_unit_norm(self, pair_cache):
         _, pair = pair_cache("two_plane")
         for grid in (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b):
+            # The grids hold the stored float32 values: unit to float32 rounding.
             norms = np.linalg.norm(grid.values, axis=0)
-            assert np.max(np.abs(norms - 1.0)) < 1e-9
+            assert np.max(np.abs(norms - 1.0)) < 1e-6
 
     @pytest.mark.parametrize("scene, least_phase", [
         (make_fixture("two_plane").scene, 10.0),
@@ -426,7 +427,7 @@ class TestFeatureGrids:
         _, prim, _ = _cast_pixels(scene, fx.pose_a, fx.k, u, v)
         values = grid.values.reshape(128, -1)
         assert 0 < np.count_nonzero(prim < 0) < prim.size
-        assert np.max(np.abs(np.linalg.norm(values, axis=0) - 1.0)) < 1e-9
+        assert np.max(np.abs(np.linalg.norm(values, axis=0) - 1.0)) < 1e-6
         missed = values[:, prim < 0]
         assert np.abs(missed.T @ missed - np.eye(missed.shape[1])).max() < 0.6
 
