@@ -1,10 +1,10 @@
 """Occlusion-aware two-view matching on synthetic ray-cast scenes.
 
-The package splits into geometry/supervision (exact reprojection ground
-truth), occupancy (per-ray depth distributions), matching (rotation-aligned
-dual-softmax correspondence with coarse-to-fine refinement), pose_eval
-(essential-matrix RANSAC and AUC scoring), synth (the fixture scenes), and
-formats/cli (the on-disk pipeline).
+The package splits into geometry (camera model and patch grid),
+supervision (exact reprojection ground truth), occupancy (per-ray depth
+distributions), matching (rotation-aligned dual-softmax correspondence with
+coarse-to-fine refinement), pose_eval (essential-matrix RANSAC and AUC
+scoring), synth (the fixture scenes), and formats/cli (the on-disk pipeline).
 """
 
 from .errors import OccMatchError
@@ -13,10 +13,10 @@ from .geometry import (
     DepthMap,
     PixelPoint,
     PoseSE3,
-    project,
+    patch_grid,
+    project_points,
     relative_pose,
-    reproject,
-    unproject,
+    unproject_points,
 )
 from .matching import (
     FeatureGrid,
@@ -41,7 +41,6 @@ from .occupancy import (
     OccupancyFactors,
     OccupancyGrid,
     build_ground_truth_occupancy,
-    depth_softmax_jacobian,
     estimate_occupancy,
     occupancy_loss,
 )
@@ -60,7 +59,7 @@ from .supervision import (
     OcclusionMargin,
     PairStats,
     PixelClass,
-    classify_pixel,
+    classify_points,
     coarse_match_ground_truth,
     pair_stats,
 )
@@ -81,12 +80,11 @@ __version__ = "0.1.0"
 __all__ = [
     "OccMatchError",
     "CameraIntrinsics", "DepthMap", "PixelPoint", "PoseSE3",
-    "project", "unproject", "relative_pose", "reproject",
+    "project_points", "unproject_points", "relative_pose", "patch_grid",
     "PixelClass", "OcclusionMargin", "PairStats", "CoarseMatchSet",
-    "classify_pixel", "pair_stats", "coarse_match_ground_truth",
+    "classify_points", "pair_stats", "coarse_match_ground_truth",
     "OccupancyConfig", "OccupancyGrid", "OccupancyFactors",
-    "build_ground_truth_occupancy", "estimate_occupancy",
-    "depth_softmax_jacobian", "occupancy_loss",
+    "build_ground_truth_occupancy", "estimate_occupancy", "occupancy_loss",
     "FeatureGrid", "Match", "MatchResult", "MatchingConfig",
     "neighborhood_mean", "rotation_align", "score_matrix", "dual_softmax",
     "dual_softmax_jacobian", "gumbel_select", "extract_matches",

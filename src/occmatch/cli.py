@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
     ZeroTranslationError,
 )
-from .geometry import CameraIntrinsics, DepthMap, PoseSE3, relative_pose
+from .geometry import CameraIntrinsics, DepthMap, PoseSE3, patch_grid, relative_pose
 from .matching import FeatureGrid, Match, MatchingConfig, match_pair
 from .occupancy import OccupancyConfig, build_ground_truth_occupancy
 from .pose_eval import (
@@ -44,9 +44,9 @@ from .pose_eval import (
 from .supervision import (
     CoarseMatchSet,
     OcclusionMargin,
+    PairStats,
     coarse_match_ground_truth,
     pair_stats,
-    patch_grid,
 )
 from .synth import FIXTURE_NAMES, FeatureParams, make_fixture, make_pair
 
@@ -59,7 +59,7 @@ _PAIR_FILES = ("depth_a", "depth_b", *_FEATURE_FILES)
 # Flat setting names that differ from the field of the module config owning them.
 _RENAMED = {"margin_floor": "floor", "margin_relative": "relative",
             "ransac_iterations": "max_iterations", "ransac_confidence": "confidence",
-            "seed": "rng_seed"}
+            "seed": "rng_seed", "patch_stride": "coarse_stride"}
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,12 @@ class RunConfig:
     field, in flags, --config files, manifests and the JSON echo.
     """
 
-    patch_stride: int = 8
-    channels: int = 128
     auc_thresholds: tuple[float, ...] = (5.0, 10.0, 20.0)
+    features: FeatureParams = field(default_factory=FeatureParams)
     margin: OcclusionMargin = field(default_factory=OcclusionMargin)
     occupancy: OccupancyConfig = field(default_factory=OccupancyConfig)
     matching: MatchingConfig = field(default_factory=MatchingConfig)
     ransac: RansacConfig = field(default_factory=RansacConfig)
-
-    def __post_init__(self) -> None:
-        self.features()
-
-    def features(self) -> FeatureParams:
-        return FeatureParams(channels=self.channels, coarse_stride=self.patch_stride)
 
     def to_json(self) -> dict:
         return {name: getattr(getattr(self, owner) if owner else self, owner_field)
@@ -262,7 +255,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         overrides = {}
         pair_id = Path(args.scene).stem
 
-    pair = make_pair(scene, pose_a, pose_b, k, cfg.features())
+    pair = make_pair(scene, pose_a, pose_b, k, cfg.features)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -273,7 +266,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     formats.write_features(out / "fine_a.ofg", pair.fine_a)
     formats.write_features(out / "fine_b.ofg", pair.fine_b)
 
-    ratio, overlap = pair.stats_a
+    stats = PairStats.from_classes(pair.classes_a)
     manifest = {
         "id": pair_id,
         "k": formats.intrinsics_to_json(k),
@@ -282,8 +275,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "scene": formats.scene_to_json(scene),
         "files": {name: name + (".odm" if name.startswith("depth") else ".ofg")
                   for name in _PAIR_FILES},
-        "occlusion_ratio": ratio,
-        "overlap_score": overlap,
+        "occlusion_ratio": stats.occlusion_ratio,
+        "overlap_score": stats.overlap_score,
         "match_overrides": overrides,
         "config": cfg.to_json(),
     }
@@ -300,7 +293,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
     gt = coarse_match_ground_truth(
         depth_a, depth_b, pair.k, pair.k, t_ba,
-        margin=cfg.margin, patch_stride=cfg.patch_stride,
+        margin=cfg.margin, patch_stride=cfg.features.coarse_stride,
     )
     out = Path(args.out) if args.out else pair.path / "supervision.json"
     formats.write_json(out, formats.supervision_to_json(gt, stats, config=cfg.to_json()))

@@ -5,10 +5,6 @@ class OccMatchError(ValueError):
     """Base class for all contract violations in this package."""
 
 
-class NonPositiveDepthError(OccMatchError):
-    """A point with z <= 0 cannot be projected."""
-
-
 class EmptyDepthError(OccMatchError):
     """A depth map holds no valid (non-zero) pixel."""
 

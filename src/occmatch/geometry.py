@@ -1,4 +1,9 @@
-"""Pinhole camera model, SE(3) poses, and depth-map reprojection.
+"""Pinhole camera model, SE(3) poses, and the pixel <-> camera <-> cell mapping.
+
+This module is the one home of the mapping between pixels, camera-frame
+points and grid cells: vectorised project/unproject, the patch grid, and
+the two patch-centre conventions (integer centre pixels for supervision,
+continuous cell centres for features and refined points).
 
 Conventions used across the package:
 
@@ -15,11 +20,9 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
-
-from .errors import NonPositiveDepthError
 
 # Orthonormality tolerance for pose validation.
 _ROT_ATOL = 1e-9
@@ -125,35 +128,10 @@ class DepthMap:
     def valid_mask(self) -> np.ndarray:
         return self.data > 0.0
 
-    def at(self, u: int, v: int) -> float:
-        """Depth at an integer pixel; 0.0 means invalid."""
-        return float(self.data[v, u])
-
-
-def project(p_cam: np.ndarray, k: CameraIntrinsics) -> tuple[PixelPoint, float]:
-    """Project a camera-frame point to pixel coordinates.
-
-    Returns (pixel, depth) with depth = z. Raises NonPositiveDepthError
-    for points at or behind the image plane (z <= 0).
-    """
-    x, y, z = (float(c) for c in np.asarray(p_cam, dtype=np.float64).reshape(3))
-    if z <= 0.0:
-        raise NonPositiveDepthError(f"cannot project point with z={z}")
-    return PixelPoint(k.fx * x / z + k.cx, k.fy * y / z + k.cy), z
-
-
-def unproject(px: PixelPoint, depth: float, k: CameraIntrinsics) -> np.ndarray:
-    """Lift a pixel with known depth back to a camera-frame point."""
-    if depth <= 0.0:
-        raise NonPositiveDepthError(f"cannot unproject depth={depth}")
-    u, v = px
-    return np.array(
-        [(u - k.cx) / k.fx * depth, (v - k.cy) / k.fy * depth, depth], dtype=np.float64
-    )
-
 
 def unproject_points(u: np.ndarray, v: np.ndarray, d: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Camera-frame points (N, 3) of pixels (u, v) at camera depths d."""
+    """Camera-frame points (N, 3) of pixels (u, v) at camera depths d; at
+    unit depth the first two columns are the normalized image coordinates."""
     return np.column_stack([(u - k.cx) / k.fx * d, (v - k.cy) / k.fy * d, d])
 
 
@@ -172,20 +150,29 @@ def relative_pose(pose_a: PoseSE3, pose_b: PoseSE3) -> PoseSE3:
     return pose_b.inverse().compose(pose_a)
 
 
-def reproject(
-    px: PixelPoint,
-    depth: float,
-    k_a: CameraIntrinsics,
-    k_b: CameraIntrinsics,
-    t_ba: PoseSE3,
-) -> Optional[tuple[PixelPoint, float]]:
-    """Carry a pixel of view A with known depth into view B.
+def patch_grid(height: int, width: int, stride: int) -> tuple[int, int]:
+    """Patch-grid shape (rows, cols); partial edge patches are kept, so
+    cell (r, c) covers pixels [stride*c, stride*c + stride) x
+    [stride*r, stride*r + stride) clipped to the image."""
+    return (-(-height // stride), -(-width // stride))
 
-    Returns (pixel_b, depth_b), or None when the transformed point falls
-    at or behind B's image plane. The returned pixel may lie outside B's
-    image bounds; bounds handling is the caller's concern.
+
+def patch_centers(height: int, width: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer center pixel (u, v) of every patch, row-major: the pixel
+    supervision classifies a patch by (4 at stride 8).
+
+    A partial edge patch uses the center of its actual extent.
     """
-    p_b = t_ba.transform(unproject(px, depth, k_a))
-    if p_b[2] <= 0.0:
-        return None
-    return project(p_b, k_b)
+    rows, cols = patch_grid(height, width, stride)
+    pr = np.repeat(np.arange(rows), cols)
+    pc = np.tile(np.arange(cols), rows)
+    ph = np.minimum(stride, height - pr * stride)
+    pw = np.minimum(stride, width - pc * stride)
+    return (pc * stride + pw // 2).astype(np.float64), (pr * stride + ph // 2).astype(np.float64)
+
+
+def cell_center_px(cell: float, stride: int) -> float:
+    """Pixel coordinate of the centre of grid cell `cell` (continuous) at
+    `stride` (3.5 for cell 0 at stride 8): where feature grids sample and
+    refined match points land."""
+    return stride * cell + (stride - 1) / 2.0

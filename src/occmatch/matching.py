@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
     UnknownAngleError,
 )
-from .geometry import PixelPoint
+from .geometry import PixelPoint, cell_center_px
 from .numerics import bilinear_sample, gumbel_noise, softmax
 from .supervision import CoarseMatchSet
 
@@ -446,15 +446,16 @@ def _branch_confidences(
     return flat[keep], row_factor[keep] * (np.exp(score[keep] - col_max[col]) / col_sum[col])
 
 
-def _anchor_cells(patch: np.ndarray, grid_cols: int, ratio: int) -> tuple[np.ndarray, np.ndarray]:
-    # Fine cells holding the patches' integer center pixels.
-    row, col = np.divmod(patch, grid_cols)
-    return row * ratio + ratio // 2, col * ratio + ratio // 2
-
-
-def cell_center_px(cell: float, stride: int) -> float:
-    """Pixel coordinate of the centre of grid cell `cell` (continuous) at `stride`."""
-    return stride * cell + (stride - 1) / 2.0
+def _anchor_cells(patch: np.ndarray, coarse: FeatureGrid, fine: FeatureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of each patch's middle fine cell, lo + (hi - lo) // 2 over
+    the fine cells [lo, hi) it covers; hi stops at the fine grid's edge, so
+    a partial edge patch anchors inside the grid."""
+    ratio = coarse.stride // fine.stride
+    out = []
+    for index, n_fine in zip(np.divmod(patch, coarse.grid_shape[1]), fine.grid_shape):
+        lo = index * ratio
+        out.append(lo + (np.minimum(lo + ratio, n_fine) - lo) // 2)
+    return out[0], out[1]
 
 
 def _refine(
@@ -464,10 +465,8 @@ def _refine(
     """Fill each match's points, _REFINE_CHUNK matches per window product."""
     if coarse_a.stride % fine_a.stride or coarse_b.stride % fine_b.stride:
         raise ValueError("coarse stride must be a multiple of the fine stride")
-    ar, ac = _anchor_cells(np.array([m.patch_a for m in matches], dtype=np.intp),
-                           coarse_a.grid_shape[1], coarse_a.stride // fine_a.stride)
-    br, bc = _anchor_cells(np.array([m.patch_b for m in matches], dtype=np.intp),
-                           coarse_b.grid_shape[1], coarse_b.stride // fine_b.stride)
+    ar, ac = _anchor_cells(np.array([m.patch_a for m in matches], dtype=np.intp), coarse_a, fine_a)
+    br, bc = _anchor_cells(np.array([m.patch_b for m in matches], dtype=np.intp), coarse_b, fine_b)
     hb, wb = fine_b.grid_shape
     half = cfg.fine_window // 2
     steps = np.arange(-half, half + 1)
@@ -503,9 +502,9 @@ def match_pair(
     Takes per entry the rotation branch with the highest confidence (the
     lower branch index on a tie), extracts mutual nearest matches, and
     (when fine grids are provided) refines each match to sub-pixel points:
-    the A point anchors at the matched patch's central fine cell, the B
-    point comes from the expectation over a softmaxed fine-correlation
-    window.
+    the A point anchors at the middle fine cell of the matched patch's
+    extent, the B point comes from the expectation over a softmaxed
+    fine-correlation window around B's anchor.
 
     The result equals extract_matches(<every branch's dense dual_softmax>
     .max(axis=0), ...), each match's branch being the stack's argmax(axis=0)

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCloudError, GridSizeError, ShapeMismatchError
-from .geometry import CameraIntrinsics, DepthMap, PoseSE3, project_points, unproject_points
-from .numerics import softmax, softmax_jacobian
-from .supervision import patch_grid
+from .geometry import CameraIntrinsics, DepthMap, PoseSE3, patch_grid, project_points, unproject_points
+from .numerics import softmax
 
 # Largest dense array that synth or voxelize builds, in bytes of float64 values.
 _MAX_GRID_BYTES = 1 << 30
@@ -50,12 +49,6 @@ class OccupancyConfig:
     @property
     def bin_width(self) -> float:
         return (self.d_max - self.d_min) / self.depth_bins
-
-
-def grid_shape(k: CameraIntrinsics) -> tuple[int, int]:
-    """(rows, cols) of the half-resolution grid: cell (r, c) covers pixels
-    [2c, 2c+2) x [2r, 2r+2)."""
-    return patch_grid(k.height, k.width, 2)
 
 
 def depth_bin_index(z: np.ndarray, cfg: OccupancyConfig) -> np.ndarray:
@@ -144,7 +137,7 @@ def build_ground_truth_occupancy(
         depth_o, k_o, pose_o = depth_a, k_a, pose_a
     if not (depth_t.valid_mask.any() or depth_o.valid_mask.any()):
         raise EmptyCloudError("no valid depth pixel in either view")
-    rows, cols = grid_shape(k_t)
+    rows, cols = patch_grid(k_t.height, k_t.width, 2)
     check_grid_size((rows, cols, cfg.depth_bins), f"depth_bins {cfg.depth_bins}", "occupancy grid")
     occ = np.zeros((rows, cols, cfg.depth_bins))
 
@@ -185,14 +178,6 @@ def estimate_occupancy(factors: OccupancyFactors) -> OccupancyGrid:
 def occupancy_logits(factors: OccupancyFactors) -> np.ndarray:
     """Pre-softmax logits, shape (rows, cols, D)."""
     return (factors.feature_term * factors.view_term).sum(axis=0)
-
-
-def depth_softmax_jacobian(logits: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the per-column depth softmax.
-
-    For logits (..., D) returns (..., D, D): d out_i / d logit_j.
-    """
-    return softmax_jacobian(logits)
 
 
 def occupancy_loss(estimate: OccupancyGrid, ground_truth: OccupancyGrid) -> float:

@@ -23,7 +23,7 @@ from .errors import (
     InsufficientMatchesError,
     ZeroTranslationError,
 )
-from .geometry import CameraIntrinsics, PoseSE3
+from .geometry import CameraIntrinsics, PoseSE3, unproject_points
 
 # RANSAC solves and scores its hypotheses in chunks: the first is small
 # because well-conditioned pairs stop after a few draws; each next chunk
@@ -54,12 +54,6 @@ class PoseErrorReport:
     translation_deg: float
     pose_deg: float
     inlier_count: int = 0
-
-
-def normalize_pixels(px: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """Pixel coordinates (N, 2) -> normalized camera coordinates (N, 2)."""
-    px = np.asarray(px, dtype=np.float64).reshape(-1, 2)
-    return np.column_stack([(px[:, 0] - k.cx) / k.fx, (px[:, 1] - k.cy) / k.fy])
 
 
 def essential_from_pose(t_ba: PoseSE3) -> np.ndarray:
@@ -227,8 +221,11 @@ def essential_from_matches(
     Returns (E, R, t, inlier_mask) with ||t|| = 1 and X_b = R @ X_a + t up
     to the unknown baseline scale. Deterministic for a fixed rng_seed.
     """
-    xa = normalize_pixels(px_a, k_a)
-    xb = normalize_pixels(px_b, k_b)
+    px_a = np.asarray(px_a, dtype=np.float64).reshape(-1, 2)
+    px_b = np.asarray(px_b, dtype=np.float64).reshape(-1, 2)
+    # Normalized image coordinates: the pixels unprojected at unit depth.
+    xa = unproject_points(px_a[:, 0], px_a[:, 1], np.ones(len(px_a)), k_a)[:, :2]
+    xb = unproject_points(px_b[:, 0], px_b[:, 1], np.ones(len(px_b)), k_b)[:, :2]
     n = len(xa)
     if n != len(xb):
         raise InsufficientMatchesError(f"match arrays disagree in length: {n} vs {len(xb)}")

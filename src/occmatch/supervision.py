@@ -15,7 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyDepthError
-from .geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3, project_points, unproject_points
+from .geometry import (
+    CameraIntrinsics, DepthMap, PoseSE3, patch_centers, patch_grid, project_points, unproject_points,
+)
 
 
 class PixelClass(IntEnum):
@@ -58,6 +60,15 @@ class PairStats:
     counts: dict[PixelClass, int]
     occlusion_ratio: float
     overlap_score: float
+
+    @classmethod
+    def from_classes(cls, classes: np.ndarray) -> "PairStats":
+        """Counts and scores of a class map over all of its pixels; both
+        pair_stats and synth's manifest count classes through this."""
+        counts = {c: int(np.count_nonzero(classes == c)) for c in PixelClass}
+        occluded = counts[PixelClass.OCCLUDED_IN_OTHER]
+        covisible = counts[PixelClass.COVISIBLE]
+        return cls(counts, occluded / classes.size, (covisible + occluded) / classes.size)
 
     @property
     def total(self) -> int:
@@ -170,24 +181,6 @@ def classify_points(
     return cls, uv_b, z_b
 
 
-def classify_pixel(
-    px: PixelPoint,
-    depth_a: DepthMap,
-    depth_b: DepthMap,
-    k_a: CameraIntrinsics,
-    k_b: CameraIntrinsics,
-    t_ba: PoseSE3,
-    margin: OcclusionMargin = OcclusionMargin(),
-) -> PixelClass:
-    """Classify a single integer pixel of view A."""
-    u, v = int(px.u), int(px.v)
-    cls, _, _ = classify_points(
-        np.array([float(u)]), np.array([float(v)]), np.array([depth_a.at(u, v)]),
-        depth_b, k_a, k_b, t_ba, margin,
-    )
-    return PixelClass(int(cls[0]))
-
-
 def pair_stats(
     depth_a: DepthMap,
     depth_b: DepthMap,
@@ -205,33 +198,7 @@ def pair_stats(
         uu.astype(np.float64), vv.astype(np.float64), depth_a.data,
         depth_b, k_a, k_b, t_ba, margin,
     )
-    counts = {c: int(np.count_nonzero(cls == c)) for c in PixelClass}
-    total = h * w
-    occluded = counts[PixelClass.OCCLUDED_IN_OTHER]
-    covisible = counts[PixelClass.COVISIBLE]
-    return PairStats(
-        counts=counts,
-        occlusion_ratio=occluded / total,
-        overlap_score=(covisible + occluded) / total,
-    )
-
-
-def patch_grid(height: int, width: int, stride: int) -> tuple[int, int]:
-    """Patch-grid shape (rows, cols); partial edge patches are kept."""
-    return (-(-height // stride), -(-width // stride))
-
-
-def patch_centers(height: int, width: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer center pixel (u, v) of every patch, row-major.
-
-    A partial edge patch uses the center of its actual extent.
-    """
-    rows, cols = patch_grid(height, width, stride)
-    pr = np.repeat(np.arange(rows), cols)
-    pc = np.tile(np.arange(cols), rows)
-    ph = np.minimum(stride, height - pr * stride)
-    pw = np.minimum(stride, width - pc * stride)
-    return (pc * stride + pw // 2).astype(np.float64), (pr * stride + ph // 2).astype(np.float64)
+    return PairStats.from_classes(cls)
 
 
 def coarse_match_ground_truth(

@@ -24,10 +24,12 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, DepthMap, PoseSE3, project_points, unproject_points
-from .matching import FeatureGrid, cell_center_px
+from .geometry import (
+    CameraIntrinsics, DepthMap, PoseSE3, cell_center_px, patch_grid, project_points, unproject_points,
+)
+from .matching import FeatureGrid
 from .occupancy import check_grid_size
-from .supervision import PixelClass, patch_grid
+from .supervision import PixelClass
 
 _EPS_HIT = 1e-9
 # Relative pad of the ray-reach bound of `_reachable`: far above rounding.
@@ -231,14 +233,6 @@ def analytic_classes(
     return cls.reshape(h, w)
 
 
-def analytic_stats(classes: np.ndarray) -> tuple[float, float]:
-    """(occlusion_ratio, overlap_score) over all pixels of a class map."""
-    total = classes.size
-    occ = int(np.count_nonzero(classes == PixelClass.OCCLUDED_IN_OTHER))
-    cov = int(np.count_nonzero(classes == PixelClass.COVISIBLE))
-    return occ / total, (occ + cov) / total
-
-
 @dataclass(frozen=True)
 class FeatureParams:
     """Controls of the synthetic descriptor bank; channels must be even
@@ -321,10 +315,6 @@ class SyntheticPair:
     coarse_b: FeatureGrid = field(repr=False)
     fine_a: FeatureGrid = field(repr=False)
     fine_b: FeatureGrid = field(repr=False)
-
-    @property
-    def stats_a(self) -> tuple[float, float]:
-        return analytic_stats(self.classes_a)
 
 
 def make_pair(

@@ -16,8 +16,10 @@ from occmatch.formats import read_json, read_matches
 from occmatch.geometry import (
     CameraIntrinsics,
     PoseSE3,
-    project,
+    patch_centers,
+    project_points,
     relative_pose,
+    unproject_points,
 )
 from occmatch.matching import (
     CoarseMatchSet,
@@ -35,7 +37,6 @@ from occmatch.occupancy import (
     OccupancyGrid,
     build_ground_truth_occupancy,
     depth_bin_index,
-    depth_softmax_jacobian,
     estimate_occupancy,
     occupancy_loss,
 )
@@ -45,13 +46,11 @@ from occmatch.pose_eval import (
     essential_from_pose,
     pose_error,
     sampson_distance,
-    normalize_pixels,
 )
 from occmatch.supervision import (
     PixelClass,
     classify_points,
     coarse_match_ground_truth,
-    patch_centers,
 )
 from occmatch.synth import (
     FIXTURE_NAMES,
@@ -95,11 +94,11 @@ def projected_correspondences(rng, t_ba: PoseSE3, n: int) -> tuple[np.ndarray, n
         q = t_ba.transform(p)
         if q[2] <= 0.1:
             continue
-        ua, _ = project(p, K_VGA)
-        ub, _ = project(q, K_VGA)
-        if 0 <= ua.u < 640 and 0 <= ua.v < 480 and 0 <= ub.u < 640 and 0 <= ub.v < 480:
-            px_a.append([ua.u, ua.v])
-            px_b.append([ub.u, ub.v])
+        (ua,), (va,) = project_points(p[None], K_VGA)
+        (ub,), (vb,) = project_points(q[None], K_VGA)
+        if 0 <= ua < 640 and 0 <= va < 480 and 0 <= ub < 640 and 0 <= vb < 480:
+            px_a.append([ua, va])
+            px_b.append([ub, vb])
     return np.array(px_a), np.array(px_b)
 
 
@@ -242,8 +241,9 @@ def test_criterion_05_pose_recovery_and_epipolar_residuals():
             occluded = cls == PixelClass.OCCLUDED_IN_OTHER
             assert occluded.any()
             e = essential_from_pose(t_rel)
-            xa = normalize_pixels(np.column_stack([us[occluded], vs[occluded]]).astype(float), fx.k)
-            xb = normalize_pixels(uv_dst[occluded], fx.k)
+            ones = np.ones(int(occluded.sum()))
+            xa = unproject_points(us[occluded].astype(float), vs[occluded].astype(float), ones, fx.k)[:, :2]
+            xb = unproject_points(uv_dst[occluded, 0], uv_dst[occluded, 1], ones, fx.k)[:, :2]
             assert float(sampson_distance(e, xa, xb).max()) < 1e-9
 
 
@@ -360,9 +360,9 @@ def test_criterion_10_jacobians_match_finite_differences():
         assert float(np.abs(jac - fd).max()) / scale < 1e-4
 
         logits = rng.standard_normal((4, 4))
-        jac_d = depth_softmax_jacobian(logits)
-        from occmatch.numerics import softmax
+        from occmatch.numerics import softmax, softmax_jacobian
 
+        jac_d = softmax_jacobian(logits)
         fd_d = np.zeros_like(jac_d)
         for j in range(4):
             e = np.zeros(4)

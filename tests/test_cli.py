@@ -186,6 +186,19 @@ class TestMatch:
         assert all(m.patch_a == m.patch_b for m in matches)
         assert all(m.point_a is not None and m.point_b is not None for m in matches)
 
+    @pytest.mark.parametrize("width, height", [(192, 146), (194, 144)])
+    def test_partial_edge_patches_are_refined(self, tmp_path, capsys, width, height):
+        # H or W mod 8 = 2: the edge patches cover one fine cell each.
+        pair = str(tmp_path / "pair")
+        assert main(["synth", "--fixture", "identity", "--width", str(width),
+                     "--height", str(height), "--out", pair]) == 0
+        assert main(["match", "--pair", pair]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        matches = read_matches(f"{pair}/matches.jsonl")
+        assert matches
+        assert all(m.point_a is not None and m.point_b is not None for m in matches)
+        assert all(0 <= m.point_a.u < width and 0 <= m.point_a.v < height for m in matches)
+
     def test_labels_computed_without_supervision_file(self, fresh_pair):
         pair = fresh_pair("identity")
         assert main(["match", "--pair", pair]) == 0

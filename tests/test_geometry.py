@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from occmatch.errors import NonPositiveDepthError
 from occmatch.geometry import (
     CameraIntrinsics,
     DepthMap,
-    PixelPoint,
     PoseSE3,
-    project,
     project_points,
     relative_pose,
-    reproject,
-    unproject,
     unproject_points,
 )
+from occmatch.supervision import PixelClass, classify_points
 
 
 def rotation_z(deg: float) -> np.ndarray:
@@ -32,47 +28,67 @@ def random_pose(rng: np.random.Generator) -> PoseSE3:
     return PoseSE3(q, rng.normal(size=3))
 
 
+def carry(u: float, v: float, depth: float, k: CameraIntrinsics, t_ba: PoseSE3):
+    """(u_b, v_b, z_b) of pixel (u, v) of view A at `depth`, seen from B."""
+    p_b = t_ba.transform(unproject_points(np.array([u]), np.array([v]), np.array([depth]), k))
+    u_b, v_b = project_points(p_b, k)
+    return u_b[0], v_b[0], p_b[0, 2]
+
+
 class TestProject:
     def test_optical_axis_point_lands_on_principal_point(self, k100):
-        px, depth = project(np.array([0.0, 0.0, 2.0]), k100)
-        assert px == PixelPoint(320.0, 240.0)
-        assert depth == 2.0
+        u, v = project_points(np.array([[0.0, 0.0, 2.0]]), k100)
+        assert (u[0], v[0]) == (320.0, 240.0)
 
     def test_unit_lateral_offset_moves_by_focal_over_depth(self, k100):
-        px, depth = project(np.array([1.0, 0.0, 2.0]), k100)
-        assert px == PixelPoint(370.0, 240.0)
-        assert depth == 2.0
+        u, v = project_points(np.array([[1.0, 0.0, 2.0]]), k100)
+        assert (u[0], v[0]) == (370.0, 240.0)
 
     def test_nonpositive_depth_rejected(self, k100):
-        with pytest.raises(NonPositiveDepthError):
-            project(np.array([0.0, 0.0, -1.0]), k100)
-        with pytest.raises(NonPositiveDepthError):
-            project(np.array([0.0, 0.0, 0.0]), k100)
+        # project_points leaves z > 0 to its caller; the classifier keeps
+        # points behind (z = -2) or on (z = 0) B's image plane out of it.
+        depth = DepthMap(np.full((480, 640), 2.0))
+        for t_ba in (PoseSE3(np.diag([-1.0, 1.0, -1.0]), np.zeros(3)),
+                     PoseSE3(np.eye(3), np.array([0.0, 0.0, -2.0]))):
+            cls, uv_b, z_b = classify_points(np.array([320.0]), np.array([240.0]), np.array([2.0]),
+                                             depth, k100, k100, t_ba)
+            assert cls[0] == PixelClass.BEHIND_CAMERA
+            assert np.isnan(uv_b).all() and np.isnan(z_b).all()
 
     def test_unproject_inverts_the_worked_example(self, k100):
-        p = unproject(PixelPoint(370.0, 240.0), 2.0, k100)
-        assert np.allclose(p, [1.0, 0.0, 2.0])
+        p = unproject_points(np.array([370.0]), np.array([240.0]), np.array([2.0]), k100)
+        assert np.allclose(p, [[1.0, 0.0, 2.0]])
 
     def test_unproject_rejects_nonpositive_depth(self, k100):
-        with pytest.raises(NonPositiveDepthError):
-            unproject(PixelPoint(0.0, 0.0), 0.0, k100)
+        # A pixel without positive depth is never unprojected: the classifier
+        # labels it invalid and leaves its reprojection empty.
+        depth = DepthMap(np.full((480, 640), 2.0))
+        cls, uv_b, z_b = classify_points(np.array([0.0, 1.0]), np.array([0.0, 0.0]),
+                                         np.array([0.0, -1.0]), depth, k100, k100,
+                                         PoseSE3.identity())
+        assert np.array_equal(cls, [PixelClass.INVALID_DEPTH] * 2)
+        assert np.isnan(uv_b).all() and np.isnan(z_b).all()
 
     def test_project_unproject_roundtrip(self, k100):
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            p = rng.uniform([-3, -3, 0.5], [3, 3, 9])
-            px, depth = project(p, k100)
-            back = unproject(px, depth, k100)
-            assert np.max(np.abs(back - p)) < 1e-9
+        p = rng.uniform([-3, -3, 0.5], [3, 3, 9], size=(100, 3))
+        u, v = project_points(p, k100)
+        back = unproject_points(u, v, p[:, 2], k100)
+        assert np.max(np.abs(back - p)) < 1e-9
 
     def test_vectorised_forms_equal_the_single_point_forms(self, k100):
+        # Each row maps on its own, by the pinhole formulas, and unit depth
+        # gives the normalized image coordinates bit for bit.
         rng = np.random.default_rng(8)
         p = rng.uniform([-3, -3, 0.5], [3, 3, 9], size=(50, 3))
         u, v = project_points(p, k100)
-        assert np.array_equal(np.column_stack([u, v]), [project(q, k100)[0] for q in p])
-        back = unproject_points(u, v, p[:, 2], k100)
-        assert np.array_equal(back, [unproject(PixelPoint(a, b), z, k100)
-                                     for a, b, z in zip(u, v, p[:, 2])])
+        assert np.array_equal(u, [100.0 * x / z + 320.0 for x, _, z in p])
+        assert np.array_equal(v, [100.0 * y / z + 240.0 for _, y, z in p])
+        rays = unproject_points(u, v, np.ones(50), k100)
+        assert np.array_equal(rays, np.column_stack([(u - 320.0) / 100.0, (v - 240.0) / 100.0,
+                                                     np.ones(50)]))
+        assert np.array_equal(unproject_points(u[7:8], v[7:8], p[7:8, 2], k100),
+                              unproject_points(u, v, p[:, 2], k100)[7:8])
 
 
 class TestIntrinsics:
@@ -164,15 +180,13 @@ class TestDepthMap:
         d = DepthMap(np.array([[0.0, 2.0]]))
         assert not d.valid_mask[0, 0]
         assert d.valid_mask[0, 1]
-        assert d.at(1, 0) == 2.0
+        assert d.data[0, 1] == 2.0
 
 
 class TestReproject:
     def test_identity_pose_returns_same_pixel(self, k100):
-        out = reproject(PixelPoint(100.0, 50.0), 2.0, k100, k100, PoseSE3.identity())
-        assert out is not None
-        px, depth = out
-        assert np.allclose([px.u, px.v], [100.0, 50.0])
+        u, v, depth = carry(100.0, 50.0, 2.0, k100, PoseSE3.identity())
+        assert np.allclose([u, v], [100.0, 50.0])
         assert abs(depth - 2.0) < 1e-12
 
     def test_stereo_disparity_is_focal_times_baseline_over_depth(self, k100):
@@ -180,17 +194,17 @@ class TestReproject:
         # fx * b / z = 100 * 0.25 / 2 = 12.5 pixels to the left.
         pose_a = PoseSE3.identity()
         pose_b = PoseSE3(np.eye(3), np.array([0.25, 0.0, 0.0]))
-        out = reproject(
-            PixelPoint(320.0, 240.0), 2.0, k100, k100, relative_pose(pose_a, pose_b)
-        )
-        assert out is not None
-        px, depth = out
-        assert np.allclose([px.u, px.v], [307.5, 240.0])
+        u, v, depth = carry(320.0, 240.0, 2.0, k100, relative_pose(pose_a, pose_b))
+        assert np.allclose([u, v], [307.5, 240.0])
         assert abs(depth - 2.0) < 1e-12
 
     def test_point_behind_destination_camera_returns_none(self, k100):
         # Destination camera faces the opposite way (180 degree yaw), so a
-        # point in front of A is behind B.
+        # point in front of A is behind B, where the classifier stops.
         r = np.diag([-1.0, 1.0, -1.0])
         t_ba = PoseSE3(r, np.zeros(3))
-        assert reproject(PixelPoint(320.0, 240.0), 2.0, k100, k100, t_ba) is None
+        assert carry(320.0, 240.0, 2.0, k100, t_ba)[2] == -2.0
+        depth = DepthMap(np.full((480, 640), 2.0))
+        cls, _, _ = classify_points(np.array([320.0]), np.array([240.0]), np.array([2.0]),
+                                    depth, k100, k100, t_ba)
+        assert cls[0] == PixelClass.BEHIND_CAMERA

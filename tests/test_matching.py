@@ -17,11 +17,10 @@ from occmatch.errors import (
     LengthMismatchError,
     UnknownAngleError,
 )
-from occmatch.geometry import PixelPoint
+from occmatch.geometry import PixelPoint, cell_center_px, patch_grid
 from occmatch.matching import (
     FeatureGrid,
     MatchingConfig,
-    cell_center_px,
     coarse_loss,
     dual_softmax,
     dual_softmax_jacobian,
@@ -486,6 +485,22 @@ class TestMatchPair:
         branches = set(MatchingConfig().branches())
         assert all(m.branch in branches for m in result.matches)
 
+    @pytest.mark.parametrize("height, width", [(18, 16), (16, 18)])
+    def test_partial_edge_patch_anchors_inside_the_fine_grid(self, height, width):
+        # H or W mod 8 = 2: the edge patch (index 2, pixels 16-17) covers
+        # fine cell 8 alone and anchors there; a full patch x anchors at
+        # fine cell 4x + 2.
+        coarse = unit_columns(32, *patch_grid(height, width, 8), seed=102)
+        fine = unit_columns(32, *patch_grid(height, width, 2), seed=103, stride=2)
+        result = match_pair(coarse, coarse, fine, fine)
+        cols = coarse.grid_shape[1]
+        assert [(m.patch_a, m.patch_b) for m in result.matches] == [(i, i) for i in range(6)]
+        for m in result.matches:
+            r, c = divmod(m.patch_a, cols)
+            want = [8 if x == 2 else 4 * x + 2 for x in (c, r)]
+            assert m.point_a == PixelPoint(*(cell_center_px(a, 2) for a in want))
+            assert m.point_b is not None and np.isfinite(m.point_b).all()
+
 
 def tied_column_grid(seed: int) -> FeatureGrid:
     """Four rows of four identical cells. The cells of a row align to equal
@@ -496,8 +511,9 @@ def tied_column_grid(seed: int) -> FeatureGrid:
 
 def reference_points(fa, fb, fine_a, fine_b, cfg, matches) -> tuple[list, bool]:
     """The per-match refinement match_pair ran before it was chunked: one
-    tensordot, one softmax and one expectation per match. Returns each
-    match's (point_a, point_b) and whether any window was clamped."""
+    tensordot, one softmax and one expectation per match, anchored at the
+    middle fine cell of each patch's extent. Returns each match's
+    (point_a, point_b) and whether any window was clamped."""
     ratio_a, ratio_b = fa.stride // fine_a.stride, fb.stride // fine_b.stride
     half = cfg.fine_window // 2
     hb, wb = fine_b.grid_shape
@@ -506,8 +522,10 @@ def reference_points(fa, fb, fine_a, fine_b, cfg, matches) -> tuple[list, bool]:
     for m in matches:
         ra, ca = divmod(m.patch_a, fa.grid_shape[1])
         rb, cb = divmod(m.patch_b, fb.grid_shape[1])
-        ar, ac = ra * ratio_a + ratio_a // 2, ca * ratio_a + ratio_a // 2
-        br, bc = rb * ratio_b + ratio_b // 2, cb * ratio_b + ratio_b // 2
+        ar, ac = (x * ratio_a + (min(x * ratio_a + ratio_a, n) - x * ratio_a) // 2
+                  for x, n in ((ra, fine_a.grid_shape[0]), (ca, fine_a.grid_shape[1])))
+        br, bc = (x * ratio_b + (min(x * ratio_b + ratio_b, n) - x * ratio_b) // 2
+                  for x, n in ((rb, hb), (cb, wb)))
         rows, cols = np.arange(br - half, br + half + 1), np.arange(bc - half, bc + half + 1)
         rr, cc = np.clip(rows, 0, hb - 1), np.clip(cols, 0, wb - 1)
         clamped |= not (np.array_equal(rr, rows) and np.array_equal(cc, cols))
@@ -751,6 +769,27 @@ class TestFloat32Path:
             again = match_pair(fa, fb, cfg=replace(cfg, match_threshold=m.confidence)).matches
             assert (m.patch_a, m.patch_b, m.confidence) in [
                 (x.patch_a, x.patch_b, x.confidence) for x in again]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ratio", [0.2, 1e-3, 1e-8])
+def test_confidence_at_the_threshold_is_kept(dtype, ratio, monkeypatch):
+    # Entry (0, 1) is not its row's score maximum, so it passes the
+    # candidate bound by log(1 + exp(e)) plus _LOG_MARGIN, with e = log
+    # ratio. With the threshold at its own confidence exp(e) / (1 + exp(e))
+    # it must stay a match, beside (1, 0) at about 1.
+    e = math.log(ratio)
+    scores = np.array([[0.0, e], [30.0, -200.0]], dtype=dtype)
+    monkeypatch.setattr(matching, "score_matrix", lambda *args, **kwargs: scores.copy())
+    grid = FeatureGrid(np.ones((2, 1, 2), dtype=dtype), stride=8)
+    cfg = MatchingConfig(angles=(0.0,))
+    own = next(m.confidence for m in match_pair(grid, grid, cfg=replace(cfg, match_threshold=0.0))
+               .matches if (m.patch_a, m.patch_b) == (0, 1))
+    e = float(scores[0, 1])  # as the matcher sees it, rounded to dtype
+    assert math.isclose(own, math.exp(e) / (1.0 + math.exp(e)), rel_tol=1e-6)
+    got = match_pair(grid, grid, cfg=replace(cfg, match_threshold=own)).matches
+    assert [(m.patch_a, m.patch_b) for m in got] == [(0, 1), (1, 0)]
+    assert got[0].confidence == own
 
 
 def test_matcher_peak_memory_stays_below_one_dense_score_matrix():

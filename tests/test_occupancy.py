@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from occmatch.errors import EmptyCloudError, ShapeMismatchError
-from occmatch.geometry import CameraIntrinsics, DepthMap, PoseSE3, relative_pose
-from occmatch.numerics import softmax
+from occmatch.geometry import CameraIntrinsics, DepthMap, PoseSE3, patch_grid
+from occmatch.numerics import softmax, softmax_jacobian
 from occmatch.occupancy import (
     OccupancyConfig,
     OccupancyFactors,
     OccupancyGrid,
     build_ground_truth_occupancy,
     depth_bin_index,
-    depth_softmax_jacobian,
     estimate_occupancy,
-    grid_shape,
     occupancy_logits,
     occupancy_loss,
 )
@@ -39,7 +37,7 @@ def oracle_occupancy(target_view, other_view, pose_t) -> np.ndarray:
     into the target frame, and reprojected."""
     depth_t, k_t = target_view
     depth_o, k_o, pose_o = other_view
-    rows, cols = grid_shape(k_t)
+    rows, cols = patch_grid(k_t.height, k_t.width, 2)
     occ = np.zeros((rows, cols, CFG.depth_bins))
     d = depth_t.data
     for v in range(d.shape[0]):
@@ -84,8 +82,10 @@ class TestBinning:
         assert all(got[i] == oracle_bin(z[i]) for i in range(z.size))
 
     def test_grid_is_half_resolution_rounded_up(self):
-        assert grid_shape(k_of(192, 144)) == (72, 96)
-        assert grid_shape(k_of(7, 5)) == (3, 4)
+        for (w, h), shape in (((192, 144), (72, 96)), ((7, 5), (3, 4))):
+            depth, k = DepthMap(np.full((h, w), 2.0)), k_of(w, h)
+            grid = build_ground_truth_occupancy(depth, depth, IDENTITY, IDENTITY, k, k)
+            assert grid.values.shape[:2] == patch_grid(h, w, 2) == shape
 
 
 class TestGroundTruthOccupancy:
@@ -207,7 +207,7 @@ class TestDepthSoftmaxJacobian:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(61)
         logits = rng.normal(size=(1, 1, 6))
-        jac = depth_softmax_jacobian(logits)
+        jac = softmax_jacobian(logits)
         eps = 1e-6
         for j in range(6):
             lp, lm = logits.copy(), logits.copy()

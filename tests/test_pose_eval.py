@@ -14,7 +14,7 @@ from occmatch.errors import (
     ZeroTranslationError,
 )
 from occmatch import pose_eval
-from occmatch.geometry import CameraIntrinsics, PoseSE3
+from occmatch.geometry import CameraIntrinsics, PoseSE3, unproject_points
 from occmatch.pose_eval import (
     RansacConfig,
     _eight_point,
@@ -23,13 +23,18 @@ from occmatch.pose_eval import (
     decompose_essential,
     essential_from_matches,
     essential_from_pose,
-    normalize_pixels,
     pose_error,
     rotation_error_deg,
     sampson_distance,
 )
 
 K = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
+
+
+def normalized(px: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """Normalized image coordinates (N, 2) of pixels (N, 2): the pixels
+    unprojected at unit depth, as essential_from_matches takes them."""
+    return unproject_points(px[:, 0], px[:, 1], np.ones(len(px)), k)[:, :2]
 
 
 def axis_angle(axis, deg: float) -> np.ndarray:
@@ -65,11 +70,11 @@ GT_POSE = PoseSE3(axis_angle((1.0, 2.0, 3.0), 10.0), np.array([0.3, -0.1, 0.05])
 
 class TestNormalizePixels:
     def test_principal_point_maps_to_origin(self):
-        out = normalize_pixels(np.array([[320.0, 240.0]]), K)
+        out = normalized(np.array([[320.0, 240.0]]), K)
         assert np.allclose(out, [[0.0, 0.0]])
 
     def test_offset_scales_by_inverse_focal(self):
-        out = normalize_pixels(np.array([[370.0, 190.0]]), K)
+        out = normalized(np.array([[370.0, 190.0]]), K)
         assert np.allclose(out, [[0.5, -0.5]])
 
 
@@ -84,8 +89,8 @@ class TestEssentialFromPose:
     def test_exact_correspondences_satisfy_epipolar_constraint(self):
         e = essential_from_pose(GT_POSE)
         px_a, px_b = make_correspondences(50, GT_POSE, seed=1)
-        xa = normalize_pixels(px_a, K)
-        xb = normalize_pixels(px_b, K)
+        xa = normalized(px_a, K)
+        xb = normalized(px_b, K)
         xa_h = np.column_stack([xa, np.ones(len(xa))])
         xb_h = np.column_stack([xb, np.ones(len(xb))])
         residual = np.einsum("ni,ij,nj->n", xb_h, e, xa_h)
@@ -96,7 +101,7 @@ class TestSampsonDistance:
     def test_zero_for_exact_correspondences(self):
         e = essential_from_pose(GT_POSE)
         px_a, px_b = make_correspondences(50, GT_POSE, seed=2)
-        d = sampson_distance(e, normalize_pixels(px_a, K), normalize_pixels(px_b, K))
+        d = sampson_distance(e, normalized(px_a, K), normalized(px_b, K))
         assert np.max(d) < 1e-12
 
     def test_matches_first_order_formula(self):
@@ -159,7 +164,7 @@ class TestEssentialFromMatches:
     def test_noise_free_inliers_have_tiny_sampson_residual(self):
         px_a, px_b = make_correspondences(64, GT_POSE, seed=5)
         e, _, _, inliers = essential_from_matches(px_a, px_b, K, K)
-        d = sampson_distance(e, normalize_pixels(px_a, K), normalize_pixels(px_b, K))
+        d = sampson_distance(e, normalized(px_a, K), normalized(px_b, K))
         assert np.all(inliers)
         assert np.max(d) < 1e-9
 
@@ -248,8 +253,8 @@ def _reference_ransac(px_a, px_b, cfg):
     reproduce bit for bit. Returns the outcome (the (E, R, t, inliers)
     tuple or the exception type), the iterations run and the iterations
     whose sample was not degenerate and was scored."""
-    xa = normalize_pixels(px_a, K)
-    xb = normalize_pixels(px_b, K)
+    xa = normalized(px_a, K)
+    xb = normalized(px_b, K)
     n = len(xa)
     rng = np.random.default_rng(cfg.rng_seed)
     best_count, best_err, best_inliers = -1, np.inf, None
@@ -418,7 +423,7 @@ class TestDecomposeEssential:
         e = essential_from_pose(GT_POSE)
         px_a, px_b = make_correspondences(30, GT_POSE, seed=12)
         r, t = decompose_essential(
-            e, normalize_pixels(px_a, K), normalize_pixels(px_b, K)
+            e, normalized(px_a, K), normalized(px_b, K)
         )
         # arccos near 1 resolves angles only to ~1e-5 degrees in float64.
         assert rotation_error_deg(r, GT_POSE.R) < 1e-4

@@ -7,18 +7,17 @@ from occmatch.errors import EmptyDepthError
 from occmatch.geometry import (
     CameraIntrinsics,
     DepthMap,
-    PixelPoint,
     PoseSE3,
+    patch_centers,
+    patch_grid,
     relative_pose,
 )
 from occmatch.supervision import (
     OcclusionMargin,
     PixelClass,
-    classify_pixel,
+    classify_points,
     coarse_match_ground_truth,
     pair_stats,
-    patch_centers,
-    patch_grid,
     sample_depth_bilinear,
 )
 from occmatch.synth import Box, Plane, SceneSpec, make_fixture, render_depth
@@ -28,6 +27,13 @@ IDENTITY = PoseSE3.identity()
 
 def shifted(x: float) -> PoseSE3:
     return PoseSE3(np.eye(3), np.array([x, 0.0, 0.0]))
+
+
+def classify_one(u: int, v: int, depth_a, depth_b, k_a, k_b, t_ba) -> PixelClass:
+    """Class of the one integer pixel (u, v) of view A."""
+    cls, _, _ = classify_points(np.array([float(u)]), np.array([float(v)]),
+                                np.array([depth_a.data[v, u]]), depth_b, k_a, k_b, t_ba)
+    return PixelClass(int(cls[0]))
 
 
 @pytest.fixture
@@ -78,7 +84,7 @@ class TestSampleDepthBilinear:
 class TestClassifyPixel:
     def test_identity_pair_is_covisible(self, k64):
         depth = DepthMap(np.full((64, 64), 2.0))
-        got = classify_pixel(PixelPoint(10, 20), depth, depth, k64, k64, IDENTITY)
+        got = classify_one(10, 20, depth, depth, k64, k64, IDENTITY)
         assert got == PixelClass.COVISIBLE
 
     def test_nearer_surface_in_b_marks_occluded(self, k64):
@@ -86,7 +92,7 @@ class TestClassifyPixel:
         # 2 - 1 = 1 exceeds margin(1) = 0.05.
         depth_a = DepthMap(np.full((64, 64), 2.0))
         depth_b = DepthMap(np.full((64, 64), 1.0))
-        got = classify_pixel(PixelPoint(31, 31), depth_a, depth_b, k64, k64, IDENTITY)
+        got = classify_one(31, 31, depth_a, depth_b, k64, k64, IDENTITY)
         assert got == PixelClass.OCCLUDED_IN_OTHER
 
     def test_depth_gap_within_margin_stays_covisible(self, k64):
@@ -94,13 +100,13 @@ class TestClassifyPixel:
         # representable) stays below it.
         depth_a = DepthMap(np.full((64, 64), 2.0 + 0.09375))
         depth_b = DepthMap(np.full((64, 64), 2.0))
-        got = classify_pixel(PixelPoint(31, 31), depth_a, depth_b, k64, k64, IDENTITY)
+        got = classify_one(31, 31, depth_a, depth_b, k64, k64, IDENTITY)
         assert got == PixelClass.COVISIBLE
 
     def test_depth_gap_beyond_margin_marks_occluded(self, k64):
         depth_a = DepthMap(np.full((64, 64), 2.125))
         depth_b = DepthMap(np.full((64, 64), 2.0))
-        got = classify_pixel(PixelPoint(31, 31), depth_a, depth_b, k64, k64, IDENTITY)
+        got = classify_one(31, 31, depth_a, depth_b, k64, k64, IDENTITY)
         assert got == PixelClass.OCCLUDED_IN_OTHER
 
     def test_reprojection_outside_image_is_out_of_bounds(self, k64):
@@ -108,13 +114,13 @@ class TestClassifyPixel:
         # 64-pixel image.
         depth = DepthMap(np.full((64, 64), 2.0))
         t_ba = relative_pose(IDENTITY, shifted(2.0))
-        got = classify_pixel(PixelPoint(31, 31), depth, depth, k64, k64, t_ba)
+        got = classify_one(31, 31, depth, depth, k64, k64, t_ba)
         assert got == PixelClass.OUT_OF_BOUNDS
 
     def test_invalid_source_depth(self, k64):
         depth_a = DepthMap(np.zeros((64, 64)))
         depth_b = DepthMap(np.full((64, 64), 2.0))
-        got = classify_pixel(PixelPoint(31, 31), depth_a, depth_b, k64, k64, IDENTITY)
+        got = classify_one(31, 31, depth_a, depth_b, k64, k64, IDENTITY)
         assert got == PixelClass.INVALID_DEPTH
 
     def test_point_behind_destination_camera(self, k64):
@@ -122,13 +128,13 @@ class TestClassifyPixel:
         r = np.diag([-1.0, 1.0, -1.0])
         t_ba = PoseSE3(r, np.zeros(3))
         depth = DepthMap(np.full((64, 64), 2.0))
-        got = classify_pixel(PixelPoint(31, 31), depth, depth, k64, k64, t_ba)
+        got = classify_one(31, 31, depth, depth, k64, k64, t_ba)
         assert got == PixelClass.BEHIND_CAMERA
 
     def test_landing_on_invalid_destination_depth_is_out_of_bounds(self, k64):
         depth_a = DepthMap(np.full((64, 64), 2.0))
         depth_b = DepthMap(np.zeros((64, 64)))
-        got = classify_pixel(PixelPoint(31, 31), depth_a, depth_b, k64, k64, IDENTITY)
+        got = classify_one(31, 31, depth_a, depth_b, k64, k64, IDENTITY)
         assert got == PixelClass.OUT_OF_BOUNDS
 
 

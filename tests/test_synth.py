@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from occmatch.geometry import CameraIntrinsics, PoseSE3, project_points, relative_pose, unproject_points
-from occmatch.supervision import PixelClass, classify_points
+from occmatch.supervision import PairStats, PixelClass, classify_points
 from occmatch.synth import (
     FIXTURE_NAMES,
     Box,
@@ -20,7 +20,6 @@ from occmatch.synth import (
     _plane_hits,
     _texture_signs,
     analytic_classes,
-    analytic_stats,
     first_hit,
     make_fixture,
     make_pair,
@@ -31,10 +30,15 @@ from occmatch.synth import (
 IDENTITY = PoseSE3.identity()
 
 
+def stats(classes: np.ndarray) -> tuple[float, float]:
+    """Occlusion ratio and overlap of a class map, as the manifest states them."""
+    s = PairStats.from_classes(classes)
+    return s.occlusion_ratio, s.overlap_score
+
+
 def stats_b(fx, pair) -> tuple[float, float]:
     """Occlusion ratio and overlap of view B towards A, from the oracle."""
-    classes_b = analytic_classes(fx.scene, pair.depth_b, fx.pose_b, fx.pose_a, fx.k, fx.k)
-    return analytic_stats(classes_b)
+    return stats(analytic_classes(fx.scene, pair.depth_b, fx.pose_b, fx.pose_a, fx.k, fx.k))
 
 
 def ray_plane(plane: Plane, origin, d) -> float:
@@ -299,7 +303,7 @@ class TestAnalyticClasses:
 
     def test_identity_fixture_is_fully_covisible(self, pair_cache):
         fx, pair = pair_cache("identity")
-        assert pair.stats_a == (0.0, 1.0)
+        assert stats(pair.classes_a) == (0.0, 1.0)
         assert stats_b(fx, pair) == (0.0, 1.0)
 
     def test_occlusion_band_fractions_are_exact(self, pair_cache):
@@ -307,19 +311,19 @@ class TestAnalyticClasses:
         # occluder and pushes 16 columns out of frame: ratio 16/192, overlap
         # 176/192, identically on both sides by symmetry.
         fx, pair = pair_cache("two_plane")
-        assert pair.stats_a == (16.0 / 192.0, 176.0 / 192.0)
+        assert stats(pair.classes_a) == (16.0 / 192.0, 176.0 / 192.0)
         assert stats_b(fx, pair) == (16.0 / 192.0, 176.0 / 192.0)
 
     def test_stereo_fixture_statistics_are_exact(self, pair_cache):
         # View A: 16 slab columns leave the frame, nothing is occluded.
         # View B: 8 backdrop columns hide behind the slab, 8 leave the frame.
         fx, pair = pair_cache("stereo")
-        assert pair.stats_a == (0.0, 176.0 / 192.0)
+        assert stats(pair.classes_a) == (0.0, 176.0 / 192.0)
         assert stats_b(fx, pair) == (8.0 / 192.0, 184.0 / 192.0)
 
     def test_stats_count_over_all_pixels(self):
         classes = np.array([[0, 0, 1], [2, 3, 4]], dtype=np.int8)
-        ratio, overlap = analytic_stats(classes)
+        ratio, overlap = stats(classes)
         assert ratio == 1.0 / 6.0
         assert overlap == 3.0 / 6.0
 
@@ -340,7 +344,7 @@ class TestReprojectionConsistency:
             disparity = 16.0 if abs(z - 2.0) < 1e-9 else 8.0
             assert abs(u_b - (u - disparity)) < 1e-9
             assert abs(v_b - v) < 1e-9
-            assert abs(pair.depth_b.at(int(round(u_b)), v) - z) < 1e-9
+            assert abs(pair.depth_b.data[v, int(round(u_b))] - z) < 1e-9
 
 
 class TestFixtures:
