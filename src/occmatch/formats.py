@@ -163,6 +163,14 @@ def _floats(obj: dict, field: str, source: str, count: Optional[int] = None) -> 
     return arr.ravel()
 
 
+def _finite(arr: np.ndarray, field: str, source: str, inf_ok: bool = False) -> np.ndarray:
+    """`arr`, if it holds no NaN, nor any infinity unless `inf_ok`."""
+    if np.isnan(arr).any() or not (inf_ok or np.isfinite(arr).all()):
+        what = "free of NaN" if inf_ok else "finite"
+        raise SchemaError(f"{source}: field {field!r} must be {what}, got {arr.tolist()}")
+    return arr
+
+
 def intrinsics_to_json(k: CameraIntrinsics) -> dict:
     return {
         "fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy,
@@ -209,14 +217,15 @@ def scene_from_json(obj: dict, source: str = "scene") -> SceneSpec:
         texture = _field(entry, "texture", where, lambda v: _is_int(v) and v >= 0,
                          "a non-negative integer", default=0)
         if kind == "plane":
-            point = tuple(_floats(entry, "point", where, 3))
-            normal = tuple(_floats(entry, "normal", where, 3))
+            point, normal = (tuple(_finite(_floats(entry, f, where, 3), f, where))
+                             for f in ("point", "normal"))
             if not np.any(np.asarray(normal)):
                 raise SchemaError(f"{where}: zero normal")
             prims.append(Plane(point, normal, texture))
         elif kind == "box":
-            lo = _floats(entry, "min", where, 3)
-            hi = _floats(entry, "max", where, 3)
+            # Infinite extents are allowed: slabs and half-spaces.
+            lo, hi = (_finite(_floats(entry, f, where, 3), f, where, inf_ok=True)
+                      for f in ("min", "max"))
             if np.any(hi <= lo):
                 raise SchemaError(f"{where}: max must exceed min on every axis")
             prims.append(Box(tuple(lo), tuple(hi), texture))

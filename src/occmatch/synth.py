@@ -32,7 +32,7 @@ from .occupancy import check_grid_size
 from .supervision import PixelClass
 
 _EPS_HIT = 1e-9
-# Relative pad of the ray-reach bound of `_reachable`: far above rounding.
+# Relative pad of the ray-reach bounds of `_box_bounds`: far above rounding.
 _REACH_PAD = 1e-9
 
 # Descriptor bank constants: the fine grid's stride, each kernel's length
@@ -84,55 +84,103 @@ def _plane_hits(p: Plane, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def _box_hits(b: Box, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    lo = np.full(dirs.shape[0], -np.inf)
-    hi = np.full(dirs.shape[0], np.inf)
-    for axis in range(3):
-        d = dirs[:, axis]
-        zero = d == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (b.box_min[axis] - origin[axis]) / d
-            t2 = (b.box_max[axis] - origin[axis]) / d
-        inside = (origin[axis] >= b.box_min[axis]) & (origin[axis] <= b.box_max[axis])
-        lo_a = np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
-        hi_a = np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
-        lo = np.maximum(lo, lo_a)
-        hi = np.minimum(hi, hi_a)
+    """Slab test of every ray against box `b`, the three axes in one pass
+    over (k, 3) arrays and reduced in axis order."""
+    box_min = np.asarray(b.box_min, dtype=np.float64)
+    box_max = np.asarray(b.box_max, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (box_min - origin) / dirs
+        t2 = (box_max - origin) / dirs
+    lo_a = np.minimum(t1, t2)
+    hi_a = np.maximum(t1, t2)
+    zero = dirs == 0.0
+    if zero.any():  # a ray parallel to a slab: all or nothing, by the origin
+        inside = (origin >= box_min) & (origin <= box_max)
+        lo_a = np.where(zero, np.where(inside, -np.inf, np.inf), lo_a)
+        hi_a = np.where(zero, np.where(inside, np.inf, -np.inf), hi_a)
+    lo = np.maximum(np.maximum(lo_a[:, 0], lo_a[:, 1]), lo_a[:, 2])
+    hi = np.minimum(np.minimum(hi_a[:, 0], hi_a[:, 1]), hi_a[:, 2])
     s = np.where(lo > _EPS_HIT, lo, hi)  # fall back to the exit face if inside
     hit = (lo <= hi) & (hi > _EPS_HIT)
     return np.where(hit & (s > _EPS_HIT), s, np.inf)
 
 
-def _reachable(b: Box, origin: np.ndarray, dirs: np.ndarray, cache: dict) -> Union[slice, np.ndarray]:
-    """Indices of the rays that can reach box `b`, a superset of its hits;
-    every ray when no axis plane through the origin separates the box.
+# The two axes other than each axis, in increasing order.
+_OTHERS = np.array([[1, 2], [0, 2], [0, 1]])
 
-    Along the separating axis `a` where the box is farthest, a ray hits only
-    if it points to the box's side and each other component over d[a] lies
-    in the range of the box corners' central projections, padded well past
-    the rounding of `_box_hits`.
+
+def _box_bounds(
+    box_min: np.ndarray, box_max: np.ndarray, origin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the rays that can reach each of the (n, 3) boxes point.
+
+    Returns (axis, side, r_min, r_max). A box's axis is the axis plane
+    through the origin that separates it, the one where the box is
+    farthest, or -1 when none does. A ray reaches the box only if it points
+    to the box's `side` (+1 or -1) of that plane and its two other
+    components over its axis component lie in [r_min, r_max] (n, 2): the
+    range of the box corners' central projections, padded by `_REACH_PAD`
+    well past the rounding of `_box_hits`. An unbounded box's inf/inf
+    corners are skipped (`fmin`/`fmax`); its inf/near corners bound it.
     """
-    lo = np.asarray(b.box_min) - origin
-    hi = np.asarray(b.box_max) - origin
+    lo = box_min - origin
+    hi = box_max - origin
     near = np.maximum(lo, -hi)  # > 0 exactly on the axes that separate
-    a = int(np.argmax(near))
-    if near[a] <= 0.0:
-        return slice(None)
-    side = 1.0 if lo[a] > 0.0 else -1.0
-    others = [x for x in range(3) if x != a]
-    if (a, side) not in cache:  # ratios of the rays pointing to that side
-        rows = np.flatnonzero(side * dirs[:, a] > 0.0)
-        with np.errstate(over="ignore"):
-            cache[a, side] = rows, dirs[rows][:, others].T / dirs[rows, a]
-    rows, ratios = cache[a, side]
-    with np.errstate(invalid="ignore"):  # inf/inf of an unbounded box: its inf/near corner bounds it
-        corners = np.stack([lo[others], hi[others]])[:, None] / np.array([lo[a], hi[a]])[:, None]
-    r_min = np.fmin.reduce(corners.reshape(4, 2))
-    r_max = np.fmax.reduce(corners.reshape(4, 2))
+    n = np.arange(len(lo))
+    axis = np.argmax(near, axis=1)
+    side = np.where(lo[n, axis] > 0.0, 1.0, -1.0)
+    others = _OTHERS[axis]
+    num = np.stack([np.take_along_axis(lo, others, 1), np.take_along_axis(hi, others, 1)], axis=1)
+    den = np.stack([lo[n, axis], hi[n, axis]], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        corners = (num[:, :, None, :] / den[:, None, :, None]).reshape(-1, 4, 2)
+    r_min = np.fmin.reduce(corners, axis=1)
+    r_max = np.fmax.reduce(corners, axis=1)
     r_min -= _REACH_PAD * (1.0 + np.abs(r_min))
     r_max += _REACH_PAD * (1.0 + np.abs(r_max))
-    first = np.flatnonzero((ratios[0] >= r_min[0]) & (ratios[0] <= r_max[0]))
-    second = ratios[1, first]  # the second axis is tested on the survivors only
-    return rows[first[(second >= r_min[1]) & (second <= r_max[1])]]
+    return np.where(near[n, axis] <= 0.0, -1, axis), side, r_min, r_max
+
+
+def _ray_index(dirs: np.ndarray, axis: int, side: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rays pointing to `side` of the axis plane `axis`, sorted by their
+    first ratio: (rows, first ratios, second ratios), where a ray's ratios
+    are its two other components over its `axis` component."""
+    rows = np.flatnonzero(side * dirs[:, axis] > 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # the rest are dropped
+        first, second = (dirs[:, o] / dirs[:, axis] for o in _OTHERS[axis])
+    rows = rows[np.argsort(first[rows], kind="stable")]
+    return rows, first[rows], second[rows]
+
+
+def _reaching_rays(boxes: list[Box], origin: np.ndarray, dirs: np.ndarray):
+    """Yield, box by box, the indices of the rays that can reach it, a
+    superset of its hits; None (every ray) for a box that no axis plane
+    through the origin separates.
+
+    The bounds of all boxes come from one `_box_bounds` pass. The rays are
+    sorted once per (axis, side) that some box needs, so a box's candidates
+    on its first ratio are one contiguous strip, found with `searchsorted`
+    (`left` at r_min, `right` at r_max: the strip holds exactly the ratios
+    r with r_min <= r <= r_max); the second ratio is tested on that strip.
+    """
+    axis, side, r_min, r_max = _box_bounds(
+        np.array([b.box_min for b in boxes], dtype=np.float64),
+        np.array([b.box_max for b in boxes], dtype=np.float64), origin)
+    start = np.zeros(len(boxes), dtype=np.intp)
+    stop = np.zeros(len(boxes), dtype=np.intp)
+    index = {}
+    for a, sd in sorted(set(zip(axis[axis >= 0].tolist(), side[axis >= 0].tolist()))):
+        group = (axis == a) & (side == sd)
+        index[a, sd] = rows, first, _ = _ray_index(dirs, a, sd)
+        start[group] = np.searchsorted(first, r_min[group, 0], side="left")
+        stop[group] = np.searchsorted(first, r_max[group, 0], side="right")
+    for j, (a, sd) in enumerate(zip(axis.tolist(), side.tolist())):
+        if a < 0:
+            yield None
+            continue
+        rows, _, second = index[a, sd]
+        strip = slice(start[j], stop[j])
+        yield rows[strip][(second[strip] >= r_min[j, 1]) & (second[strip] <= r_max[j, 1])]
 
 
 def first_hit(
@@ -141,22 +189,26 @@ def first_hit(
     """Nearest intersection along each ray.
 
     Returns (s, prim_index) with s the ray parameter (inf and -1 where
-    nothing is hit). Each box is tested only against the rays that can reach
-    it; the rest would read inf, so the result is the same as testing all.
+    nothing is hit). Planes are tested against every ray; each box only
+    against the rays that `_reaching_rays` finds for it. The rays it skips
+    would read inf, and each ray's test is elementwise, so the result is
+    bit for bit that of testing every ray against every primitive.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     best = np.full(dirs.shape[0], np.inf)
     idx = np.full(dirs.shape[0], -1, dtype=np.intp)
-    cache: dict = {}
+    boxes = [p for p in scene.primitives if isinstance(p, Box)]
+    reach = _reaching_rays(boxes, origin, dirs) if boxes else iter(())
     for i, prim in enumerate(scene.primitives):
         plane = isinstance(prim, Plane)
-        rays = slice(None) if plane else _reachable(prim, origin, dirs, cache)
-        s = (_plane_hits if plane else _box_hits)(prim, origin, dirs[rays])
-        cur = best[rays]
-        closer = s < cur
-        best[rays] = np.where(closer, s, cur)
-        idx[rays] = np.where(closer, i, idx[rays])
+        rays = None if plane else next(reach)  # None: every ray
+        s = (_plane_hits if plane else _box_hits)(
+            prim, origin, dirs if rays is None else np.take(dirs, rays, axis=0))
+        closer = s < (best if rays is None else best[rays])
+        won = np.flatnonzero(closer) if rays is None else rays[closer]
+        best[won] = s[closer]
+        idx[won] = i
     return best, idx
 
 
@@ -285,22 +337,24 @@ def _feature_grid(
 
     # Every cell is encoded; a missed cell's ray reads the camera centre and
     # the last texture's signs (prim -1), and is overwritten below.
-    turns = np.matmul(omegas / (2.0 * math.pi), world.T, out=feats[m:])
+    turns = np.matmul(omegas / (2.0 * math.pi), np.ascontiguousarray(world.T), out=feats[m:])
     turns -= np.rint(turns, out=feats[:m])
     angle = np.empty((m, n), dtype=np.float32)
     np.multiply(turns, 2.0 * math.pi, out=angle, casting="same_kind")
     textures, prim_texture = np.unique([p.texture for p in scene.primitives], return_inverse=True)
-    signs = np.stack([_texture_signs(int(tex), m) for tex in textures], axis=1)[:, prim_texture[prim]]
-    feats[:m] = np.cos(angle) * signs
-    feats[m:] = np.sin(angle, out=angle) * signs
+    table = np.stack([_texture_signs(int(tex), m) for tex in textures], axis=1)
+    signs = np.take(table, prim_texture[prim], axis=1)  # C-ordered, so the products run contiguous
+    np.multiply(np.cos(angle), signs, out=feats[:m])
+    np.multiply(np.sin(angle, out=angle), signs, out=feats[m:])
 
     miss = prim < 0
     if miss.any():
         rng = np.random.default_rng([131, fallback_seed])
         feats[:, miss] = rng.normal(size=(2 * m, int(miss.sum())))
 
-    feats /= np.sqrt(np.einsum("ij,ij->j", feats, feats))
-    return FeatureGrid(feats.reshape(2 * m, rows, cols).astype(np.float32), stride=stride)
+    unit = np.divide(feats, np.sqrt(np.einsum("ij,ij->j", feats, feats)),
+                     out=np.empty((2 * m, n), dtype=np.float32), casting="same_kind")
+    return FeatureGrid(unit.reshape(2 * m, rows, cols), stride=stride)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from occmatch.formats import (
 )
 from occmatch.geometry import CameraIntrinsics, PoseSE3
 from occmatch.matching import FeatureGrid
-from occmatch.synth import Plane, SceneSpec
+from occmatch.synth import Plane, SceneSpec, make_fixture
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +509,9 @@ class TestMalformedInputs:
         ("supervision.json", "grid_a", [18, 24.0]),
         ("matches.jsonl", "label", "bogus"),
         ("matches.jsonl", "label", 5),
+        ("scene.json", "primitives.0.point", [math.nan, 0.0, 2.0]),
+        ("scene.json", "primitives.0.normal", [0.0, math.nan, 1.0]),
+        ("scene.json", "primitives.0.point", [0.0, 0.0, math.inf]),
     ])
     def test_wrong_type_exits_one(self, fresh_pair, tmp_path, capsys, target, where, value):
         keys = [int(k) if k.isdigit() else k for k in where.split(".")]
@@ -549,6 +552,32 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         field = next(k for k in reversed(keys) if isinstance(k, str))
         assert target in err and repr(field) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("min", [math.nan, 0.0, 2.0]),
+        ("max", [1.0, math.nan, 3.0]),
+        ("min", [-math.inf, -math.inf, 1.5]),  # a slab: allowed
+    ])
+    def test_nan_box_corner_exits_one(self, tmp_path, capsys, field, value):
+        # A NaN corner passes the max > min check but never renders; infinite
+        # extents (slabs, half-spaces) stay valid scene geometry.
+        fx = make_fixture("identity", width=32, height=24)
+        box = {"type": "box", "min": [-1.0, -1.0, 1.5], "max": [1.0, 1.0, 1.6], field: value}
+        write_json(tmp_path / "scene.json", {"primitives": [
+            {"type": "plane", "point": [0.0, 0.0, 2.0], "normal": [0.0, 0.0, 1.0]}, box]})
+        write_json(tmp_path / "pose.json", pose_to_json(fx.pose_a))
+        write_json(tmp_path / "k.json", intrinsics_to_json(fx.k))
+        out = tmp_path / "out"
+        code = main(["synth", "--scene", str(tmp_path / "scene.json"),
+                     "--pose-a", str(tmp_path / "pose.json"), "--pose-b", str(tmp_path / "pose.json"),
+                     "--intrinsics", str(tmp_path / "k.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        if not any(map(math.isnan, value)):
+            assert code == 0 and (out / "manifest.json").exists()
+            return
+        assert code == 1 and not out.exists()
+        assert "scene.json" in err and "primitives[1]" in err and repr(field) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("target, where, value", [
         ("manifest.json", "occlusion_ratio", "abc"),

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from occmatch import synth
 from occmatch.geometry import CameraIntrinsics, PoseSE3, project_points, relative_pose, unproject_points
 from occmatch.supervision import PairStats, PixelClass, classify_points
 from occmatch.synth import (
@@ -13,11 +14,13 @@ from occmatch.synth import (
     Box,
     Plane,
     SceneSpec,
+    _box_bounds,
     _box_hits,
     _cast_pixels,
     _feature_grid,
     _grid_centers,
     _plane_hits,
+    _reaching_rays,
     _texture_signs,
     analytic_classes,
     first_hit,
@@ -254,6 +257,95 @@ class TestFirstHitCulling:
         want_s, want_idx = unculled_first_hit(scene, origin, dirs)
         s, idx = first_hit(scene, origin, dirs)
         assert np.array_equal(s, want_s) and np.array_equal(idx, want_idx)
+
+    @pytest.mark.parametrize("roll", [-30.0, 0.0, 30.0])
+    def test_every_cast_of_a_clutter_pair_matches_the_unculled_cast(self, monkeypatch, roll):
+        # make_pair casts from both camera centres over the pixel raster and
+        # the stride-8 and stride-2 cell centres, and from B's centre along
+        # the class map's segments: seven casts, each checked here.
+        scene, pose_a, pose_b, k = clutter_pair(roll)
+        casts = []
+
+        def recording_first_hit(scene, origin, dirs):
+            result = first_hit(scene, origin, dirs)
+            casts.append((origin, dirs, result))
+            return result
+
+        monkeypatch.setattr(synth, "first_hit", recording_first_hit)
+        make_pair(scene, pose_a, pose_b, k)
+        assert [d.shape[0] for _, d, _ in casts][:2] == [320 * 240] * 2
+        assert [d.shape[0] for _, d, _ in casts][3:] == [40 * 30] * 2 + [160 * 120] * 2
+        for origin, dirs, (s, idx) in casts:
+            want_s, want_idx = unculled_first_hit(scene, origin, dirs)
+            assert np.array_equal(s, want_s) and np.array_equal(idx, want_idx)
+            assert (idx >= 1).mean() > 0.2  # the boxes are hit, not just the plane
+
+    def test_rays_on_a_padded_strip_bound_are_candidates(self):
+        # Rays whose first ratio equals a box's padded r_min or r_max, several
+        # of them tied, must be in the box's candidate set; one ulp outside
+        # must not. A `searchsorted` side off by one drops the ties.
+        box = Box((0.2, -0.3, 2.0), (0.6, 0.1, 2.5))
+        origin = np.zeros(3)
+        axis, side, r_min, r_max = _box_bounds(
+            np.array([box.box_min]), np.array([box.box_max]), origin)
+        assert (axis[0], side[0]) == (2, 1.0)
+        lo, hi = r_min[0], r_max[0]
+
+        def ratio_values(a, b):  # both bounds, one ulp outside each, the middle
+            return [a, b, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), 0.5 * (a + b)]
+
+        grid = np.array([(x, y, 1.0) for x in ratio_values(lo[0], hi[0])
+                         for y in ratio_values(lo[1], hi[1])] * 3)
+        rng = np.random.default_rng(2)
+        dirs = np.concatenate([grid, rng.normal(size=(300, 3)), -grid])
+        ratios = dirs[:, :2] / dirs[:, 2:]
+        want = np.flatnonzero((dirs[:, 2] > 0) & np.all((ratios >= lo) & (ratios <= hi), axis=1))
+        assert np.isin(np.arange(3 * 25), want).sum() == 3 * 9  # bounds and middles, tied three times
+        (got,) = _reaching_rays([box], origin, dirs)
+        assert np.array_equal(np.sort(got), want)
+        want_s, want_idx = unculled_first_hit(SceneSpec((box,)), origin, dirs)
+        s, idx = first_hit(SceneSpec((box,)), origin, dirs)
+        assert np.array_equal(s, want_s) and np.array_equal(idx, want_idx)
+
+
+def clutter_pair(roll: float, seed: int = 0):
+    """The benchmark's clutter geometry: a plane at 4 m and 64 seeded boxes
+    at 1.2-3.5 m in the field of view of a 320x240 camera, view B 0.25 m to
+    the right and rolled by `roll` degrees."""
+    rng = np.random.default_rng([23, seed])
+    prims = [Plane((0.0, 0.0, 4.0), (0.0, 0.0, 1.0), texture=0)]
+    for _ in range(64):
+        z = rng.uniform(1.2, 3.5)
+        x, y = rng.uniform(-0.7, 0.7) * z, rng.uniform(-0.5, 0.5) * z
+        hw, hh = rng.uniform(0.03, 0.12, 2) * z
+        dz = rng.uniform(0.02, 0.2)
+        prims.append(Box((x - hw, y - hh, z), (x + hw, y + hh, z + dz), texture=int(rng.integers(1, 4))))
+    f = 128.0 * 320 / 192.0
+    k = CameraIntrinsics(f, f, 159.5, 119.5, 320, 240)
+    c, s = math.cos(math.radians(roll)), math.sin(math.radians(roll))
+    pose_b = PoseSE3(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.array([0.25, 0.0, 0.0]))
+    return SceneSpec(tuple(prims)), IDENTITY, pose_b, k
+
+
+class TestMakePairCulling:
+    """`make_pair` built on the unculled cast writes the same bytes."""
+
+    @pytest.mark.parametrize("name", ["box_roll30", "clutter"])
+    def test_outputs_equal_the_unculled_build(self, monkeypatch, name):
+        if name == "clutter":
+            scene, pose_a, pose_b, k = clutter_pair(30.0, seed=1)
+        else:
+            fx = make_fixture(name)
+            scene, pose_a, pose_b, k = fx.scene, fx.pose_a, fx.pose_b, fx.k
+        culled = make_pair(scene, pose_a, pose_b, k)
+        monkeypatch.setattr(synth, "first_hit", unculled_first_hit)
+        unculled = make_pair(scene, pose_a, pose_b, k)
+        for got, want in [(culled.depth_a.data, unculled.depth_a.data),
+                          (culled.depth_b.data, unculled.depth_b.data),
+                          (culled.classes_a, unculled.classes_a),
+                          *[(getattr(culled, g).values, getattr(unculled, g).values)
+                            for g in ("coarse_a", "coarse_b", "fine_a", "fine_b")]]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestOccludedByScene:
