@@ -24,6 +24,8 @@ import numpy as np
 from . import formats
 from .errors import (
     DegenerateConfigurationError,
+    EmptyCloudError,
+    EmptyDepthError,
     InsufficientMatchesError,
     OccMatchError,
     SchemaError,
@@ -244,6 +246,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         pose_a, pose_b, k = fixture.pose_a, fixture.pose_b, fixture.k
         overrides = fixture.match_overrides
         pair_id = fixture.name
+        source = f"--fixture {fixture.name}"
     else:
         for flag in ("scene", "pose_a", "pose_b", "intrinsics"):
             if getattr(args, flag) is None:
@@ -254,8 +257,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         k = formats.intrinsics_from_json(formats.read_json(args.intrinsics), source=str(args.intrinsics))
         overrides = {}
         pair_id = Path(args.scene).stem
+        source = str(args.scene)
 
     pair = make_pair(scene, pose_a, pose_b, k, cfg.features)
+    # Every later command but voxelize needs view A to see the scene.
+    if not pair.depth_a.valid_mask.any():
+        views = "views A and B" if not pair.depth_b.valid_mask.any() else "view A"
+        raise EmptyDepthError(f"{source}: {views} would have no valid depth pixel: "
+                              f"no ray hits the scene")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,11 +299,14 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     depth_a, depth_b = pair.depth("a"), pair.depth("b")
     t_ba = pair.relative()
-    stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
-    gt = coarse_match_ground_truth(
-        depth_a, depth_b, pair.k, pair.k, t_ba,
-        margin=cfg.margin, patch_stride=cfg.features.coarse_stride,
-    )
+    try:
+        stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
+        gt = coarse_match_ground_truth(
+            depth_a, depth_b, pair.k, pair.k, t_ba,
+            margin=cfg.margin, patch_stride=cfg.features.coarse_stride,
+        )
+    except EmptyDepthError as exc:
+        raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
     out = Path(args.out) if args.out else pair.path / "supervision.json"
     formats.write_json(out, formats.supervision_to_json(gt, stats, config=cfg.to_json()))
     print(f"supervise: {len(gt.vv)} vv / {len(gt.vo)} vo / {len(gt.ov)} ov -> {out}")
@@ -308,10 +320,13 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else pair.path
     out_dir.mkdir(parents=True, exist_ok=True)
     for target in ("a", "b"):
-        grid = build_ground_truth_occupancy(
-            depth_a, depth_b, pair.pose_a, pair.pose_b, pair.k, pair.k,
-            target=target, cfg=cfg.occupancy,
-        )
+        try:
+            grid = build_ground_truth_occupancy(
+                depth_a, depth_b, pair.pose_a, pair.pose_b, pair.k, pair.k,
+                target=target, cfg=cfg.occupancy,
+            )
+        except EmptyCloudError as exc:
+            raise EmptyCloudError(f"{pair.file('depth_a')}, {pair.file('depth_b')}: {exc}") from None
         formats.write_occupancy(out_dir / f"occ_{target}.ocg", grid)
     formats.write_json(out_dir / "voxelize_config.json", {"config": cfg.to_json()})
     print(f"voxelize: wrote occ_a.ocg / occ_b.ocg to {out_dir}")
@@ -339,10 +354,13 @@ def cmd_match(args: argparse.Namespace) -> int:
                 raise SchemaError(f"{supervision_path}: {name} {list(getattr(gt, name))} differs "
                                   f"from the coarse feature grid {list(grid.grid_shape)}")
     else:
-        gt = coarse_match_ground_truth(
-            pair.depth("a"), pair.depth("b"), pair.k, pair.k, pair.relative(),
-            margin=cfg.margin, patch_stride=coarse_a.stride,
-        )
+        try:
+            gt = coarse_match_ground_truth(
+                pair.depth("a"), pair.depth("b"), pair.k, pair.k, pair.relative(),
+                margin=cfg.margin, patch_stride=coarse_a.stride,
+            )
+        except EmptyDepthError as exc:
+            raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
     result = match_pair(coarse_a, coarse_b, fine_a, fine_b, cfg.matching)
     labels = _label_sets(gt)
     for m in result.matches:

@@ -143,10 +143,6 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_finite(value: Any) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
 def _is_list(value: Any, ok: Callable[[Any], bool], length: Optional[int] = None) -> bool:
     """A list whose items all pass `ok`, with `length` items when given."""
     return isinstance(value, list) and all(map(ok, value)) and length in (None, len(value))
@@ -287,21 +283,59 @@ def match_to_json(m: Match) -> dict:
     return out
 
 
+def _out_of_range(field: str, value: Any, source: str) -> SchemaError:
+    return SchemaError(f"{source}: field {field!r} holds an integer beyond the float range, "
+                       f"got {value!r}")
+
+
+def _pixel_point(obj: dict, field: str, source: str) -> Optional[PixelPoint]:
+    """obj[field]: null, or [u, v] of finite numbers."""
+    value = _require(obj, field, source)
+    if value is None:
+        return None
+    if isinstance(value, list) and len(value) == 2:
+        u, v = value
+        if _is_number(u) and _is_number(v):
+            try:
+                u, v = float(u), float(v)
+            except OverflowError:  # an integer beyond the float range
+                pass
+            else:
+                if math.isfinite(u) and math.isfinite(v):
+                    return PixelPoint(u, v)
+    raise SchemaError(f"{source}: field {field!r} must be null or [u, v] of finite numbers, "
+                      f"got {value!r}")
+
+
 def match_from_json(obj: dict, source: str = "matches") -> Match:
-    a, b = (_field(obj, f, source, lambda v: v is None or _is_list(v, _is_finite, 2),
-                   "null or [u, v] of finite numbers") for f in ("a", "b"))
-    branch = _field(obj, "branch", source, lambda v: v is None or _is_list(v, _is_number),
-                    "a list of numbers", default=None)
-    return Match(
-        patch_a=_field(obj, "pa", source, _is_int, "an integer", default=-1),
-        patch_b=_field(obj, "pb", source, _is_int, "an integer", default=-1),
-        confidence=float(_field(obj, "conf", source, _is_number, "a number")),
-        point_a=PixelPoint(*map(float, a)) if a is not None else None,
-        point_b=PixelPoint(*map(float, b)) if b is not None else None,
-        branch=tuple(map(float, branch)) if branch is not None else None,
-        label=_field(obj, "label", source, lambda v: v in MATCH_LABELS,
-                     f"one of {', '.join(MATCH_LABELS)}"),
-    )
+    """One matches.jsonl record. The fields are checked in a fixed order,
+    a, b, branch, pa, pb, conf, label, and the first bad one is named."""
+    point_a, point_b = _pixel_point(obj, "a", source), _pixel_point(obj, "b", source)
+    branch = obj.get("branch")
+    if branch is not None and not (isinstance(branch, list) and all(map(_is_number, branch))):
+        raise SchemaError(f"{source}: field 'branch' must be a list of numbers, got {branch!r}")
+    pa, pb = obj.get("pa", -1), obj.get("pb", -1)
+    if not _is_int(pa):
+        raise SchemaError(f"{source}: field 'pa' must be an integer, got {pa!r}")
+    if not _is_int(pb):
+        raise SchemaError(f"{source}: field 'pb' must be an integer, got {pb!r}")
+    conf = _require(obj, "conf", source)
+    if not _is_number(conf):
+        raise SchemaError(f"{source}: field 'conf' must be a number, got {conf!r}")
+    try:
+        conf = float(conf)
+    except OverflowError:
+        raise _out_of_range("conf", conf, source) from None
+    if branch is not None:
+        try:
+            branch = tuple(map(float, branch))
+        except OverflowError:
+            raise _out_of_range("branch", branch, source) from None
+    label = _require(obj, "label", source)
+    if label not in MATCH_LABELS:
+        raise SchemaError(f"{source}: field 'label' must be one of {', '.join(MATCH_LABELS)}, "
+                          f"got {label!r}")
+    return Match(pa, pb, conf, point_a, point_b, branch, label)
 
 
 def write_matches(path: PathLike, matches: Iterable[Match]) -> None:

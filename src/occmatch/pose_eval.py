@@ -3,11 +3,17 @@
 Pixel matches are normalized by the intrinsics, an essential matrix is
 estimated with an 8-point solver inside RANSAC (Sampson-distance inliers,
 least-squares refit on the consensus set), and (R, t) with unit baseline is
-chosen by the cheirality test. RANSAC draws its 8-point samples one by one
-from a seeded generator but solves and scores them in chunks, with the
-result of the one-at-a-time loop, bit for bit. Errors are angular for both rotation and
+chosen by the cheirality test. Errors are angular for both rotation and
 translation direction (the essential matrix fixes t only up to sign and
 scale); a pair's pose error is the max of the two.
+
+RANSAC draws, solves and scores its hypotheses in chunks, with the result
+of the one-at-a-time loop, bit for bit. The 8-point sampler is this
+module's own: Floyd's algorithm, then a Fisher-Yates shuffle, over bounded
+draws from one Generator.integers call per chunk. It draws what
+Generator.choice(n, 8, replace=False) draws on NumPy 2.4 and returns the
+same samples, so a later NumPy change to choice cannot move seeded outputs.
+Each chunk is scored with one matrix product per side.
 """
 
 from __future__ import annotations
@@ -66,24 +72,45 @@ def essential_from_pose(t_ba: PoseSE3) -> np.ndarray:
     return e / n if n > 0 else e
 
 
+def _homogeneous(x: np.ndarray) -> np.ndarray:
+    """(N, 3) rows (x, y, 1) of (N, 2) points; (N, 3) rows pass as they are."""
+    x = np.asarray(x, dtype=np.float64)
+    return x if x.shape[1] == 3 else np.column_stack([x, np.ones(len(x))])
+
+
 def sampson_distance(e: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """First-order epipolar distance of normalized correspondences.
 
-    e: (3, 3) or a stack (B, 3, 3); xa, xb: (N, 2) normalized coordinates.
-    Returns the (N,) or (B, N) distances
+    e: (3, 3) or a stack (B, 3, 3); xa, xb: (N, 2) normalized coordinates,
+    or the same points as (N, 3) homogeneous rows (x, y, 1). Returns the
+    (N,) or (B, N) distances
     |xb' E xa| / sqrt((E xa)_1^2 + (E xa)_2^2 + (E' xb)_1^2 + (E' xb)_2^2).
     A point so far out that the denominator overflows is at distance inf,
     so it never counts as an inlier.
+
+    A stack is scored with one (N, 3) @ (3, 3B) product per side, which
+    gives each matrix's distances bit for bit as scoring it alone does
+    (for N >= 2; one point takes the per-matrix product).
     """
-    xa_h = np.column_stack([np.asarray(xa, dtype=np.float64), np.ones(len(xa))])
-    xb_h = np.column_stack([np.asarray(xb, dtype=np.float64), np.ones(len(xb))])
+    xa_h, xb_h = _homogeneous(xa), _homogeneous(xb)
+    n = len(xa_h)
+    stacked = e.ndim == 3 and n >= 2
     with np.errstate(over="ignore", invalid="ignore"):
-        e_xa = xa_h @ np.swapaxes(e, -1, -2)
-        et_xb = xb_h @ e
-        num = np.abs(np.sum(xb_h * e_xa, axis=-1))
-        den = np.sqrt(e_xa[..., 0] ** 2 + e_xa[..., 1] ** 2
-                      + et_xb[..., 0] ** 2 + et_xb[..., 1] ** 2)
-        return np.where(np.isfinite(den), num / np.maximum(den, 1e-300), np.inf)
+        if stacked:
+            # Component k of E_i xa, resp. E_i' xb, of point j is entry [k, j, i].
+            b = len(e)
+            e_xa = (xa_h @ e.transpose(2, 1, 0).reshape(3, 3 * b)).reshape(n, 3, b).swapaxes(0, 1)
+            et_xb = (xb_h @ e.transpose(1, 2, 0).reshape(3, 3 * b)).reshape(n, 3, b).swapaxes(0, 1)
+            x = xb_h.T[:, :, None]
+            num = np.abs((x[0] * e_xa[0] + x[1] * e_xa[1]) + x[2] * e_xa[2])
+        else:
+            e_xa = xa_h @ np.swapaxes(e, -1, -2)
+            et_xb = xb_h @ e
+            num = np.abs(np.sum(xb_h * e_xa, axis=-1))
+            e_xa, et_xb = np.moveaxis(e_xa, -1, 0), np.moveaxis(et_xb, -1, 0)
+        den = np.sqrt(e_xa[0] ** 2 + e_xa[1] ** 2 + et_xb[0] ** 2 + et_xb[1] ** 2)
+        d = np.where(np.isfinite(den), num / np.maximum(den, 1e-300), np.inf)
+    return d.T if stacked else d
 
 
 def _conditioning(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +150,8 @@ def _eight_point(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray
     xb_h = np.concatenate([xb, ones], axis=2) @ np.swapaxes(t_b, 1, 2)
     # One row per correspondence: coefficients of E11..E33 (row-major).
     a = (xb_h[:, :, :, None] * xa_h[:, :, None, :]).reshape(b, m, 9)
-    _, _, vh = np.linalg.svd(a)
+    # With m >= 9 rows the thin SVD gives the same vh without an m x m U.
+    _, _, vh = np.linalg.svd(a, full_matrices=m < 9)
     e = np.swapaxes(t_b, 1, 2) @ vh[:, -1].reshape(b, 3, 3) @ t_a
     u, s, vt = np.linalg.svd(e)
     valid = ok_a & ok_b & (s[:, 1] >= 1e-12)
@@ -137,10 +165,15 @@ def _eight_point(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return e / np.where(valid, norm, 1.0)[:, None, None], valid
 
 
-def _triangulate_depths(
-    r: np.ndarray, t: np.ndarray, xa: np.ndarray, xb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear triangulation; returns the depths in both camera frames."""
+def _front_counts(r: np.ndarray, t: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> tuple[int, int]:
+    """Points in front of both cameras for (R, t) and for (R, -t), from one
+    linear triangulation.
+
+    Negating t negates only the last column of each DLT system, so its
+    null vector comes back with w negated and both depths negated too. A
+    point whose |w| is clamped to 1e-300 keeps its position instead, and
+    only the sign of t_z in its B depth changes.
+    """
     p1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     p2 = np.hstack([r, t.reshape(3, 1)])
     n = len(xa)
@@ -152,11 +185,14 @@ def _triangulate_depths(
     _, _, vh = np.linalg.svd(rows)
     xw = vh[:, -1, :]
     w = xw[:, 3]
-    w = np.where(np.abs(w) < 1e-300, 1e-300, w)
-    pts = xw[:, :3] / w[:, None]
+    tiny = np.abs(w) < 1e-300
+    pts = xw[:, :3] / np.where(tiny, 1e-300, w)[:, None]
     z1 = pts[:, 2]
-    z2 = pts @ r[2] + t[2]
-    return z1, z2
+    z2_r = pts @ r[2]
+    z2 = z2_r + t[2]
+    front = (z1 > 0) & (z2 > 0)
+    front_neg = np.where(tiny, (z1 > 0) & (z2_r - t[2] > 0), (z1 < 0) & (z2 < 0))
+    return int(np.count_nonzero(front)), int(np.count_nonzero(front_neg))
 
 
 def decompose_essential(
@@ -174,38 +210,63 @@ def decompose_essential(
     r2 = u @ w.T @ vt
     t = u[:, 2]
     best = None
-    for r_cand, t_cand in ((r1, t), (r1, -t), (r2, t), (r2, -t)):
-        z1, z2 = _triangulate_depths(r_cand, t_cand, xa, xb)
-        front = int(np.count_nonzero((z1 > 0) & (z2 > 0)))
-        if best is None or front > best[0]:
-            best = (front, r_cand, t_cand)
+    for r_cand in (r1, r2):
+        for t_cand, front in zip((t, -t), _front_counts(r_cand, t, xa, xb)):
+            if best is None or front > best[0]:
+                best = (front, r_cand, t_cand)
     if best is None or best[0] == 0:
         raise DegenerateConfigurationError("no decomposition places any point in front of both cameras")
     return best[1], best[2]
 
 
+def _draw_samples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, 8) samples of distinct indices below n.
+
+    Each sample is what rng.choice(n, 8, replace=False) returns on NumPy
+    2.4, from the same draws in the same order: Floyd's algorithm (draw j
+    in [0, n - 8 + k], keep it unless already taken, else take n - 8 + k),
+    then a Fisher-Yates shuffle (swap slot i with a draw in [0, i], i = 7
+    down to 1). One bounded rng.integers call makes the 15 draws of every
+    sample, and both steps run over the whole chunk at once.
+    """
+    highs = np.concatenate([np.arange(n - 7, n + 1), np.arange(8, 1, -1)])
+    draws = rng.integers(0, highs, size=(count, 15))
+    samples = np.empty((count, 8), dtype=np.int64)
+    for k in range(8):
+        taken = (samples[:, :k] == draws[:, k, None]).any(axis=1)
+        samples[:, k] = np.where(taken, n - 8 + k, draws[:, k])
+    rows = np.arange(count)
+    for i, j in zip(range(7, 0, -1), draws[:, 8:].T):
+        swapped = samples[rows, j]
+        samples[rows, j] = samples[:, i]
+        samples[:, i] = swapped
+    return samples
+
+
 def _scored_hypotheses(
-    xa: np.ndarray, xb: np.ndarray, cfg: RansacConfig
+    xa_h: np.ndarray, xb_h: np.ndarray, cfg: RansacConfig
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """(iteration, inlier count, Sampson distances, inlier mask) of each
-    non-degenerate RANSAC hypothesis, in draw order.
+    non-degenerate RANSAC hypothesis, in draw order, for (N, 3) homogeneous
+    normalized points.
 
     Each iteration draws one 8-point sample from the seeded generator; the
-    samples are solved and scored a chunk at a time, so a consumer that
-    stops early leaves the rest of the chunk unused and draws no more.
+    samples are drawn, solved and scored a chunk at a time, so a consumer
+    that stops early leaves the rest of the chunk unused and draws no more.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    n = len(xa)
+    n = len(xa_h)
+    xa, xb = xa_h[:, :2], xb_h[:, :2]
     start, size = 0, _FIRST_CHUNK
     while start < cfg.max_iterations:
         stop = min(start + size, cfg.max_iterations)
-        samples = np.array([rng.choice(n, size=8, replace=False) for _ in range(start, stop)])
+        samples = _draw_samples(rng, n, stop - start)
         e, valid = _eight_point(xa[samples], xb[samples])
-        d = sampson_distance(e, xa, xb)
+        d = sampson_distance(e, xa_h, xb_h)
         inliers = d < cfg.inlier_threshold
-        counts = np.count_nonzero(inliers, axis=1)
-        for i in np.flatnonzero(valid):
-            yield start + int(i), int(counts[i]), d[i], inliers[i]
+        counts = np.count_nonzero(inliers, axis=1).tolist()
+        for i in np.flatnonzero(valid).tolist():
+            yield start + i, counts[i], d[i], inliers[i]
         start, size = stop, min(2 * size, _MAX_CHUNK)
 
 
@@ -223,9 +284,11 @@ def essential_from_matches(
     """
     px_a = np.asarray(px_a, dtype=np.float64).reshape(-1, 2)
     px_b = np.asarray(px_b, dtype=np.float64).reshape(-1, 2)
-    # Normalized image coordinates: the pixels unprojected at unit depth.
-    xa = unproject_points(px_a[:, 0], px_a[:, 1], np.ones(len(px_a)), k_a)[:, :2]
-    xb = unproject_points(px_b[:, 0], px_b[:, 1], np.ones(len(px_b)), k_b)[:, :2]
+    # The pixels unprojected at unit depth: homogeneous rows (x, y, 1) of
+    # the normalized image coordinates.
+    xa_h = unproject_points(px_a[:, 0], px_a[:, 1], np.ones(len(px_a)), k_a)
+    xb_h = unproject_points(px_b[:, 0], px_b[:, 1], np.ones(len(px_b)), k_b)
+    xa, xb = xa_h[:, :2], xb_h[:, :2]
     n = len(xa)
     if n != len(xb):
         raise InsufficientMatchesError(f"match arrays disagree in length: {n} vs {len(xb)}")
@@ -235,18 +298,20 @@ def essential_from_matches(
     best_count = -1
     best_err = np.inf
     best_inliers: Optional[np.ndarray] = None
-    for it, count, d, inliers in _scored_hypotheses(xa, xb, cfg):
+    # Standard adaptive stop once the consensus explains the data: the
+    # iterations needed at the best inlier share, updated with best_count.
+    needed = np.inf
+    for it, count, d, inliers in _scored_hypotheses(xa_h, xb_h, cfg):
         # Only a hypothesis that can become the best needs its error sum.
         if count >= best_count:
             err = float(d[inliers].sum())
             if count > best_count or err < best_err:
+                if count > best_count and count >= 8:
+                    w_in = count / n
+                    needed = np.log1p(-cfg.confidence) / np.log1p(-min(w_in**8, 1.0 - 1e-15))
                 best_count, best_err, best_inliers = count, err, inliers
-        # Standard adaptive stop once the consensus explains the data.
-        if best_count >= 8:
-            w_in = best_count / n
-            denom = np.log1p(-min(w_in**8, 1.0 - 1e-15))
-            if it + 1 >= np.log1p(-cfg.confidence) / denom:
-                break
+        if it + 1 >= needed:
+            break
     if best_inliers is None or best_count < 8:
         raise DegenerateConfigurationError("RANSAC found no 8-point consensus")
 
@@ -254,7 +319,7 @@ def essential_from_matches(
     if not valid[0]:
         raise DegenerateConfigurationError("inlier set is degenerate for the 8-point solve")
     e = e[0]
-    inliers = sampson_distance(e, xa, xb) < cfg.inlier_threshold
+    inliers = sampson_distance(e, xa_h, xb_h) < cfg.inlier_threshold
     if np.count_nonzero(inliers) < 8:
         inliers = best_inliers
     r, t = decompose_essential(e, xa[inliers], xb[inliers])

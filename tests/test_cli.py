@@ -25,10 +25,11 @@ from occmatch.formats import (
     read_matches,
     read_occupancy,
     scene_to_json,
+    write_depth,
     write_features,
     write_json,
 )
-from occmatch.geometry import CameraIntrinsics, PoseSE3
+from occmatch.geometry import CameraIntrinsics, DepthMap, PoseSE3
 from occmatch.matching import FeatureGrid
 from occmatch.synth import Plane, SceneSpec, make_fixture
 
@@ -40,6 +41,20 @@ def synth_root(tmp_path_factory):
     for name in ("identity", "rotation", "stereo", "two_plane", "box_roll30"):
         assert main(["synth", "--fixture", name, "--out", str(root / name)]) == 0
     return root
+
+
+def synth_scene(tmp_path: Path, plane: Plane, pose_a: PoseSE3, pose_b: PoseSE3) -> tuple[int, Path]:
+    """Run synth on a one-plane scene at 32x24; returns the exit code and
+    the pair directory."""
+    write_json(tmp_path / "scene.json", scene_to_json(SceneSpec((plane,))))
+    write_json(tmp_path / "pa.json", pose_to_json(pose_a))
+    write_json(tmp_path / "pb.json", pose_to_json(pose_b))
+    write_json(tmp_path / "k.json", intrinsics_to_json(CameraIntrinsics(100.0, 100.0, 15.5, 11.5, 32, 24)))
+    out = tmp_path / "pair"
+    code = main(["synth", "--scene", str(tmp_path / "scene.json"),
+                 "--pose-a", str(tmp_path / "pa.json"), "--pose-b", str(tmp_path / "pb.json"),
+                 "--intrinsics", str(tmp_path / "k.json"), "--out", str(out)])
+    return code, out
 
 
 @pytest.fixture
@@ -96,6 +111,45 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "--scene" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a_back, b_back, views", [
+        (False, False, "views A and B"),
+        (False, True, "view A"),
+        (True, False, None),
+    ])
+    def test_scene_that_view_a_cannot_see_exits_one(self, tmp_path, capsys, a_back, b_back, views):
+        # One plane at z = -2: a camera at the origin sees it only when it
+        # looks down -z. Later commands need view A, so synth refuses an
+        # empty view A; an empty view B alone is a valid, non-overlapping pair.
+        backwards = PoseSE3(np.diag([-1.0, 1.0, -1.0]), np.zeros(3))
+        poses = [backwards if back else PoseSE3.identity() for back in (a_back, b_back)]
+        code, out = synth_scene(tmp_path, Plane((0.0, 0.0, -2.0), (0.0, 0.0, 1.0)), *poses)
+        err = capsys.readouterr().err
+        if views is None:
+            assert code == 0 and not read_depth(out / "depth_b.odm").valid_mask.any()
+            return
+        assert code == 1 and not out.exists()
+        assert f"{tmp_path / 'scene.json'}: {views} would have no valid depth pixel" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, named", [
+        ("supervise", "{a}: view A has no valid depth pixel"),
+        ("match", "{a}: view A has no valid depth pixel"),
+        ("voxelize", "{a}, {b}: no valid depth pixel in either view"),
+    ])
+    def test_depth_without_valid_pixel_names_the_file(self, tmp_path, capsys, command, named):
+        # All-invalid depth rasters, as synth wrote them for a scene that no
+        # ray hits before it refused such scenes.
+        identity = PoseSE3.identity()
+        code, pair = synth_scene(tmp_path, Plane((0.0, 0.0, 2.0), (0.0, 0.0, 1.0)), identity, identity)
+        assert code == 0
+        for side in ("a", "b"):
+            write_depth(pair / f"depth_{side}.odm", DepthMap(np.zeros((24, 32))))
+        capsys.readouterr()
+        assert main([command, "--pair", str(pair)]) == 1
+        err = capsys.readouterr().err
+        assert named.format(a=pair / "depth_a.odm", b=pair / "depth_b.odm") in err
+        assert "Traceback" not in err
 
     def test_rerun_is_byte_identical(self, synth_root, tmp_path):
         out = tmp_path / "stereo2"

@@ -1,6 +1,7 @@
 """Binary grid formats, JSON codecs, and the deterministic dump helpers."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -266,6 +267,21 @@ class TestMatchesJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"a":null,"b":null,"conf":0.5,"label":"none"}\n{oops\n')
         with pytest.raises(SchemaError, match="line 2"):
+            read_matches(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("a", [10**400, 4.5]),
+        ("b", [4.5, -(10**400)]),
+        ("conf", 10**400),
+        ("branch", [0.0, 10**400]),
+    ], ids=["a", "b", "conf", "branch"])
+    def test_integer_beyond_the_float_range_names_its_field(self, tmp_path, field, value):
+        # JSON integers have no size limit; float() of one past ~1.8e308
+        # raises OverflowError, which must not escape as a traceback.
+        record = {"a": [1.0, 2.0], "b": [3.0, 4.0], "conf": 0.5, "label": "vv", field: value}
+        path = tmp_path / "big.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: line 1: field '{field}'"):
             read_matches(path)
 
 

@@ -2,6 +2,7 @@
 occlusion-ordered error curve."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from occmatch.errors import (
 )
 from occmatch import pose_eval
 from occmatch.geometry import CameraIntrinsics, PoseSE3, unproject_points
+from occmatch.matching import MatchingConfig, match_pair
 from occmatch.pose_eval import (
     RansacConfig,
     _eight_point,
@@ -27,6 +29,7 @@ from occmatch.pose_eval import (
     rotation_error_deg,
     sampson_distance,
 )
+from occmatch.synth import FIXTURE_NAMES
 
 K = CameraIntrinsics(100.0, 100.0, 320.0, 240.0, 640, 480)
 
@@ -121,14 +124,28 @@ class TestSampsonDistance:
 
 
     def test_stacked_matrices_score_like_each_matrix_alone(self):
+        # A stack is scored by one (N, 3) @ (3, 3B) product per side; each
+        # row must equal the single-matrix distances bit for bit, at every
+        # point count (one point takes the per-matrix path) and chunk size.
         rng = np.random.default_rng(15)
-        xa = rng.normal(size=(30, 2))
-        xb = rng.normal(size=(30, 2))
-        stack = rng.normal(size=(5, 3, 3))
-        got = sampson_distance(stack, xa, xb)
-        assert got.shape == (5, 30)
-        for e, row in zip(stack, got):
-            assert np.array_equal(sampson_distance(e, xa, xb), row)
+        for n in [*range(1, 81), 287, 348, 634]:
+            xa = rng.normal(size=(n, 2))
+            xb = rng.normal(size=(n, 2))
+            for b in (1, 8, 64):
+                stack = rng.normal(size=(b, 3, 3))
+                got = sampson_distance(stack, xa, xb)
+                assert got.shape == (b, n)
+                for e, row in zip(stack, got):
+                    assert np.array_equal(sampson_distance(e, xa, xb), row), (n, b)
+
+    def test_homogeneous_rows_score_like_their_points(self):
+        rng = np.random.default_rng(30)
+        xa = rng.normal(size=(40, 2))
+        xb = rng.normal(size=(40, 2))
+        ones = np.ones((40, 1))
+        for e in (rng.normal(size=(3, 3)), rng.normal(size=(8, 3, 3))):
+            got = sampson_distance(e, np.hstack([xa, ones]), np.hstack([xb, ones]))
+            assert np.array_equal(got, sampson_distance(e, xa, xb))
 
 
     def test_overflowing_denominator_is_infinitely_far(self):
@@ -418,7 +435,100 @@ class TestChunkedRansacEquivalence:
         assert np.array_equal(e[1], _reference_eight_point(xa[1], xb[1]))
 
 
+def _reference_depths(r, t, xa, xb):
+    """Linear triangulation of one (R, t) candidate: the depths of each
+    point in both camera frames."""
+    p1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    p2 = np.hstack([r, t.reshape(3, 1)])
+    rows = np.empty((len(xa), 4, 4))
+    rows[:, 0] = xa[:, 0, None] * p1[2] - p1[0]
+    rows[:, 1] = xa[:, 1, None] * p1[2] - p1[1]
+    rows[:, 2] = xb[:, 0, None] * p2[2] - p2[0]
+    rows[:, 3] = xb[:, 1, None] * p2[2] - p2[1]
+    _, _, vh = np.linalg.svd(rows)
+    xw = vh[:, -1, :]
+    w = xw[:, 3]
+    w = np.where(np.abs(w) < 1e-300, 1e-300, w)
+    pts = xw[:, :3] / w[:, None]
+    return pts[:, 2], pts @ r[2] + t[2]
+
+
+def _reference_decompose(e, xa, xb):
+    """decompose_essential with one triangulation per candidate. Returns
+    the candidates (r1, t), (r1, -t), (r2, t), (r2, -t), their front
+    counts, and the chosen (R, t), or None where no point is in front."""
+    u, _, vt = np.linalg.svd(e)
+    if np.linalg.det(u) < 0:
+        u = -u
+    if np.linalg.det(vt) < 0:
+        vt = -vt
+    w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    r1, r2, t = u @ w @ vt, u @ w.T @ vt, u[:, 2]
+    candidates = [(r1, t), (r1, -t), (r2, t), (r2, -t)]
+    fronts = []
+    for r_cand, t_cand in candidates:
+        z1, z2 = _reference_depths(r_cand, t_cand, xa, xb)
+        fronts.append(int(np.count_nonzero((z1 > 0) & (z2 > 0))))
+    best = int(np.argmax(fronts))  # the first of equal counts
+    return candidates, fronts, candidates[best] if fronts[best] > 0 else None
+
+
+def _fixture_matches(name, pair_cache):
+    """Refined pixel matches of one 192x144 fixture and its intrinsics."""
+    fixture, pair = pair_cache(name)
+    result = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b,
+                        MatchingConfig(**fixture.match_overrides))
+    px = np.array([[*m.point_a, *m.point_b] for m in result.matches])
+    return px[:, :2], px[:, 2:], fixture.k
+
+
 class TestDecomposeEssential:
+    @pytest.mark.parametrize("name", [*FIXTURE_NAMES, *sorted(MATCH_SETS)])
+    def test_two_triangulations_pick_what_four_did(self, name, pair_cache):
+        # Each solved E is decomposed on its inliers and on all matches.
+        # Identity has a zero baseline: its E and depths are noise.
+        if name in MATCH_SETS:
+            px_a, px_b, k = (*MATCH_SETS[name](), K)
+        else:
+            px_a, px_b, k = _fixture_matches(name, pair_cache)
+        xa, xb = normalized(px_a, k), normalized(px_b, k)
+        compared = 0
+        for seed in SEEDS:
+            try:
+                e, _, _, inliers = essential_from_matches(px_a, px_b, k, k, RansacConfig(rng_seed=seed))
+            except DegenerateConfigurationError:
+                continue
+            for mask in (inliers, np.ones(len(xa), dtype=bool)):
+                candidates, fronts, want = _reference_decompose(e, xa[mask], xb[mask])
+                (r1, t), (r2, _) = candidates[0], candidates[2]
+                got_fronts = [*pose_eval._front_counts(r1, t, xa[mask], xb[mask]),
+                              *pose_eval._front_counts(r2, t, xa[mask], xb[mask])]
+                assert got_fronts == fronts
+                if want is None:
+                    with pytest.raises(DegenerateConfigurationError):
+                        decompose_essential(e, xa[mask], xb[mask])
+                    continue
+                r, t = decompose_essential(e, xa[mask], xb[mask])
+                assert np.array_equal(r, want[0]) and np.array_equal(t, want[1])
+                compared += 1
+        assert compared > 0
+
+    def test_clamped_w_points_keep_their_place_under_minus_t(self):
+        # A match at the principal point of both views, R = I and t along x:
+        # the DLT null vector is (0, 0, 1, 0) up to sign, w = 0 is clamped to
+        # +1e-300 for t and for -t alike, so the point's depths do not flip
+        # sign with t as every other point's do.
+        r, t = np.eye(3), np.array([1.0, 0.0, 0.0])
+        xa = np.array([[0.0, 0.0], [0.1, 0.05], [0.0, 0.0]])
+        xb = np.array([[0.0, 0.0], [0.2, 0.05], [0.3, 0.0]])
+        want = []
+        for t_cand in (t, -t):
+            z1, z2 = _reference_depths(r, t_cand, xa, xb)
+            want.append(int(np.count_nonzero((z1 > 0) & (z2 > 0))))
+        z1, z2 = _reference_depths(r, t, xa, xb)
+        assert want[1] != np.count_nonzero((z1 < 0) & (z2 < 0))  # the mirror rule is wrong here
+        assert pose_eval._front_counts(r, t, xa, xb) == tuple(want)
+
     def test_recovers_rotation_and_direction_from_exact_essential(self):
         e = essential_from_pose(GT_POSE)
         px_a, px_b = make_correspondences(30, GT_POSE, seed=12)
@@ -429,6 +539,21 @@ class TestDecomposeEssential:
         assert rotation_error_deg(r, GT_POSE.R) < 1e-4
         cos_t = abs(t @ GT_POSE.t) / np.linalg.norm(GT_POSE.t)
         assert math.degrees(math.acos(min(cos_t, 1.0))) < 1e-4
+
+
+class TestRefitMemory:
+    def test_refit_builds_no_n_by_n_matrix(self):
+        # The least-squares refit solves for E on all inliers; a full SVD
+        # would also build the 3,000 x 3,000 left factor it never uses.
+        px_a, px_b = make_correspondences(3000, GT_POSE, seed=31)
+        tracemalloc.start()
+        try:
+            _, _, _, inliers = essential_from_matches(px_a, px_b, K, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inliers.sum() == 3000
+        assert peak < 3000 * 3000 * 8
 
 
 class TestPoseError:
