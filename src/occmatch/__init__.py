@@ -27,7 +27,6 @@ from .matching import (
     dual_softmax,
     dual_softmax_jacobian,
     extract_matches,
-    fine_loss,
     gumbel_select,
     match_pair,
     neighborhood_mean,
@@ -88,7 +87,7 @@ __all__ = [
     "FeatureGrid", "Match", "MatchResult", "MatchingConfig",
     "neighborhood_mean", "rotation_align", "score_matrix", "dual_softmax",
     "dual_softmax_jacobian", "gumbel_select", "extract_matches",
-    "refine_fine_match", "coarse_loss", "fine_loss", "total_loss",
+    "refine_fine_match", "coarse_loss", "total_loss",
     "match_pair",
     "RansacConfig", "PoseErrorReport", "essential_from_pose",
     "essential_from_matches", "sampson_distance", "pose_error", "auc",

@@ -1,10 +1,10 @@
 """Batch command-line front-end over the pair-directory file formats.
 
-Commands: synth, supervise, voxelize, match, eval. Settings merge with
-precedence flags > --config file > fixture overrides recorded in the pair
-manifest > package defaults, every value going through one converter, and
-the effective configuration is echoed into every JSON output. Seeded
-commands are deterministic down to the byte.
+Commands: synth, supervise, voxelize, match, eval. Each takes, as flags,
+--config keys or (match) manifest overrides, only the settings `_READS`
+lists for it, merged with precedence flags > --config file > manifest
+overrides > package defaults through one converter, and echoes just those
+into its JSON output. Seeded commands are deterministic down to the byte.
 
 Exit codes: 0 success, 1 any error, an unreadable command line included.
 """
@@ -43,13 +43,7 @@ from .pose_eval import (
     pose_error,
     rotation_error_deg,
 )
-from .supervision import (
-    CoarseMatchSet,
-    OcclusionMargin,
-    PairStats,
-    coarse_match_ground_truth,
-    pair_stats,
-)
+from .supervision import OcclusionMargin, PairStats, coarse_match_ground_truth, pair_stats
 from .synth import FIXTURE_NAMES, FeatureParams, make_fixture, make_pair
 
 _ENV_SEED = "OCCMATCH_SEED"
@@ -63,14 +57,24 @@ _RENAMED = {"margin_floor": "floor", "margin_relative": "relative",
             "ransac_iterations": "max_iterations", "ransac_confidence": "confidence",
             "seed": "rng_seed", "patch_stride": "coarse_stride"}
 
+# The settings each command reads: its setting flags, the names its --config
+# file and manifest overrides may set, and the keys of its JSON echo.
+_READS = {
+    "synth": ("channels", "patch_stride"),
+    "supervise": ("margin_floor", "margin_relative", "patch_stride"),
+    "voxelize": ("depth_bins", "d_min", "d_max"),
+    "match": ("temperature", "angles", "match_threshold", "fine_window", "fine_temperature",
+              "margin_floor", "margin_relative"),  # the margins only label the matches
+    "eval": ("ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective settings of one command after precedence merging.
-
-    The fields besides the module configs are the CLI's own settings; each
-    module-config field is a setting too, named as `_RENAMED` says or as the
-    field, in flags, --config files, manifests and the JSON echo.
+    """Effective settings of one command after precedence merging; those it
+    does not read keep their defaults. The fields besides the module configs
+    are the CLI's own settings; each module-config field is a setting too,
+    named as `_RENAMED` says or as the field.
     """
 
     auc_thresholds: tuple[float, ...] = (5.0, 10.0, 20.0)
@@ -80,29 +84,31 @@ class RunConfig:
     matching: MatchingConfig = field(default_factory=MatchingConfig)
     ransac: RansacConfig = field(default_factory=RansacConfig)
 
-    def to_json(self) -> dict:
+    def to_json(self, command: str) -> dict:
+        """The settings `command` reads, by name."""
         return {name: getattr(getattr(self, owner) if owner else self, owner_field)
-                for name, (owner, owner_field, _) in _SETTINGS.items()}
+                for name, (owner, owner_field, _) in _SETTINGS.items() if name in _READS[command]}
 
 
-_HINTS = get_type_hints(RunConfig)
-_MODULE_CONFIGS = {f.name: _HINTS[f.name] for f in fields(RunConfig) if is_dataclass(_HINTS[f.name])}
+_MODULE_CONFIGS = {n: hint for n, hint in get_type_hints(RunConfig).items() if is_dataclass(hint)}
 
 
 def _setting_table() -> dict[str, tuple[Optional[str], str, Any]]:
     """Flat name -> (RunConfig field holding the owning module config, or
     None for RunConfig's own settings; field name in the owner; type hint)."""
-    table = {f.name: (None, f.name, _HINTS[f.name])
-             for f in fields(RunConfig) if f.name not in _MODULE_CONFIGS}
     flat_name = {owned: flat for flat, owned in _RENAMED.items()}
-    for owner, cls in _MODULE_CONFIGS.items():
-        owner_hints = get_type_hints(cls)
-        for f in fields(cls):
-            table[flat_name.get(f.name, f.name)] = (owner, f.name, owner_hints[f.name])
-    return table
+    return {flat_name.get(f.name, f.name): (owner, f.name, get_type_hints(cls)[f.name])
+            for owner, cls in [(None, RunConfig), *_MODULE_CONFIGS.items()]
+            for f in fields(cls) if f.name not in _MODULE_CONFIGS}
 
 
 _SETTINGS = _setting_table()
+
+
+def _refusal(command: str, name: str, shown: str) -> str:
+    """Why `command` refuses the setting `name`, given as `shown`."""
+    readers = " and ".join(c for c, names in _READS.items() if name in names)
+    return f"{shown} is read by {readers}, not by {command}" if readers else f"unknown {shown}"
 
 
 def _convert(hint: Any, value: Any) -> Any:
@@ -120,10 +126,12 @@ def _convert(hint: Any, value: Any) -> Any:
 
 
 def merge_config(args: argparse.Namespace, manifest_overrides: Optional[dict] = None) -> RunConfig:
-    """Resolve settings with precedence flags > config file > manifest
-    overrides > defaults; the seed additionally falls back to the
-    OCCMATCH_SEED environment variable. A value its type or its owner's
-    constructor rejects raises a SchemaError naming the setting and source."""
+    """Resolve the settings `args.command` reads with precedence flags >
+    config file > manifest overrides > defaults; eval's seed additionally
+    falls back to the OCCMATCH_SEED environment variable. A setting the
+    command does not read, or a value its type or its owner's constructor
+    rejects, raises a SchemaError naming the setting and source."""
+    reads = _READS[args.command]
     given: dict[Optional[str], dict[str, Any]] = {owner: {} for owner in (None, *_MODULE_CONFIGS)}
     origin: dict[str, str] = {}
 
@@ -131,8 +139,8 @@ def merge_config(args: argparse.Namespace, manifest_overrides: Optional[dict] = 
         if not isinstance(values, dict):
             raise SchemaError(f"{source}: expected an object of settings")
         for name, value in values.items():
-            if name not in _SETTINGS:
-                raise SchemaError(f"{source}: unknown setting {name!r}")
+            if name not in reads:
+                raise SchemaError(f"{source}: {_refusal(args.command, name, f'setting {name!r}')}")
             owner, owner_field, hint = _SETTINGS[name]
             try:
                 given[owner][owner_field] = _convert(hint, value)
@@ -142,10 +150,10 @@ def merge_config(args: argparse.Namespace, manifest_overrides: Optional[dict] = 
 
     if manifest_overrides:
         absorb(manifest_overrides, "manifest match_overrides")
-    if getattr(args, "config", None):
+    if args.config:
         absorb(formats.read_json(args.config), str(args.config))
-    absorb({k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None}, "flags")
-    if "seed" not in origin and _ENV_SEED in os.environ:
+    absorb({k: getattr(args, k) for k in reads if getattr(args, k) is not None}, "flags")
+    if "seed" in reads and "seed" not in origin and _ENV_SEED in os.environ:
         absorb({"seed": os.environ[_ENV_SEED]}, f"env {_ENV_SEED}")
 
     def construct(owner: Optional[str], cls: type, **modules: Any) -> Any:
@@ -212,20 +220,13 @@ class PairDir:
                               f"the coarse stride {grids[0].stride} of {paths[0]}")
         return tuple(grids)
 
-    def relative(self) -> PoseSE3:
-        """Transform taking view-A camera coordinates into view B."""
-        return relative_pose(self.pose_a, self.pose_b)
-
 
 def load_pair(path: Path) -> PairDir:
     manifest_path = Path(path) / "manifest.json"
     manifest = formats.read_json(manifest_path)
     src = str(manifest_path)
     for field in ("k", "pose_a", "pose_b", "files"):
-        if field not in manifest:
-            raise SchemaError(f"{src}: missing field {field!r}")
-        if not isinstance(manifest[field], dict):
-            raise SchemaError(f"{src}: field {field!r} must be an object, got {manifest[field]!r}")
+        formats._field(manifest, field, src, lambda v: isinstance(v, dict), "an object")
     return PairDir(
         path=Path(path),
         manifest=manifest,
@@ -242,8 +243,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             if getattr(args, flag) < 1:
                 raise SchemaError(f"flags: --{flag} must be at least 1, got {getattr(args, flag)}")
         fixture = make_fixture(args.fixture, width=args.width, height=args.height)
-        scene = fixture.scene
-        pose_a, pose_b, k = fixture.pose_a, fixture.pose_b, fixture.k
+        scene, pose_a, pose_b, k = fixture.scene, fixture.pose_a, fixture.pose_b, fixture.k
         overrides = fixture.match_overrides
         pair_id = fixture.name
         source = f"--fixture {fixture.name}"
@@ -268,12 +268,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    formats.write_depth(out / "depth_a.odm", pair.depth_a)
-    formats.write_depth(out / "depth_b.odm", pair.depth_b)
-    formats.write_features(out / "coarse_a.ofg", pair.coarse_a)
-    formats.write_features(out / "coarse_b.ofg", pair.coarse_b)
-    formats.write_features(out / "fine_a.ofg", pair.fine_a)
-    formats.write_features(out / "fine_b.ofg", pair.fine_b)
+    files = {name: name + (".odm" if name.startswith("depth") else ".ofg") for name in _PAIR_FILES}
+    for name, file_name in files.items():
+        write = formats.write_depth if name.startswith("depth") else formats.write_features
+        write(out / file_name, getattr(pair, name))
 
     stats = PairStats.from_classes(pair.classes_a)
     manifest = {
@@ -282,12 +280,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "pose_a": formats.pose_to_json(pose_a),
         "pose_b": formats.pose_to_json(pose_b),
         "scene": formats.scene_to_json(scene),
-        "files": {name: name + (".odm" if name.startswith("depth") else ".ofg")
-                  for name in _PAIR_FILES},
+        "files": files,
         "occlusion_ratio": stats.occlusion_ratio,
         "overlap_score": stats.overlap_score,
         "match_overrides": overrides,
-        "config": cfg.to_json(),
+        "config": cfg.to_json(args.command),
     }
     formats.write_json(out / "manifest.json", manifest)
     print(f"synth: wrote pair {pair_id!r} to {out}")
@@ -298,7 +295,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     pair = load_pair(args.pair)
     cfg = merge_config(args)
     depth_a, depth_b = pair.depth("a"), pair.depth("b")
-    t_ba = pair.relative()
+    t_ba = relative_pose(pair.pose_a, pair.pose_b)
     try:
         stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
         gt = coarse_match_ground_truth(
@@ -308,7 +305,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     except EmptyDepthError as exc:
         raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
     out = Path(args.out) if args.out else pair.path / "supervision.json"
-    formats.write_json(out, formats.supervision_to_json(gt, stats, config=cfg.to_json()))
+    formats.write_json(out, formats.supervision_to_json(gt, stats, config=cfg.to_json(args.command)))
     print(f"supervise: {len(gt.vv)} vv / {len(gt.vo)} vo / {len(gt.ov)} ov -> {out}")
     return 0
 
@@ -328,13 +325,9 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
         except EmptyCloudError as exc:
             raise EmptyCloudError(f"{pair.file('depth_a')}, {pair.file('depth_b')}: {exc}") from None
         formats.write_occupancy(out_dir / f"occ_{target}.ocg", grid)
-    formats.write_json(out_dir / "voxelize_config.json", {"config": cfg.to_json()})
+    formats.write_json(out_dir / "voxelize_config.json", {"config": cfg.to_json(args.command)})
     print(f"voxelize: wrote occ_a.ocg / occ_b.ocg to {out_dir}")
     return 0
-
-
-def _label_sets(gt: CoarseMatchSet) -> dict[str, set[tuple[int, int]]]:
-    return {"vv": set(gt.vv), "vo": set(gt.vo), "ov": set(gt.ov)}
 
 
 def cmd_match(args: argparse.Namespace) -> int:
@@ -356,13 +349,14 @@ def cmd_match(args: argparse.Namespace) -> int:
     else:
         try:
             gt = coarse_match_ground_truth(
-                pair.depth("a"), pair.depth("b"), pair.k, pair.k, pair.relative(),
+                pair.depth("a"), pair.depth("b"), pair.k, pair.k,
+                relative_pose(pair.pose_a, pair.pose_b),
                 margin=cfg.margin, patch_stride=coarse_a.stride,
             )
         except EmptyDepthError as exc:
             raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
     result = match_pair(coarse_a, coarse_b, fine_a, fine_b, cfg.matching)
-    labels = _label_sets(gt)
+    labels = {"vv": set(gt.vv), "vo": set(gt.vo), "ov": set(gt.ov)}
     for m in result.matches:
         key = (m.patch_a, m.patch_b)
         m.label = next((name for name, pairs in labels.items() if key in pairs), "none")
@@ -373,7 +367,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         "pair": pair.pair_id,
         "branches": [list(b) for b in result.branches],
         "branch_counts": [sum(m.branch == b for m in result.matches) for b in result.branches],
-        "config": cfg.to_json(),
+        "config": cfg.to_json(args.command),
     })
     print(f"match: {len(result.matches)} matches -> {out}")
     return 0
@@ -383,9 +377,8 @@ def _threshold_key(t: float) -> str:
     return str(int(t)) if float(t).is_integer() else str(t)
 
 
-def _evaluate_pair(
-    pair: PairDir, matches: list[Match], cfg: RunConfig
-) -> tuple[PoseErrorReport, Optional[str]]:
+def _evaluate_pair(pair: PairDir, matches: list[Match],
+                   cfg: RunConfig) -> tuple[PoseErrorReport, Optional[str]]:
     """Pose error of one pair and why no pose was solved (None if one was);
     a failure comes back as infinite errors and its exception's message.
 
@@ -393,7 +386,7 @@ def _evaluate_pair(
     unobservable; by the usual evaluation convention its error is 0 and
     the pair is scored on rotation alone.
     """
-    gt = pair.relative()
+    gt = relative_pose(pair.pose_a, pair.pose_b)
     px_a = np.array([[m.point_a.u, m.point_a.v] for m in matches if m.point_a and m.point_b])
     px_b = np.array([[m.point_b.u, m.point_b.v] for m in matches if m.point_a and m.point_b])
     try:
@@ -430,8 +423,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pair = load_pair(Path(manifest_path).parent)
         matches = formats.read_matches(matches_path)
         report, failure = _evaluate_pair(pair, matches, cfg)
-        ratio = float(formats._field(pair.manifest, "occlusion_ratio", str(manifest_path),
-                                     formats._is_number, "a number", default=0.0))
+        ratio = formats._number(pair.manifest, "occlusion_ratio", str(manifest_path), default=0.0)
         rows.append({
             "id": pair.pair_id,
             "occlusion_ratio": ratio,
@@ -447,27 +439,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
         curve_entries.append((ratio, report.pose_deg))
 
     scores = auc([row["pose_err_deg"] for row in rows], cfg.auc_thresholds)
-    report_obj = {
+    formats.write_json(args.out_report, {
         "pairs": rows,
         "auc": {_threshold_key(t): scores[t] for t in cfg.auc_thresholds},
-        "config": cfg.to_json(),
-    }
-    formats.write_json(args.out_report, report_obj)
-    curve = cumulative_occlusion_curve(curve_entries)
-    formats.write_curve_csv(args.out_curve, curve)
+        "config": cfg.to_json(args.command),
+    })
+    formats.write_curve_csv(args.out_curve, cumulative_occlusion_curve(curve_entries))
     shown = ", ".join(f"AUC@{_threshold_key(t)} {scores[t]:.2f}" for t in cfg.auc_thresholds)
     print(f"eval: {len(rows)} pairs; {shown}")
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("configuration", "flags > --config file > manifest overrides > "
-                             f"defaults; --seed seeds eval's RANSAC and falls back to "
-                             f"${_ENV_SEED}, then 0")
+def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
+    overrides = "manifest match_overrides > " if command == "match" else ""
+    seed = f"; --seed falls back to ${_ENV_SEED}, then 0" if "seed" in _READS[command] else ""
+    g = p.add_argument_group("configuration", f"flags > --config file > {overrides}defaults{seed}")
     g.add_argument("--config", type=Path, help="JSON object of settings, by flag name with '_'")
-    for name, (_, _, hint) in _SETTINGS.items():
+    for name in _READS[command]:
         g.add_argument("--" + name.replace("_", "-"),
-                       nargs="+" if get_origin(hint) is tuple else None)
+                       nargs="+" if get_origin(_SETTINGS[name][2]) is tuple else None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -476,6 +466,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         raise SchemaError(f"flags: {message}")
+
+    def parse_args(self, args: Optional[Sequence[str]] = None, namespace: Any = None) -> Any:
+        """As argparse's, but names a setting flag of another command as such."""
+        parsed, extra = self.parse_known_args(args, namespace)
+        settings = {"--" + name.replace("_", "-"): name for name in _SETTINGS}
+        for flag in (arg.split("=", 1)[0] for arg in extra):
+            if flag in settings:
+                raise SchemaError(f"flags: {_refusal(parsed.command, settings[flag], flag)}")
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return parsed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,26 +496,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=192, help="fixture image width")
     p.add_argument("--height", type=int, default=144, help="fixture image height")
     p.add_argument("--out", type=Path, required=True, help="pair directory to create")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("supervise", help="compute GT patch matches and pair stats")
     p.add_argument("--pair", type=Path, required=True, help="pair directory")
     p.add_argument("--out", type=Path, help="output JSON (default: pair/supervision.json)")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_supervise)
 
     p = sub.add_parser("voxelize", help="build GT occupancy grids for both views")
     p.add_argument("--pair", type=Path, required=True, help="pair directory")
     p.add_argument("--out-dir", type=Path, dest="out_dir",
                    help="output directory (default: the pair directory)")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_voxelize)
 
     p = sub.add_parser("match", help="run coarse-to-fine matching on a pair")
     p.add_argument("--pair", type=Path, required=True, help="pair directory")
     p.add_argument("--out", type=Path, help="output JSONL (default: pair/matches.jsonl)")
-    _add_config_flags(p)
+    p.add_argument("--seed", help="accepted and ignored: match draws no random numbers")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("eval", help="estimate poses from matches and score them")
@@ -524,9 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="manifest.json files, same order as --matches")
     p.add_argument("--out-report", type=Path, dest="out_report", required=True)
     p.add_argument("--out-curve", type=Path, dest="out_curve", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
 
+    for command, p in sub.choices.items():
+        _add_config_flags(p, command)
     return parser
 
 

@@ -41,10 +41,6 @@ class DegenerateHeatmapError(OccMatchError):
     """Heatmap has a negative entry or non-positive total mass."""
 
 
-class LengthMismatchError(OccMatchError):
-    """Paired sequences differ in length."""
-
-
 class InsufficientMatchesError(OccMatchError):
     """Fewer correspondences than the minimal solver needs."""
 

@@ -135,6 +135,20 @@ def _field(obj: dict, field: str, source: str, ok: Callable[[Any], bool], what: 
     return value
 
 
+def _out_of_range(field: str, value: Any, source: str) -> SchemaError:
+    return SchemaError(f"{source}: field {field!r} holds an integer beyond the float range, "
+                       f"got {value!r}")
+
+
+def _number(obj: dict, field: str, source: str, default: Any = _MISSING) -> float:
+    """obj[field] (or `default` when given and the field is absent) as a float."""
+    value = _field(obj, field, source, _is_number, "a number", default)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _out_of_range(field, value, source) from None
+
+
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -154,6 +168,8 @@ def _floats(obj: dict, field: str, source: str, count: Optional[int] = None) -> 
         arr = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError):
         raise SchemaError(f"{source}: field {field!r} is not numeric") from None
+    except OverflowError:
+        raise _out_of_range(field, raw, source) from None
     if count is not None and arr.size != count:
         raise SchemaError(f"{source}: field {field!r} needs {count} values, got {arr.size}")
     return arr.ravel()
@@ -175,8 +191,7 @@ def intrinsics_to_json(k: CameraIntrinsics) -> dict:
 
 
 def intrinsics_from_json(obj: dict, source: str = "intrinsics") -> CameraIntrinsics:
-    vals = {f: float(_field(obj, f, source, _is_number, "a number"))
-            for f in ("fx", "fy", "cx", "cy")}
+    vals = {f: _number(obj, f, source) for f in ("fx", "fy", "cx", "cy")}
     dims = {f: _field(obj, f, source, _is_int, "an integer") for f in ("width", "height")}
     return _build(source, CameraIntrinsics, **vals, **dims)
 
@@ -283,11 +298,6 @@ def match_to_json(m: Match) -> dict:
     return out
 
 
-def _out_of_range(field: str, value: Any, source: str) -> SchemaError:
-    return SchemaError(f"{source}: field {field!r} holds an integer beyond the float range, "
-                       f"got {value!r}")
-
-
 def _pixel_point(obj: dict, field: str, source: str) -> Optional[PixelPoint]:
     """obj[field]: null, or [u, v] of finite numbers."""
     value = _require(obj, field, source)
@@ -319,13 +329,7 @@ def match_from_json(obj: dict, source: str = "matches") -> Match:
         raise SchemaError(f"{source}: field 'pa' must be an integer, got {pa!r}")
     if not _is_int(pb):
         raise SchemaError(f"{source}: field 'pb' must be an integer, got {pb!r}")
-    conf = _require(obj, "conf", source)
-    if not _is_number(conf):
-        raise SchemaError(f"{source}: field 'conf' must be a number, got {conf!r}")
-    try:
-        conf = float(conf)
-    except OverflowError:
-        raise _out_of_range("conf", conf, source) from None
+    conf = _number(obj, "conf", source)
     if branch is not None:
         try:
             branch = tuple(map(float, branch))

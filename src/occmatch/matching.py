@@ -29,7 +29,6 @@ from .errors import (
     DegenerateHeatmapError,
     EmptyCandidatesError,
     EmptyGroundTruthError,
-    LengthMismatchError,
     ShapeMismatchError,
     UnknownAngleError,
 )
@@ -346,30 +345,6 @@ def refine_fine_match(heatmaps: np.ndarray, centers: np.ndarray) -> np.ndarray:
     du = (w.sum(axis=1) * offsets).sum(axis=1)
     dv = (w.sum(axis=2) * offsets).sum(axis=1)
     return np.asarray(centers, dtype=np.float64) + np.column_stack([du, dv])
-
-
-def fine_loss(
-    predicted: Sequence[PixelPoint | tuple[float, float]],
-    expected: Sequence[PixelPoint | tuple[float, float]],
-    labels: Sequence[str],
-    lambda2: float = 1.0,
-) -> float:
-    """Mean squared pixel distance per match class, combined with weights
-    1 / lambda2 / lambda2 for vv / vo / ov. Empty classes contribute 0."""
-    if not (len(predicted) == len(expected) == len(labels)):
-        raise LengthMismatchError(
-            f"got {len(predicted)} predictions, {len(expected)} targets, {len(labels)} labels"
-        )
-    sums = {"vv": 0.0, "vo": 0.0, "ov": 0.0}
-    counts = {"vv": 0, "vo": 0, "ov": 0}
-    for p, e, lab in zip(predicted, expected, labels):
-        if lab not in sums:
-            raise ValueError(f"unknown match label {lab!r}")
-        d = np.asarray(p, dtype=np.float64) - np.asarray(e, dtype=np.float64)
-        sums[lab] += float(d @ d)
-        counts[lab] += 1
-    mean = {c: sums[c] / counts[c] if counts[c] else 0.0 for c in sums}
-    return mean["vv"] + lambda2 * (mean["vo"] + mean["ov"])
 
 
 def total_loss(

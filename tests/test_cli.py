@@ -4,6 +4,7 @@ eval; config precedence; exit codes; byte determinism."""
 import argparse
 import json
 import math
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from occmatch import synth
-from occmatch.cli import RunConfig, build_parser, main
+from occmatch.cli import build_parser, main
 from occmatch.formats import (
     dump_json,
     dump_json_line,
@@ -41,6 +42,69 @@ def synth_root(tmp_path_factory):
     for name in ("identity", "rotation", "stereo", "two_plane", "box_roll30"):
         assert main(["synth", "--fixture", name, "--out", str(root / name)]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def matched_pair(synth_root, tmp_path_factory):
+    """The identity pair with its matches; tests only read it."""
+    pair = tmp_path_factory.mktemp("matched") / "identity"
+    shutil.copytree(synth_root / "identity", pair)
+    assert main(["match", "--pair", str(pair)]) == 0
+    return str(pair)
+
+
+# The settings each command reads, as the README's table lists them.
+READS = {
+    "synth": {"channels", "patch_stride"},
+    "supervise": {"margin_floor", "margin_relative", "patch_stride"},
+    "voxelize": {"depth_bins", "d_min", "d_max"},
+    "match": {"temperature", "angles", "match_threshold", "fine_window", "fine_temperature",
+              "margin_floor", "margin_relative"},
+    "eval": {"ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds"},
+}
+# A value of each setting that the commands reading it accept.
+VALUES = {
+    "channels": 64, "patch_stride": 16, "margin_floor": 0.04, "margin_relative": 0.1,
+    "depth_bins": 16, "d_min": 0.2, "d_max": 8.0, "temperature": 0.5, "angles": [0.0, 15.0],
+    "match_threshold": 0.3, "fine_window": 7, "fine_temperature": 0.1, "ransac_iterations": 50,
+    "inlier_threshold": 0.002, "ransac_confidence": 0.99, "seed": 4, "auc_thresholds": [5.0, 10.0],
+}
+# The file of each command's output that holds its `config` echo.
+ECHO_FILES = {"synth": "manifest.json", "supervise": "s.json", "voxelize": "voxelize_config.json",
+              "match": "match_config.json", "eval": "r.json"}
+
+
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def flag_args(name: str) -> list[str]:
+    value = VALUES[name]
+    return [flag(name), *map(str, value if isinstance(value, list) else [value])]
+
+
+def command_argv(command: str, pair: str, out: Path) -> list[str]:
+    """`command` on `pair` (synth: on the identity fixture), writing every
+    output under `out`; synth and voxelize create `out` themselves."""
+    if command in ("supervise", "match", "eval"):
+        out.mkdir()
+    return {
+        "synth": ["synth", "--fixture", "identity", "--out", str(out)],
+        "supervise": ["supervise", "--pair", pair, "--out", str(out / "s.json")],
+        "voxelize": ["voxelize", "--pair", pair, "--out-dir", str(out)],
+        "match": ["match", "--pair", pair, "--out", str(out / "m.jsonl")],
+        "eval": ["eval", "--matches", f"{pair}/matches.jsonl", "--manifests", f"{pair}/manifest.json",
+                 "--out-report", str(out / "r.json"), "--out-curve", str(out / "c.csv")],
+    }[command]
+
+
+def tree(root: Path) -> list[Path]:
+    return sorted(root.rglob("*"))
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 def synth_scene(tmp_path: Path, plane: Plane, pose_a: PoseSE3, pose_b: PoseSE3) -> tuple[int, Path]:
@@ -422,18 +486,41 @@ class TestConfigPrecedence:
         assert f"unknown setting {name!r}" in capsys.readouterr().err
         assert not (Path(pair) / "supervision.json").exists()
 
-    def test_seed_env_fallback_and_flag_override(self, fresh_pair, monkeypatch):
+    def test_manifest_override_of_another_command_exits_one(self, fresh_pair, capsys):
         pair = fresh_pair("identity")
+        manifest = read_json(f"{pair}/manifest.json")
+        manifest["match_overrides"]["seed"] = 3
+        write_json(f"{pair}/manifest.json", manifest)
+        assert main(["match", "--pair", pair]) == 1
+        err = capsys.readouterr().err
+        assert "manifest match_overrides: setting 'seed' is read by eval, not by match" in err
+        assert not (Path(pair) / "matches.jsonl").exists()
+        assert not (Path(pair) / "match_config.json").exists()
+
+    def test_seed_env_fallback_and_flag_override(self, matched_pair, tmp_path, monkeypatch):
         monkeypatch.setenv("OCCMATCH_SEED", "7")
-        assert main(["match", "--pair", pair]) == 0
-        assert read_json(f"{pair}/match_config.json")["config"]["seed"] == 7
-        assert main(["match", "--pair", pair, "--seed", "3"]) == 0
-        assert read_json(f"{pair}/match_config.json")["config"]["seed"] == 3
+        assert main(command_argv("eval", matched_pair, tmp_path / "env")) == 0
+        assert read_json(tmp_path / "env" / "r.json")["config"]["seed"] == 7
+        assert main([*command_argv("eval", matched_pair, tmp_path / "flag"), "--seed", "3"]) == 0
+        assert read_json(tmp_path / "flag" / "r.json")["config"]["seed"] == 3
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_seed_env_is_read_by_eval_alone(self, matched_pair, tmp_path, monkeypatch, capsys,
+                                            command):
+        # The variable is ambient: the commands that do not read it ignore it.
+        monkeypatch.setenv("OCCMATCH_SEED", "abc")
+        code = main(command_argv(command, matched_pair, tmp_path / "out"))
+        err = capsys.readouterr().err
+        if command != "eval":
+            assert code == 0 and err == ""
+            return
+        assert code == 1 and "env OCCMATCH_SEED: seed" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "r.json").exists()
 
 
 class TestSettings:
-    """Every setting is one flag, one --config key and one key of the echo,
-    derived from the module configs."""
+    """Each command takes as flags and --config keys, echoes and lists in
+    --help exactly the settings it reads."""
 
     SETTINGS = [
         "angles", "auc_thresholds", "channels", "d_max", "d_min", "depth_bins",
@@ -446,51 +533,83 @@ class TestSettings:
                   "--width", "--height", "--out"},
         "supervise": {"--pair", "--out"},
         "voxelize": {"--pair", "--out-dir"},
-        "match": {"--pair", "--out"},
+        "match": {"--pair", "--out", "--seed"},  # --seed: accepted and ignored
         "eval": {"--matches", "--manifests", "--out-report", "--out-curve"},
     }
-    ECHO_FLAGS = [
-        "--angles", "0", "15", "--fine-window", "9", "--match-threshold", "0.3",
-        "--seed", "4", "--auc-thresholds", "5", "10", "--margin-floor", "0.04",
-        "--depth-bins", "16", "--channels", "64",
-    ]
+    # Every (command, setting it does not read, flag or --config) but match's
+    # --seed flag.
+    FOREIGN = [(command, name, form) for command in READS for name in sorted(VALUES)
+               if name not in READS[command] for form in ("flag", "config")
+               if (command, name, form) != ("match", "seed", "flag")]
+
+    def own_flags(self, command: str) -> set[str]:
+        return {"--config"} | self.COMMAND_OPTIONS[command] | {flag(n) for n in READS[command]}
 
     @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
     def test_config_flags_are_exactly_the_settings(self, command):
-        echo = RunConfig().to_json()
-        assert sorted(echo) == self.SETTINGS
-        flags = {"--config"} | {"--" + n.replace("_", "-") for n in echo}
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        options = {s for a in sub.choices[command]._actions for s in a.option_strings}
-        assert options == {"-h", "--help"} | self.COMMAND_OPTIONS[command] | flags
+        assert sorted(set().union(*READS.values())) == sorted(VALUES) == self.SETTINGS
+        options = {s for a in subparser(command)._actions for s in a.option_strings}
+        assert options == {"-h", "--help"} | self.own_flags(command)
 
     @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
-    def test_echo_read_back_through_config_is_unchanged(self, fresh_pair, tmp_path, command):
-        pair = fresh_pair("identity")
-        assert main(["match", "--pair", pair]) == 0  # eval's input
+    def test_help_lists_only_the_settings_the_command_reads(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help"} | self.own_flags(command)
 
+    def test_readme_settings_table_matches_the_parser(self):
+        lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| command | settings it reads |")
+        documented = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            command, names = line.strip("|").split("|")
+            documented[command.strip().strip("`")] = set(re.findall(r"`(\w+)`", names))
+        registered = {}
+        for command in self.COMMAND_OPTIONS:
+            group = next(g for g in subparser(command)._action_groups if g.title == "configuration")
+            registered[command] = {s[2:].replace("-", "_") for a in group._group_actions
+                                   for s in a.option_strings} - {"config"}
+        assert documented == registered
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_echo_read_back_through_config_is_unchanged(self, matched_pair, tmp_path, command):
         def echo(out: Path, *extra: str) -> dict:
-            argv, echo_file = {
-                "synth": (["synth", "--fixture", "identity", "--out", str(out)], "manifest.json"),
-                "supervise": (["supervise", "--pair", pair, "--out", str(out / "s.json")], "s.json"),
-                "voxelize": (["voxelize", "--pair", pair, "--out-dir", str(out)],
-                             "voxelize_config.json"),
-                "match": (["match", "--pair", pair, "--out", str(out / "m.jsonl")],
-                          "match_config.json"),
-                "eval": (["eval", "--matches", f"{pair}/matches.jsonl",
-                          "--manifests", f"{pair}/manifest.json",
-                          "--out-report", str(out / "r.json"), "--out-curve", str(out / "c.csv")],
-                         "r.json"),
-            }[command]
-            out.mkdir()
-            assert main([*argv, *extra]) == 0
-            return read_json(out / echo_file)["config"]
+            assert main([*command_argv(command, matched_pair, out), *extra]) == 0
+            return read_json(out / ECHO_FILES[command])["config"]
 
-        first = echo(tmp_path / "flags", *self.ECHO_FLAGS)
-        assert first["angles"] == [0.0, 15.0] and first["fine_window"] == 9
+        first = echo(tmp_path / "flags", *(a for n in sorted(READS[command]) for a in flag_args(n)))
+        assert first == {name: VALUES[name] for name in READS[command]}
         write_json(tmp_path / "echo.json", first)
         second = echo(tmp_path / "config", "--config", str(tmp_path / "echo.json"))
         assert dump_json(second) == dump_json(first)
+
+    @pytest.mark.parametrize("command, name, form", FOREIGN)
+    def test_setting_of_another_command_exits_one_naming_it(self, matched_pair, tmp_path, capsys,
+                                                            command, name, form):
+        if form == "flag":
+            extra, shown = flag_args(name), flag(name)
+        else:
+            write_json(tmp_path / "cfg.json", {name: VALUES[name]})
+            extra, shown = ["--config", str(tmp_path / "cfg.json")], f"setting {name!r}"
+        argv = command_argv(command, matched_pair, tmp_path / "out")
+        before = tree(tmp_path)
+        assert main([*argv, *extra]) == 1
+        err = capsys.readouterr().err
+        readers = " and ".join(c for c in READS if name in READS[c])
+        assert f"{shown} is read by {readers}, not by {command}" in err and "Traceback" not in err
+        assert tree(tmp_path) == before
+
+    def test_match_accepts_and_ignores_seed(self, matched_pair, tmp_path):
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        assert main(command_argv("match", matched_pair, plain)) == 0
+        assert main([*command_argv("match", matched_pair, seeded), "--seed", "5"]) == 0
+        for name in ("m.jsonl", "match_config.json"):
+            assert (plain / name).read_bytes() == (seeded / name).read_bytes()
+        assert "seed" not in read_json(seeded / "match_config.json")["config"]
 
     @pytest.mark.parametrize("flags, config, setting", [
         (["--match-threshold", "2"], None, "match_threshold"),
@@ -517,15 +636,19 @@ class TestSettings:
         (["--width", "abc"], None, "--width"),  # argparse's own errors exit 1 too
         (["--bogus", "1"], None, "--bogus"),
     ])
-    def test_bad_setting_exits_one_naming_it(self, tmp_path, capsys, flags, config, setting):
+    def test_bad_setting_exits_one_naming_it(self, matched_pair, tmp_path, capsys,
+                                             flags, config, setting):
         if config is not None:
             write_json(tmp_path / "cfg.json", config)
             flags = ["--config", str(tmp_path / "cfg.json")]
-        out = tmp_path / "pair"
-        assert main(["synth", "--fixture", "identity", "--out", str(out), *flags]) == 1
+        # The first command reading the setting; synth for its own flags and unknown names.
+        command = next((c for c in READS if setting in READS[c]), "synth")
+        argv = command_argv(command, matched_pair, tmp_path / "out")
+        before = tree(tmp_path)
+        assert main([*argv, *flags]) == 1
         err = capsys.readouterr().err
         assert setting in err and "Traceback" not in err
-        assert not out.exists()
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("argv, named", [
         (["match"], "--pair"),
@@ -566,6 +689,12 @@ class TestMalformedInputs:
         ("scene.json", "primitives.0.point", [math.nan, 0.0, 2.0]),
         ("scene.json", "primitives.0.normal", [0.0, math.nan, 1.0]),
         ("scene.json", "primitives.0.point", [0.0, 0.0, math.inf]),
+        # Integers beyond the float range once ended in an OverflowError traceback.
+        pytest.param("manifest.json", "k.fx", 10**400, id="manifest.json-k.fx-overflow"),
+        pytest.param("manifest.json", "pose_b.t", [10**400, 0, 0],
+                     id="manifest.json-pose_b.t-overflow"),
+        pytest.param("scene.json", "primitives.0.point", [10**400, 0, 2],
+                     id="scene.json-primitives.0.point-overflow"),
     ])
     def test_wrong_type_exits_one(self, fresh_pair, tmp_path, capsys, target, where, value):
         keys = [int(k) if k.isdigit() else k for k in where.split(".")]
@@ -635,6 +764,8 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("target, where, value", [
         ("manifest.json", "occlusion_ratio", "abc"),
+        pytest.param("manifest.json", "occlusion_ratio", 10**400,
+                     id="manifest.json-occlusion_ratio-overflow"),
     ])
     def test_eval_and_curve_inputs_exit_one(self, fresh_pair, tmp_path, capsys,
                                             target, where, value):

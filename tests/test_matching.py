@@ -14,7 +14,6 @@ from occmatch.errors import (
     DegenerateHeatmapError,
     EmptyCandidatesError,
     EmptyGroundTruthError,
-    LengthMismatchError,
     UnknownAngleError,
 )
 from occmatch.geometry import PixelPoint, cell_center_px, patch_grid
@@ -25,7 +24,6 @@ from occmatch.matching import (
     dual_softmax,
     dual_softmax_jacobian,
     extract_matches,
-    fine_loss,
     gumbel_select,
     match_pair,
     neighborhood_mean,
@@ -411,32 +409,6 @@ class TestRefineFineMatch:
         # One empty heatmap in a stack fails the whole stack.
         with pytest.raises(DegenerateHeatmapError):
             refine_fine_match(np.stack([np.ones((3, 3)), np.zeros((3, 3))]), np.zeros((2, 2)))
-
-
-class TestFineLoss:
-    def test_perfect_prediction_costs_nothing(self):
-        pts = [PixelPoint(1.0, 2.0), PixelPoint(3.0, 4.0)]
-        assert fine_loss(pts, pts, ["vv", "vo"]) == 0.0
-
-    def test_three_four_offset_costs_twenty_five(self):
-        got = fine_loss([PixelPoint(3.0, 4.0)], [PixelPoint(0.0, 0.0)], ["vv"])
-        assert abs(got - 25.0) < 1e-12
-
-    def test_mixed_classes_weighted_by_lambda(self):
-        predicted = [PixelPoint(1.0, 0.0), PixelPoint(0.0, 2.0), PixelPoint(3.0, 0.0)]
-        expected = [PixelPoint(0.0, 0.0)] * 3
-        labels = ["vv", "vv", "vo"]
-        # vv mean (1 + 4) / 2 = 2.5; vo mean 9 weighted by 0.5.
-        got = fine_loss(predicted, expected, labels, lambda2=0.5)
-        assert abs(got - (2.5 + 4.5)) < 1e-12
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(LengthMismatchError):
-            fine_loss([PixelPoint(0, 0)], [], ["vv"])
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            fine_loss([PixelPoint(0, 0)], [PixelPoint(0, 0)], ["xx"])
 
 
 class TestTotalLoss:
