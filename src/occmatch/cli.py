@@ -424,6 +424,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         matches = formats.read_matches(matches_path)
         report, failure = _evaluate_pair(pair, matches, cfg)
         ratio = formats._number(pair.manifest, "occlusion_ratio", str(manifest_path), default=0.0)
+        labels = Counter(m.label for m in matches)
         rows.append({
             "id": pair.pair_id,
             "occlusion_ratio": ratio,
@@ -433,7 +434,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "inliers": report.inlier_count,
             "failure": failure,
             "matches": len(matches),
-            "labels": {k: sum(m.label == k for m in matches) for k in formats.MATCH_LABELS},
+            "labels": {k: labels[k] for k in formats.MATCH_LABELS},
             "branch_counts": _branch_counts(matches),
         })
         curve_entries.append((ratio, report.pose_deg))

@@ -13,7 +13,13 @@ module's own: Floyd's algorithm, then a Fisher-Yates shuffle, over bounded
 draws from one Generator.integers call per chunk. It draws what
 Generator.choice(n, 8, replace=False) draws on NumPy 2.4 and returns the
 same samples, so a later NumPy change to choice cannot move seeded outputs.
-Each chunk is scored with one matrix product per side.
+A chunk's 8-point systems are solved by one batched QR: the null vector of
+each 8 x 9 system is the last column of the complete Q of its transpose.
+A rank-deficient sample (repeated points; coplanar or zero-baseline
+points) has a null space of more than one dimension, so it keeps the SVD,
+as does the refit on the consensus, which decides E, R, t and the inliers.
+sampson_distance scores one matrix or a stack the same way, with one
+(B, 3, 3) @ (3, N) product per side.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from .geometry import CameraIntrinsics, PoseSE3, unproject_points
 # doubles, up to a cap that bounds the (chunk, N) distance array.
 _FIRST_CHUNK = 8
 _MAX_CHUNK = 64
+# An 8-point system whose QR factor R has a diagonal entry at most this
+# times its largest is solved by SVD instead (see _null_vectors).
+_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,29 +97,19 @@ def sampson_distance(e: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarra
     A point so far out that the denominator overflows is at distance inf,
     so it never counts as an inlier.
 
-    A stack is scored with one (N, 3) @ (3, 3B) product per side, which
-    gives each matrix's distances bit for bit as scoring it alone does
-    (for N >= 2; one point takes the per-matrix product).
+    Each side is one (B, 3, 3) @ (3, N) product, or (3, 3) @ (3, N) for a
+    single matrix, so a matrix in a stack scores bit for bit as it does
+    alone.
     """
-    xa_h, xb_h = _homogeneous(xa), _homogeneous(xb)
-    n = len(xa_h)
-    stacked = e.ndim == 3 and n >= 2
+    xa_t, xb_t = _homogeneous(xa).T, _homogeneous(xb).T
     with np.errstate(over="ignore", invalid="ignore"):
-        if stacked:
-            # Component k of E_i xa, resp. E_i' xb, of point j is entry [k, j, i].
-            b = len(e)
-            e_xa = (xa_h @ e.transpose(2, 1, 0).reshape(3, 3 * b)).reshape(n, 3, b).swapaxes(0, 1)
-            et_xb = (xb_h @ e.transpose(1, 2, 0).reshape(3, 3 * b)).reshape(n, 3, b).swapaxes(0, 1)
-            x = xb_h.T[:, :, None]
-            num = np.abs((x[0] * e_xa[0] + x[1] * e_xa[1]) + x[2] * e_xa[2])
-        else:
-            e_xa = xa_h @ np.swapaxes(e, -1, -2)
-            et_xb = xb_h @ e
-            num = np.abs(np.sum(xb_h * e_xa, axis=-1))
-            e_xa, et_xb = np.moveaxis(e_xa, -1, 0), np.moveaxis(et_xb, -1, 0)
-        den = np.sqrt(e_xa[0] ** 2 + e_xa[1] ** 2 + et_xb[0] ** 2 + et_xb[1] ** 2)
-        d = np.where(np.isfinite(den), num / np.maximum(den, 1e-300), np.inf)
-    return d.T if stacked else d
+        # Row k of E xa, resp. E' xb: component k for every point.
+        e_xa = e @ xa_t
+        et_xb = np.swapaxes(e, -1, -2) @ xb_t
+        num = np.abs((xb_t[0] * e_xa[..., 0, :] + xb_t[1] * e_xa[..., 1, :]) + xb_t[2] * e_xa[..., 2, :])
+        den = np.sqrt(e_xa[..., 0, :] ** 2 + e_xa[..., 1, :] ** 2
+                      + et_xb[..., 0, :] ** 2 + et_xb[..., 1, :] ** 2)
+        return np.where(np.isfinite(den), num / np.maximum(den, 1e-300), np.inf)
 
 
 def _conditioning(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,16 +130,39 @@ def _conditioning(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, ok
 
 
+def _null_vectors(a: np.ndarray) -> np.ndarray:
+    """(B, 9) unit null vectors of the (B, m, 9) homogeneous systems, m >= 8.
+
+    An 8-row system takes the last column of the complete QR factor of its
+    transpose: that column is orthogonal to all 8 rows. A system whose R
+    has a diagonal entry at most _RANK_TOL times its largest is rank
+    deficient, so its null space has more than one dimension and QR and
+    SVD would pick different members of it; it keeps the SVD's last right
+    singular vector. So does every system of 9 or more rows, through the
+    thin SVD.
+    """
+    if a.shape[1] > 8:
+        return np.linalg.svd(a, full_matrices=False)[2][:, -1]
+    q, r = np.linalg.qr(np.swapaxes(a, 1, 2), mode="complete")
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    # Written so that a NaN diagonal also falls back to the SVD.
+    deficient = ~(diag > _RANK_TOL * diag.max(axis=1, keepdims=True)).all(axis=1)
+    v = q[:, :, -1]
+    if deficient.any():
+        v[deficient] = np.linalg.svd(a[deficient])[2][:, -1]
+    return v
+
+
 def _eight_point(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares essential matrices from stacks of >= 8 normalized
     correspondences.
 
-    xa, xb: (B, m, 2). Hartley-conditions each point set, solves each
-    homogeneous system by SVD, and projects onto the essential manifold
-    (equal singular values, rank 2). Returns the (B, 3, 3) matrices at
-    unit Frobenius norm and a (B,) mask that is False for degenerate sets,
-    whose matrices mean nothing. A degenerate set is masked before the SVD,
-    so it neither raises nor warns.
+    xa, xb: (B, m, 2). Hartley-conditions each point set, takes each
+    homogeneous system's null vector (_null_vectors), and projects onto the
+    essential manifold (equal singular values, rank 2). Returns the
+    (B, 3, 3) matrices at unit Frobenius norm and a (B,) mask that is False
+    for degenerate sets, whose matrices mean nothing. A degenerate set
+    neither raises nor warns.
     """
     b, m = xa.shape[:2]
     t_a, ok_a = _conditioning(xa)
@@ -150,9 +172,7 @@ def _eight_point(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray
     xb_h = np.concatenate([xb, ones], axis=2) @ np.swapaxes(t_b, 1, 2)
     # One row per correspondence: coefficients of E11..E33 (row-major).
     a = (xb_h[:, :, :, None] * xa_h[:, :, None, :]).reshape(b, m, 9)
-    # With m >= 9 rows the thin SVD gives the same vh without an m x m U.
-    _, _, vh = np.linalg.svd(a, full_matrices=m < 9)
-    e = np.swapaxes(t_b, 1, 2) @ vh[:, -1].reshape(b, 3, 3) @ t_a
+    e = np.swapaxes(t_b, 1, 2) @ _null_vectors(a).reshape(b, 3, 3) @ t_a
     u, s, vt = np.linalg.svd(e)
     valid = ok_a & ok_b & (s[:, 1] >= 1e-12)
     sigma = np.zeros((b, 3, 3))

@@ -347,6 +347,20 @@ class TestMatch:
         counts = read_json(f"{pair}/match_config.json")["branch_counts"]
         assert sum(counts) == len(matches) and counts[2] > 0.70 * len(matches)
 
+    def test_rolled_pair_at_640x480_takes_the_branch_that_undoes_its_roll(self, tmp_path):
+        # The paper's evaluation size, built here (about 3 s): (0, 30) is
+        # the most-picked branch, as at 192x144.
+        pair = tmp_path / "box_roll30"
+        assert main(["synth", "--fixture", "box_roll30", "--width", "640", "--height", "480",
+                     "--out", str(pair)]) == 0
+        assert main(["match", "--pair", str(pair)]) == 0
+        matches = read_matches(pair / "matches.jsonl")
+        sidecar = read_json(pair / "match_config.json")
+        counts = dict(zip(map(tuple, sidecar["branches"]), sidecar["branch_counts"]))
+        assert sum(counts.values()) == len(matches) > 3000
+        assert counts == {b: sum(m.branch == b for m in matches) for b in counts}
+        assert max(counts, key=counts.get) == (0.0, 30.0)
+
     def test_output_does_not_depend_on_the_seed(self, fresh_pair):
         a = fresh_pair("box_roll30", "seed0")
         b = fresh_pair("box_roll30", "seed5")
@@ -435,6 +449,22 @@ class TestMatch:
         assert main(["voxelize", "--pair", pair]) == 1
         err = capsys.readouterr().err
         assert "depth_a.odm" in err and "finite" in err
+
+    @pytest.mark.parametrize("name", ["coarse_a", "fine_b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 3e38])
+    def test_bad_feature_value_fails_with_file_name(self, fresh_pair, capsys, name, value):
+        # 3e38 is finite, but the 5-tap averages of an aligned coarse grid
+        # overflow on it.
+        pair = fresh_pair("two_plane")
+        path = Path(pair) / f"{name}.ofg"
+        blob = bytearray(path.read_bytes())
+        blob[20:24] = np.array([value], dtype="<f4").tobytes()  # first value
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["match", "--pair", pair]) == 1
+        err = capsys.readouterr().err
+        assert f"{name}.ofg" in err and "finite" in err and "Traceback" not in err
+        assert not (Path(pair) / "matches.jsonl").exists()
 
 
 class TestConfigPrecedence:

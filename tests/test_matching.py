@@ -698,6 +698,48 @@ class TestFloat32Path:
     """Float32 grids, as the grid files store them, stay float32 through the
     score products; the sums that decide a threshold run in float64."""
 
+    def test_feature_grid_rejects_values_its_averages_would_overflow(self):
+        for dtype in (np.float32, np.float64):
+            limit = float(np.finfo(dtype).max) / 8.0
+            assert FeatureGrid(np.full((1, 1, 2), -limit, dtype=dtype)).values.min() == -limit
+            for bad in (np.nan, np.inf, -np.inf, 2.0 * limit):
+                v = np.zeros((2, 3, 4), dtype=dtype)
+                v[1, 2, 3] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    FeatureGrid(v)
+            # The largest allowed values average to finite values.
+            v = np.full((1, 3, 3), limit, dtype=dtype)
+            for theta in (0.0, 30.0):
+                assert np.isfinite(rotation_align(FeatureGrid(v), theta).values).all()
+
+    def test_match_pair_checks_no_derived_grid(self, pair_cache, monkeypatch):
+        # The grids from synth or a file were checked when built; the
+        # aligned and normalized grids match_pair derives are not.
+        _, pair = pair_cache("box_roll30")
+        checked = []
+        check = FeatureGrid.__post_init__
+
+        def recorded(self):
+            checked.append(self.values.shape)
+            check(self)
+
+        monkeypatch.setattr(FeatureGrid, "__post_init__", recorded)
+        assert match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b).matches
+        assert checked == []
+
+    def test_log_margin_covers_the_float32_exp_rounding(self):
+        # A candidate passes when its float32 log-factor is at least
+        # log(threshold) - _LOG_MARGIN, and its confidence is computed from
+        # float32 exps of those log-factors. The margin must cover how far
+        # such an exp lands from the exact one, as a log, and the rounding
+        # of log(0.2), the default threshold, to float32 for the comparison.
+        x = np.linspace(-80.0, 0.0, 2_000_001, dtype=np.float32)
+        rounding = np.abs(np.log(np.exp(x).astype(np.float64)) - x.astype(np.float64)).max()
+        floor = math.log(MatchingConfig().match_threshold)
+        floor_rounding = abs(float(np.float32(floor)) - floor)
+        assert 3e-8 < rounding < 1e-6
+        assert rounding + floor_rounding < matching._LOG_MARGIN
+
     def test_feature_grid_keeps_its_floating_dtype(self):
         for dtype in (np.float32, np.float64):
             assert FeatureGrid(np.zeros((2, 3, 4), dtype=dtype)).values.dtype == dtype

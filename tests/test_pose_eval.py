@@ -124,9 +124,9 @@ class TestSampsonDistance:
 
 
     def test_stacked_matrices_score_like_each_matrix_alone(self):
-        # A stack is scored by one (N, 3) @ (3, 3B) product per side; each
+        # A stack is scored by one (B, 3, 3) @ (3, N) product per side; each
         # row must equal the single-matrix distances bit for bit, at every
-        # point count (one point takes the per-matrix path) and chunk size.
+        # point count and chunk size.
         rng = np.random.default_rng(15)
         for n in [*range(1, 81), 287, 348, 634]:
             xa = rng.normal(size=(n, 2))
@@ -255,8 +255,14 @@ def _reference_eight_point(xa, xb):
     xa_h = np.column_stack([xa, np.ones(len(xa))]) @ t_a.T
     xb_h = np.column_stack([xb, np.ones(len(xb))]) @ t_b.T
     a = (xb_h[:, :, None] * xa_h[:, None, :]).reshape(len(xa), 9)
-    _, _, vh = np.linalg.svd(a)
-    e = t_b.T @ vh[-1].reshape(3, 3) @ t_a
+    # Eight rows of full rank: the QR null vector; otherwise the SVD's.
+    q, r = np.linalg.qr(a.T, mode="complete")
+    diag = np.abs(np.diag(r))
+    if len(a) == 8 and np.all(diag > 1e-10 * diag.max()):
+        v = q[:, -1]
+    else:
+        v = np.linalg.svd(a)[2][-1]
+    e = t_b.T @ v.reshape(3, 3) @ t_a
     u, s, vt = np.linalg.svd(e)
     if s[1] < 1e-12:
         return None
@@ -433,6 +439,54 @@ class TestChunkedRansacEquivalence:
             e, valid = _eight_point(xa, xb)
         assert valid.tolist() == [False, True, False]
         assert np.array_equal(e[1], _reference_eight_point(xa[1], xb[1]))
+
+
+def _systems(xa, xb):
+    """(B, m, 9) rows of the 8-point systems of (B, m, 2) point sets, built
+    and conditioned as _eight_point builds them."""
+    t_a, _ = pose_eval._conditioning(xa)
+    t_b, _ = pose_eval._conditioning(xb)
+    ones = np.ones((*xa.shape[:2], 1))
+    xa_h = np.concatenate([xa, ones], axis=2) @ np.swapaxes(t_a, 1, 2)
+    xb_h = np.concatenate([xb, ones], axis=2) @ np.swapaxes(t_b, 1, 2)
+    return (xb_h[:, :, :, None] * xa_h[:, :, None, :]).reshape(*xa.shape[:2], 9)
+
+
+class TestNullVectors:
+    def test_full_rank_qr_null_vector_is_the_svd_one_up_to_sign(self):
+        rng = np.random.default_rng(40)
+        a = _systems(rng.normal(size=(64, 8, 2)), rng.normal(size=(64, 8, 2)))
+        got = pose_eval._null_vectors(a)
+        want = np.linalg.svd(a)[2][:, -1]
+        signs = np.sign(np.sum(got * want, axis=1))
+        assert np.max(np.abs(got - signs[:, None] * want)) < 1e-12
+        assert np.allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.max(np.abs(a @ got[:, :, None])) < 1e-12
+        # They come from the QR factor, not from the SVD.
+        assert not np.array_equal(got, want)
+
+    def test_rank_deficient_samples_take_the_svd_bits(self):
+        # A repeated point, and a zero baseline (xb = xa, which every
+        # skew-symmetric E fits), between two full-rank samples.
+        rng = np.random.default_rng(41)
+        xa = rng.normal(size=(4, 8, 2))
+        xb = rng.normal(size=(4, 8, 2))
+        xa[1, 7], xb[1, 7] = xa[1, 0], xb[1, 0]
+        xb[2] = xa[2]
+        a = _systems(xa, xb)
+        assert np.linalg.matrix_rank(a[1]) == 7 and np.linalg.matrix_rank(a[2]) < 7
+        got = pose_eval._null_vectors(a)
+        want = np.linalg.svd(a)[2][:, -1]
+        for i in (1, 2):
+            assert np.array_equal(got[i], np.linalg.svd(a[i])[2][-1])
+            assert np.array_equal(got[i], want[i])
+        for i in (0, 3):
+            assert np.array_equal(got[i], np.linalg.qr(a[i].T, mode="complete")[0][:, -1])
+
+    def test_nine_or_more_rows_take_the_thin_svd(self):
+        rng = np.random.default_rng(42)
+        a = _systems(rng.normal(size=(2, 30, 2)), rng.normal(size=(2, 30, 2)))
+        assert np.array_equal(pose_eval._null_vectors(a), np.linalg.svd(a)[2][:, -1])
 
 
 def _reference_depths(r, t, xa, xb):
