@@ -43,7 +43,9 @@ from .pose_eval import (
     pose_error,
     rotation_error_deg,
 )
-from .supervision import OcclusionMargin, PairStats, coarse_match_ground_truth, pair_stats
+from .supervision import (
+    MATCH_LABELS, OcclusionMargin, PairStats, coarse_match_ground_truth, label_matches, pair_stats,
+)
 from .synth import FIXTURE_NAMES, FeatureParams, make_fixture, make_pair
 
 _ENV_SEED = "OCCMATCH_SEED"
@@ -63,9 +65,9 @@ _READS = {
     "synth": ("channels", "patch_stride"),
     "supervise": ("margin_floor", "margin_relative", "patch_stride"),
     "voxelize": ("depth_bins", "d_min", "d_max"),
-    "match": ("temperature", "angles", "match_threshold", "fine_window", "fine_temperature",
-              "margin_floor", "margin_relative"),  # the margins only label the matches
-    "eval": ("ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds"),
+    "match": ("temperature", "angles", "match_threshold", "fine_window", "fine_temperature"),
+    "eval": ("ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds",
+             "margin_floor", "margin_relative"),  # the margins label the matches
 }
 
 
@@ -333,34 +335,7 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     pair = load_pair(args.pair)
     cfg = merge_config(args, manifest_overrides=pair.manifest.get("match_overrides"))
-    coarse_a, coarse_b, fine_a, fine_b = pair.features()
-
-    supervision_path = pair.path / "supervision.json"
-    if supervision_path.exists():
-        gt = formats.supervision_from_json(formats.read_json(supervision_path),
-                                           source=str(supervision_path))
-        if gt.patch_stride != coarse_a.stride:
-            raise SchemaError(f"{supervision_path}: patch_stride {gt.patch_stride} differs from "
-                              f"the coarse feature stride {coarse_a.stride}")
-        for name, grid in (("grid_a", coarse_a), ("grid_b", coarse_b)):
-            if getattr(gt, name) != grid.grid_shape:
-                raise SchemaError(f"{supervision_path}: {name} {list(getattr(gt, name))} differs "
-                                  f"from the coarse feature grid {list(grid.grid_shape)}")
-    else:
-        try:
-            gt = coarse_match_ground_truth(
-                pair.depth("a"), pair.depth("b"), pair.k, pair.k,
-                relative_pose(pair.pose_a, pair.pose_b),
-                margin=cfg.margin, patch_stride=coarse_a.stride,
-            )
-        except EmptyDepthError as exc:
-            raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
-    result = match_pair(coarse_a, coarse_b, fine_a, fine_b, cfg.matching)
-    labels = {"vv": set(gt.vv), "vo": set(gt.vo), "ov": set(gt.ov)}
-    for m in result.matches:
-        key = (m.patch_a, m.patch_b)
-        m.label = next((name for name, pairs in labels.items() if key in pairs), "none")
-
+    result = match_pair(*pair.features(), cfg.matching)
     out = Path(args.out) if args.out else pair.path / "matches.jsonl"
     formats.write_matches(out, result.matches)
     formats.write_json(out.with_name("match_config.json"), {
@@ -377,22 +352,18 @@ def _threshold_key(t: float) -> str:
     return str(int(t)) if float(t).is_integer() else str(t)
 
 
-def _evaluate_pair(pair: PairDir, matches: list[Match],
+def _evaluate_pair(pair: PairDir, gt: PoseSE3, px_a: np.ndarray, px_b: np.ndarray,
                    cfg: RunConfig) -> tuple[PoseErrorReport, Optional[str]]:
-    """Pose error of one pair and why no pose was solved (None if one was);
-    a failure comes back as infinite errors and its exception's message.
+    """Pose error against the GT relative pose `gt` of one pair from its
+    (n, 2) matched points, and why no pose was solved (None if one was); a
+    failure comes back as infinite errors and its exception's message.
 
     A (near-)zero ground-truth baseline leaves the translation direction
     unobservable; by the usual evaluation convention its error is 0 and
     the pair is scored on rotation alone.
     """
-    gt = relative_pose(pair.pose_a, pair.pose_b)
-    px_a = np.array([[m.point_a.u, m.point_a.v] for m in matches if m.point_a and m.point_b])
-    px_b = np.array([[m.point_b.u, m.point_b.v] for m in matches if m.point_a and m.point_b])
     try:
-        _, r_est, t_est, inliers = essential_from_matches(
-            px_a.reshape(-1, 2), px_b.reshape(-1, 2), pair.k, pair.k, cfg.ransac
-        )
+        _, r_est, t_est, inliers = essential_from_matches(px_a, px_b, pair.k, pair.k, cfg.ransac)
     except (InsufficientMatchesError, DegenerateConfigurationError) as exc:
         return PoseErrorReport(np.inf, np.inf, np.inf, 0), str(exc)
     count = int(inliers.sum())
@@ -422,9 +393,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for matches_path, manifest_path in zip(args.matches, args.manifests):
         pair = load_pair(Path(manifest_path).parent)
         matches = formats.read_matches(matches_path)
-        report, failure = _evaluate_pair(pair, matches, cfg)
+        # (2, n, 2): the refined A and B points of the matches that have both.
+        px = np.array([(m.point_a, m.point_b) for m in matches if m.point_a and m.point_b],
+                      dtype=np.float64).reshape(-1, 2, 2).transpose(1, 0, 2)
+        t_ba = relative_pose(pair.pose_a, pair.pose_b)
+        report, failure = _evaluate_pair(pair, t_ba, *px, cfg)
         ratio = formats._number(pair.manifest, "occlusion_ratio", str(manifest_path), default=0.0)
-        labels = Counter(m.label for m in matches)
+        found, epe = label_matches(*px, pair.depth("a"), pair.depth("b"), pair.k, pair.k, t_ba,
+                                   cfg.margin)
+        labels = Counter(found.tolist())
+        labels["none"] += len(matches) - len(found)
+        epe = epe[~np.isnan(epe)]
         rows.append({
             "id": pair.pair_id,
             "occlusion_ratio": ratio,
@@ -434,7 +413,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "inliers": report.inlier_count,
             "failure": failure,
             "matches": len(matches),
-            "labels": {k: labels[k] for k in formats.MATCH_LABELS},
+            "labels": {k: labels[k] for k in MATCH_LABELS},
+            "epe_px": dict(zip(("median", "p90"), np.percentile(epe, [50, 90]).tolist()))
+                      if epe.size else None,
             "branch_counts": _branch_counts(matches),
         })
         curve_entries.append((ratio, report.pose_deg))
@@ -516,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", help="accepted and ignored: match draws no random numbers")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("eval", help="estimate poses from matches and score them")
+    p = sub.add_parser("eval", help="score poses estimated from matches; label the matches by GT depth")
     p.add_argument("--matches", type=Path, nargs="+", required=True,
                    help="matches.jsonl files, one per pair")
     p.add_argument("--manifests", type=Path, nargs="+", required=True,

@@ -157,11 +157,6 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_list(value: Any, ok: Callable[[Any], bool], length: Optional[int] = None) -> bool:
-    """A list whose items all pass `ok`, with `length` items when given."""
-    return isinstance(value, list) and all(map(ok, value)) and length in (None, len(value))
-
-
 def _floats(obj: dict, field: str, source: str, count: Optional[int] = None) -> np.ndarray:
     raw = _require(obj, field, source)
     try:
@@ -221,7 +216,8 @@ def scene_to_json(scene: SceneSpec) -> dict:
 def scene_from_json(obj: dict, source: str = "scene") -> SceneSpec:
     prims: list[Union[Plane, Box]] = []
     entries = _field(obj, "primitives", source,
-                     lambda v: _is_list(v, lambda e: isinstance(e, dict)), "a list of objects")
+                     lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+                     "a list of objects")
     for i, entry in enumerate(entries):
         where = f"{source}: primitives[{i}]"
         kind = _require(entry, "type", where)
@@ -247,9 +243,8 @@ def scene_from_json(obj: dict, source: str = "scene") -> SceneSpec:
     return SceneSpec(tuple(prims))
 
 
-def supervision_to_json(matches: CoarseMatchSet, stats: PairStats,
-                        config: Optional[dict] = None) -> dict:
-    out = {
+def supervision_to_json(matches: CoarseMatchSet, stats: PairStats, config: dict) -> dict:
+    return {
         "patch_stride": matches.patch_stride,
         "grid_a": list(matches.grid_a),
         "grid_b": list(matches.grid_b),
@@ -259,26 +254,8 @@ def supervision_to_json(matches: CoarseMatchSet, stats: PairStats,
         "occlusion_ratio": stats.occlusion_ratio,
         "overlap_score": stats.overlap_score,
         "counts": {cls.name.lower(): stats.counts[cls] for cls in PixelClass},
+        "config": config,
     }
-    if config is not None:
-        out["config"] = config
-    return out
-
-
-def supervision_from_json(obj: dict, source: str = "supervision") -> CoarseMatchSet:
-    stride = _field(obj, "patch_stride", source, _is_int, "an integer")
-    lists = {}
-    for name in ("vv", "vo", "ov"):
-        pairs = _field(obj, name, source, lambda v: _is_list(v, lambda p: _is_list(p, _is_int, 2)),
-                       "a list of index pairs")
-        lists[name] = [tuple(p) for p in pairs]
-    grids = {name: tuple(_field(obj, name, source, lambda v: _is_list(v, _is_int, 2), "[rows, cols]"))
-             for name in ("grid_a", "grid_b")}
-    return CoarseMatchSet(patch_stride=stride, **lists, **grids)
-
-
-# A match's label: the ground-truth class of its patch pair, or "none".
-MATCH_LABELS = ("vv", "vo", "ov", "none")
 
 
 def match_to_json(m: Match) -> dict:
@@ -289,7 +266,6 @@ def match_to_json(m: Match) -> dict:
         "a": [m.point_a.u, m.point_a.v] if m.point_a else None,
         "b": [m.point_b.u, m.point_b.v] if m.point_b else None,
         "conf": m.confidence,
-        "label": m.label if m.label is not None else "none",
         "pa": m.patch_a,
         "pb": m.patch_b,
     }
@@ -319,7 +295,7 @@ def _pixel_point(obj: dict, field: str, source: str) -> Optional[PixelPoint]:
 
 def match_from_json(obj: dict, source: str = "matches") -> Match:
     """One matches.jsonl record. The fields are checked in a fixed order,
-    a, b, branch, pa, pb, conf, label, and the first bad one is named."""
+    a, b, branch, pa, pb, conf, and the first bad one is named."""
     point_a, point_b = _pixel_point(obj, "a", source), _pixel_point(obj, "b", source)
     branch = obj.get("branch")
     if branch is not None and not (isinstance(branch, list) and all(map(_is_number, branch))):
@@ -335,11 +311,7 @@ def match_from_json(obj: dict, source: str = "matches") -> Match:
             branch = tuple(map(float, branch))
         except OverflowError:
             raise _out_of_range("branch", branch, source) from None
-    label = _require(obj, "label", source)
-    if label not in MATCH_LABELS:
-        raise SchemaError(f"{source}: field 'label' must be one of {', '.join(MATCH_LABELS)}, "
-                          f"got {label!r}")
-    return Match(pa, pb, conf, point_a, point_b, branch, label)
+    return Match(pa, pb, conf, point_a, point_b, branch)
 
 
 def write_matches(path: PathLike, matches: Iterable[Match]) -> None:

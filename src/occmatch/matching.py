@@ -135,7 +135,6 @@ class Match:
     point_a: Optional[PixelPoint] = None
     point_b: Optional[PixelPoint] = None
     branch: Optional[tuple[float, float]] = None
-    label: Optional[str] = None
 
 
 def neighborhood_mean(f: FeatureGrid) -> FeatureGrid:
@@ -464,11 +463,12 @@ def _refine(
         at = slice(lo, lo + _REFINE_CHUNK)
         anchors = fine_a.values[:, ar[at], ac[at]]
         channels, n = anchors.shape
-        # Correlation windows around B's anchors, replicate-clamped at edges.
-        rr = np.clip(br[at, None] + steps, 0, hb - 1)
-        cc = np.clip(bc[at, None] + steps, 0, wb - 1)
+        # Windows around B's anchors: cells off the grid get no weight (-inf).
+        rows, cols = br[at, None] + steps, bc[at, None] + steps
+        rr, cc = np.clip(rows, 0, hb - 1), np.clip(cols, 0, wb - 1)
         windows = fine_b.values[:, rr[:, :, None], cc[:, None, :]].reshape(channels, n, -1)
         corr = (anchors.T[:, None, :] @ windows.transpose(1, 0, 2))[:, 0]
+        corr[((rr != rows)[:, :, None] | (cc != cols)[:, None, :]).reshape(n, -1)] = -np.inf
         heat = softmax(corr / cfg.fine_temperature, axis=1)
         refined[at] = refine_fine_match(heat.reshape(n, cfg.fine_window, cfg.fine_window),
                                         np.column_stack([bc[at], br[at]]))

@@ -1,9 +1,11 @@
-"""Reprojection supervision: per-pixel visibility classes and GT coarse matches.
+"""Reprojection supervision: per-pixel visibility classes, GT coarse
+matches and the GT labels of refined matches.
 
 Every pixel of view A with known depth is carried into view B and compared
 against B's rendered depth. The outcome partitions A's pixels into five
 classes; patch-level aggregation of those classes yields the vv / vo / ov
-ground-truth match lists that the coarse matcher and its losses consume.
+ground-truth match lists that the coarse matcher and its losses consume;
+the same test on a match's refined points gives its label.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ from .errors import EmptyDepthError
 from .geometry import (
     CameraIntrinsics, DepthMap, PoseSE3, patch_centers, patch_grid, project_points, unproject_points,
 )
+
+
+# A match's label (label_matches), and how far in pixels a match's point
+# may lie from the GT reprojection of its partner for a label but "none".
+MATCH_LABELS = ("vv", "vo", "ov", "none")
+_LABEL_RADIUS_PX = 3.0
 
 
 class PixelClass(IntEnum):
@@ -227,9 +235,8 @@ def coarse_match_ground_truth(
     def one_direction(
         d_src: DepthMap, d_dst: DepthMap, k_src, k_dst, t, grid_dst
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        cu, cv = patch_centers(d_src.height, d_src.width, patch_stride)
-        d_at = d_src.data[cv.astype(np.intp), cu.astype(np.intp)]
-        cls, uv, _ = classify_points(cu, cv, d_at, d_dst, k_src, k_dst, t, margin)
+        centers = np.column_stack(patch_centers(d_src.height, d_src.width, patch_stride))
+        cls, uv, _ = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t, margin)
         tgt_col = np.floor(uv[:, 0] / patch_stride)
         tgt_row = np.floor(uv[:, 1] / patch_stride)
         covis, occl = [], []
@@ -244,3 +251,42 @@ def coarse_match_ground_truth(
     return CoarseMatchSet(
         patch_stride=patch_stride, vv=vv, vo=vo, ov=ov, grid_a=grid_a, grid_b=grid_b
     )
+
+
+def _classify_nearest(src: np.ndarray, depth_src: DepthMap, depth_dst: DepthMap,
+                      k_src: CameraIntrinsics, k_dst: CameraIntrinsics, t: PoseSE3,
+                      margin: OcclusionMargin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """classify_points of the (n, 2) points `src`, each at the depth of its
+    nearest pixel."""
+    h, w = depth_src.data.shape
+    col = np.clip(np.floor(src[:, 0] + 0.5), 0, w - 1).astype(np.intp)
+    row = np.clip(np.floor(src[:, 1] + 0.5), 0, h - 1).astype(np.intp)
+    # A point far off the image (any finite value is a valid match point)
+    # may overflow to inf or NaN; such a point is out of bounds.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return classify_points(src[:, 0], src[:, 1], depth_src.data[row, col],
+                               depth_dst, k_src, k_dst, t, margin)
+
+
+def label_matches(uv_a: np.ndarray, uv_b: np.ndarray, depth_a: DepthMap, depth_b: DepthMap,
+                  k_a: CameraIntrinsics, k_b: CameraIntrinsics, t_ba: PoseSE3,
+                  margin: OcclusionMargin = OcclusionMargin()) -> tuple[np.ndarray, np.ndarray]:
+    """GT label of each match of refined points (uv_a[i], uv_b[i]), and its
+    endpoint error: the distance in B from uv_b[i] to the GT reprojection
+    of uv_a[i] (NaN unless that point is covisible or occluded in B).
+
+    vv: the A point is covisible in B and reprojects within
+    _LABEL_RADIUS_PX of the B point; else vo: it is occluded in B and
+    within that radius; else ov: the B point is occluded in A and
+    reprojects within the radius of the A point; else none.
+    """
+    uv_a, uv_b = (np.asarray(uv, dtype=np.float64).reshape(-1, 2) for uv in (uv_a, uv_b))
+    cls_a, in_b, _ = _classify_nearest(uv_a, depth_a, depth_b, k_a, k_b, t_ba, margin)
+    cls_b, in_a, _ = _classify_nearest(uv_b, depth_b, depth_a, k_b, k_a, t_ba.inverse(), margin)
+    covisible, occluded = cls_a == PixelClass.COVISIBLE, cls_a == PixelClass.OCCLUDED_IN_OTHER
+    epe = np.where(covisible | occluded, np.hypot(*(in_b - uv_b).T), np.nan)
+    near_a, near_b = epe <= _LABEL_RADIUS_PX, np.hypot(*(in_a - uv_a).T) <= _LABEL_RADIUS_PX
+    labels = np.select([near_a & covisible, near_a & occluded,
+                        near_b & (cls_b == PixelClass.OCCLUDED_IN_OTHER)],
+                       MATCH_LABELS[:3], MATCH_LABELS[3])
+    return labels, epe

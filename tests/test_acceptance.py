@@ -290,12 +290,13 @@ def test_criterion_08_end_to_end_fixture_pipeline(tmp_path):
     with gate(8, "five-fixture pipeline: vv recovery, pose AUC, roll branch", 60.0):
         run_pipeline(tmp_path, FIXTURE_NAMES)
 
+        # Recovered: the matches whose patch pair is a GT covisible pair.
         recovered = gt_vv = 0
         for name in FIXTURE_NAMES:
-            sup = read_json(tmp_path / name / "supervision.json")
+            vv = {tuple(p) for p in read_json(tmp_path / name / "supervision.json")["vv"]}
             matches = read_matches(tmp_path / name / "matches.jsonl")
-            gt_vv += len(sup["vv"])
-            recovered += sum(m.label == "vv" for m in matches)
+            gt_vv += len(vv)
+            recovered += sum((m.patch_a, m.patch_b) in vv for m in matches)
         assert recovered / gt_vv >= 0.90
 
         # Pose AUC on the fixtures with a clean, observable baseline. The

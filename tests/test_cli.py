@@ -30,8 +30,9 @@ from occmatch.formats import (
     write_features,
     write_json,
 )
-from occmatch.geometry import CameraIntrinsics, DepthMap, PoseSE3
+from occmatch.geometry import CameraIntrinsics, DepthMap, PoseSE3, relative_pose
 from occmatch.matching import FeatureGrid
+from occmatch.supervision import label_matches
 from occmatch.synth import Plane, SceneSpec, make_fixture
 
 
@@ -58,9 +59,9 @@ READS = {
     "synth": {"channels", "patch_stride"},
     "supervise": {"margin_floor", "margin_relative", "patch_stride"},
     "voxelize": {"depth_bins", "d_min", "d_max"},
-    "match": {"temperature", "angles", "match_threshold", "fine_window", "fine_temperature",
-              "margin_floor", "margin_relative"},
-    "eval": {"ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds"},
+    "match": {"temperature", "angles", "match_threshold", "fine_window", "fine_temperature"},
+    "eval": {"ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds",
+             "margin_floor", "margin_relative"},
 }
 # A value of each setting that the commands reading it accept.
 VALUES = {
@@ -198,7 +199,6 @@ class TestSynth:
 
     @pytest.mark.parametrize("command, named", [
         ("supervise", "{a}: view A has no valid depth pixel"),
-        ("match", "{a}: view A has no valid depth pixel"),
         ("voxelize", "{a}, {b}: no valid depth pixel in either view"),
     ])
     def test_depth_without_valid_pixel_names_the_file(self, tmp_path, capsys, command, named):
@@ -296,11 +296,9 @@ class TestVoxelize:
 class TestMatch:
     def test_identity_recovers_every_patch(self, fresh_pair):
         pair = fresh_pair("identity")
-        assert main(["supervise", "--pair", pair]) == 0
         assert main(["match", "--pair", pair]) == 0
         matches = read_matches(f"{pair}/matches.jsonl")
         assert len(matches) == 432
-        assert all(m.label == "vv" for m in matches)
         assert all(m.patch_a == m.patch_b for m in matches)
         assert all(m.point_a is not None and m.point_b is not None for m in matches)
 
@@ -317,12 +315,17 @@ class TestMatch:
         assert all(m.point_a is not None and m.point_b is not None for m in matches)
         assert all(0 <= m.point_a.u < width and 0 <= m.point_a.v < height for m in matches)
 
-    def test_labels_computed_without_supervision_file(self, fresh_pair):
-        pair = fresh_pair("identity")
-        assert main(["match", "--pair", pair]) == 0
-        matches = read_matches(f"{pair}/matches.jsonl")
-        assert len(matches) == 432
-        assert all(m.label == "vv" for m in matches)
+    @pytest.mark.parametrize("name", ["two_plane", "box_roll30"])
+    def test_reads_only_the_manifest_and_feature_grids(self, fresh_pair, name):
+        full, bare = Path(fresh_pair(name, "full")), Path(fresh_pair(name, "bare"))
+        for pair in (full, bare):
+            assert main(["supervise", "--pair", str(pair)]) == 0
+        for file_name in ("supervision.json", "depth_a.odm", "depth_b.odm"):
+            (bare / file_name).unlink()
+        for pair in (full, bare):
+            assert main(["match", "--pair", str(pair)]) == 0
+        for file_name in ("matches.jsonl", "match_config.json"):
+            assert (bare / file_name).read_bytes() == (full / file_name).read_bytes()
 
     def test_config_sidecar_lists_branches(self, fresh_pair):
         pair = fresh_pair("identity")
@@ -393,29 +396,6 @@ class TestMatch:
         assert main(["match", "--pair", pair]) == 1
         err = capsys.readouterr().err
         assert "coarse_a.ofg" in err and "stride" in err
-
-    def test_supervision_at_another_patch_stride_fails(self, fresh_pair, capsys):
-        pair = fresh_pair("two_plane")
-        assert main(["supervise", "--pair", pair, "--patch-stride", "16"]) == 0
-        assert main(["match", "--pair", pair]) == 1
-        err = capsys.readouterr().err
-        assert "supervision.json" in err and "patch_stride" in err
-        assert not (Path(pair) / "matches.jsonl").exists()
-
-    def test_supervision_of_another_image_size_fails(self, fresh_pair, tmp_path, capsys):
-        # Same stride, other grid: a 192x144 supervision copied into a
-        # 320x240 pair would label every match "none".
-        small = fresh_pair("two_plane")
-        large = tmp_path / "two_plane_320"
-        assert main(["synth", "--fixture", "two_plane", "--width", "320", "--height", "240",
-                     "--out", str(large)]) == 0
-        assert main(["supervise", "--pair", small]) == 0
-        shutil.copy(Path(small) / "supervision.json", large / "supervision.json")
-        capsys.readouterr()
-        assert main(["match", "--pair", str(large)]) == 1
-        err = capsys.readouterr().err
-        assert "supervision.json" in err and "grid_a" in err and "Traceback" not in err
-        assert not (large / "matches.jsonl").exists()
 
     @pytest.mark.parametrize("name, stride, channels, rows, field", [
         ("fine_a", 3, None, None, "stride"),
@@ -704,21 +684,20 @@ class TestMalformedInputs:
         ("scene.json", "primitives", 5),
         ("scene.json", "primitives.0", 5),
         ("scene.json", "primitives.0.texture", -1),
-        ("supervision.json", "patch_stride", "abc"),
-        ("supervision.json", "vv", 5),
-        ("supervision.json", "vo", [5]),
-        ("supervision.json", "ov", [[1]]),
         ("matches.jsonl", "a", 5),
-        ("matches.jsonl", "b", [5]),
-        ("matches.jsonl", "a", {}),
+        # Explicit ids keep these cases' names stable as cases before them
+        # come and go.
+        pytest.param("matches.jsonl", "b", [5], id="matches.jsonl-b-value14"),
+        pytest.param("matches.jsonl", "a", {}, id="matches.jsonl-a-value15"),
         ("manifest.json", "k.fx", math.nan),
-        ("manifest.json", "pose_b.t", [math.nan, 0.0, 0.0]),
-        ("supervision.json", "grid_a", [18, 24.0]),
-        ("matches.jsonl", "label", "bogus"),
-        ("matches.jsonl", "label", 5),
-        ("scene.json", "primitives.0.point", [math.nan, 0.0, 2.0]),
-        ("scene.json", "primitives.0.normal", [0.0, math.nan, 1.0]),
-        ("scene.json", "primitives.0.point", [0.0, 0.0, math.inf]),
+        pytest.param("manifest.json", "pose_b.t", [math.nan, 0.0, 0.0],
+                     id="manifest.json-pose_b.t-value17"),
+        pytest.param("scene.json", "primitives.0.point", [math.nan, 0.0, 2.0],
+                     id="scene.json-primitives.0.point-value21"),
+        pytest.param("scene.json", "primitives.0.normal", [0.0, math.nan, 1.0],
+                     id="scene.json-primitives.0.normal-value22"),
+        pytest.param("scene.json", "primitives.0.point", [0.0, 0.0, math.inf],
+                     id="scene.json-primitives.0.point-value23"),
         # Integers beyond the float range once ended in an OverflowError traceback.
         pytest.param("manifest.json", "k.fx", 10**400, id="manifest.json-k.fx-overflow"),
         pytest.param("manifest.json", "pose_b.t", [10**400, 0, 0],
@@ -738,13 +717,11 @@ class TestMalformedInputs:
                            "--pose-a", str(tmp_path / "pose_a.json"),
                            "--pose-b", str(tmp_path / "pose_b.json"),
                            "--intrinsics", str(tmp_path / "k.json"), "--out", str(tmp_path / "out")],
-            "supervision.json": ["match", "--pair", str(pair)],
             "matches.jsonl": ["eval", "--matches", str(pair / "matches.jsonl"),
                               "--manifests", str(pair / "manifest.json"),
                               "--out-report", str(tmp_path / "r.json"),
                               "--out-curve", str(tmp_path / "c.csv")],
         }[target]
-        assert main(["supervise", "--pair", str(pair)]) == 0
         assert main(["match", "--pair", str(pair)]) == 0
         path = (tmp_path if target == "scene.json" else pair) / target
         if target == "matches.jsonl":
@@ -852,8 +829,12 @@ class TestEvalAndCurve:
     def test_rows_count_matches_by_label(self, fresh_pair, tmp_path):
         pair = fresh_pair("two_plane")
         assert main(["match", "--pair", pair]) == 0
-        labels = [json.loads(line)["label"]
-                  for line in (Path(pair) / "matches.jsonl").read_text().splitlines()]
+        points = np.array([(m.point_a, m.point_b) for m in read_matches(f"{pair}/matches.jsonl")])
+        fx = make_fixture("two_plane")
+        labels, epe = label_matches(points[:, 0], points[:, 1], read_depth(f"{pair}/depth_a.odm"),
+                                    read_depth(f"{pair}/depth_b.odm"), fx.k, fx.k,
+                                    relative_pose(fx.pose_a, fx.pose_b))
+        labels, epe = labels.tolist(), epe[~np.isnan(epe)]
         code, report_path, _ = self.run_eval([pair], tmp_path)
         assert code == 0
         row = read_json(report_path)["pairs"][0]
@@ -861,6 +842,29 @@ class TestEvalAndCurve:
         assert row["labels"] == {k: labels.count(k) for k in ("vv", "vo", "ov", "none")}
         assert sum(row["labels"].values()) == row["matches"]
         assert row["labels"]["vv"] > 300 and row["labels"]["none"] > 0
+        assert row["epe_px"] == {"median": float(np.percentile(epe, 50)),
+                                 "p90": float(np.percentile(epe, 90))}
+        assert row["epe_px"]["p90"] < 0.5  # integer disparities: refined points land on the truth
+
+    @pytest.mark.parametrize("damage", ["missing", "nan"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_bad_depth_file_fails_with_file_name(self, fresh_pair, tmp_path, capsys, side, damage):
+        # eval labels the matches by the pair's ground-truth depth.
+        pair = fresh_pair("stereo")
+        assert main(["match", "--pair", pair]) == 0
+        path = Path(pair) / f"depth_{side}.odm"
+        if damage == "missing":
+            path.unlink()
+        else:
+            blob = bytearray(path.read_bytes())
+            blob[12:16] = np.array([np.nan], dtype="<f4").tobytes()  # first pixel
+            path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code, report_path, curve_path = self.run_eval([pair], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"depth_{side}.odm" in err and "Traceback" not in err
+        assert not report_path.exists() and not curve_path.exists()
 
     @pytest.mark.parametrize("name", ["identity", "box_roll30"])
     def test_rows_count_matches_by_branch(self, name, fresh_pair, tmp_path):
@@ -941,6 +945,8 @@ class TestEvalAndCurve:
         row = read_json(report_path)["pairs"][0]
         assert row["pose_err_deg"] == math.inf
         assert row["inliers"] == 0
+        assert row["labels"] == {"vv": 0, "vo": 0, "ov": 0, "none": 0}
+        assert row["epe_px"] is None
         assert read_json(report_path)["auc"]["5"] == 0.0
 
     def test_too_few_matches_name_the_failure(self, fresh_pair, tmp_path):

@@ -1,7 +1,7 @@
 """Fuzzed pair directories: a flipped byte or truncated raster, or a JSON
-field of the manifest or the supervision replaced or removed, makes
-supervise, voxelize and match exit 0 or 1, never raise; a field of one
-matches.jsonl line replaced or removed does the same to eval."""
+field of the manifest replaced or removed, makes supervise, voxelize,
+match and eval exit 0 or 1, never raise; a field of one matches.jsonl
+line replaced or removed does the same to eval."""
 
 import contextlib
 import io
@@ -23,7 +23,6 @@ def base_pair(tmp_path_factory):
     pair = root / "two_plane"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--fixture", "two_plane", "--out", str(pair)]) == 0
-        assert main(["supervise", "--pair", str(pair)]) == 0
         assert main(["match", "--pair", str(pair)]) == 0
     return pair
 
@@ -58,7 +57,7 @@ def mutate(pair: Path, data) -> None:
             del blob[at:]
         path.write_bytes(bytes(blob))
         return
-    path = pair / data.draw(st.sampled_from(("manifest.json", "supervision.json")))
+    path = pair / "manifest.json"
     obj = json.loads(path.read_text())
     mutate_field(obj, kind, data)
     path.write_text(json.dumps(obj))
@@ -89,6 +88,9 @@ def run_stages(pair: Path, out: Path) -> None:
     run_clean(["supervise", "--pair", str(pair), "--out", str(out / "s.json")])
     run_clean(["voxelize", "--pair", str(pair), "--out-dir", str(out / "vox")])
     run_clean(["match", "--pair", str(pair), "--out", str(out / "m.jsonl")])
+    run_clean(["eval", "--matches", str(pair / "matches.jsonl"), "--manifests",
+               str(pair / "manifest.json"), "--out-report", str(out / "r.json"),
+               "--out-curve", str(out / "c.csv")])
 
 
 @given(data=st.data())

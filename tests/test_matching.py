@@ -34,6 +34,7 @@ from occmatch.matching import (
 )
 from occmatch.numerics import softmax
 from occmatch.supervision import CoarseMatchSet
+from occmatch.synth import FIXTURE_NAMES
 
 
 def manual_bilinear(grid: np.ndarray, r: float, c: float) -> np.ndarray:
@@ -474,6 +475,47 @@ class TestMatchPair:
             assert m.point_b is not None and np.isfinite(m.point_b).all()
 
 
+class TestRefineAtTheGridEdge:
+    """One 8x8-pixel patch, fine cells of 2 pixels (4x4): the B window
+    around the anchor cell (2, 2) reaches past the grid's bottom-right
+    corner, and its off-grid cells take no weight."""
+
+    def refined_b(self, fine_b: np.ndarray, cfg: MatchingConfig) -> PixelPoint:
+        coarse = FeatureGrid(np.ones((4, 1, 1)), stride=8)
+        anchor = np.zeros((2, 4, 4))
+        anchor[0] = 1.0
+        (m,) = match_pair(coarse, coarse, FeatureGrid(anchor, stride=2),
+                          FeatureGrid(fine_b, stride=2), cfg).matches
+        return m.point_b
+
+    def test_flat_window_averages_the_cells_on_the_grid(self):
+        # Cells 0..3 of the window 0..4 lie on the grid in each axis: the
+        # mean offset from the anchor is -0.5, cell 1.5, pixel 3.5.
+        cfg = MatchingConfig(fine_window=5)
+        assert self.refined_b(np.ones((2, 4, 4)), cfg) == PixelPoint(3.5, 3.5)
+
+    def test_peak_at_the_corner_cell_stays_on_it(self):
+        # Replicating the corner cell into the 9 off-grid window cells
+        # beyond it (window 7: cells -1..5) would move the point to cell 4,
+        # pixel 8.5, outside the 8-pixel image.
+        fine_b = np.zeros((2, 4, 4))
+        fine_b[1] = 1.0
+        fine_b[:, 3, 3] = (1.0, 0.0)
+        point = self.refined_b(fine_b, MatchingConfig(fine_window=7, fine_temperature=0.01))
+        assert point == pytest.approx((6.5, 6.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_refined_points_stay_inside_the_image(pair_cache, name):
+    fx, pair = pair_cache(name)
+    cfg = MatchingConfig(**fx.match_overrides)
+    matches = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b, cfg).matches
+    points = np.array([(m.point_a, m.point_b) for m in matches])  # (n, 2 views, (u, v))
+    assert len(points) > 250
+    assert (points >= -0.5).all()
+    assert (points <= [fx.k.width - 0.5, fx.k.height - 0.5]).all()
+
+
 def tied_column_grid(seed: int) -> FeatureGrid:
     """Four rows of four identical cells. The cells of a row align to equal
     descriptors up to rounding, so many entries of a row of B tie exactly."""
@@ -484,8 +526,9 @@ def tied_column_grid(seed: int) -> FeatureGrid:
 def reference_points(fa, fb, fine_a, fine_b, cfg, matches) -> tuple[list, bool]:
     """The per-match refinement match_pair ran before it was chunked: one
     tensordot, one softmax and one expectation per match, anchored at the
-    middle fine cell of each patch's extent. Returns each match's
-    (point_a, point_b) and whether any window was clamped."""
+    middle fine cell of each patch's extent, with the window cells off the
+    fine grid left out of the softmax. Returns each match's
+    (point_a, point_b) and whether any window reached past the grid."""
     ratio_a, ratio_b = fa.stride // fine_a.stride, fb.stride // fine_b.stride
     half = cfg.fine_window // 2
     hb, wb = fine_b.grid_shape
@@ -503,6 +546,7 @@ def reference_points(fa, fb, fine_a, fine_b, cfg, matches) -> tuple[list, bool]:
         clamped |= not (np.array_equal(rr, rows) and np.array_equal(cc, cols))
         window = fine_b.values[:, rr[:, None], cc[None, :]]
         corr = np.tensordot(fine_a.values[:, ar, ac], window, axes=(0, 0))
+        corr[(rr != rows)[:, None] | (cc != cols)[None, :]] = -np.inf
         heat = softmax(corr.ravel() / cfg.fine_temperature).reshape(corr.shape)
         w = heat / heat.sum()
         du = float((w.sum(axis=0) * offsets).sum())

@@ -17,6 +17,7 @@ from occmatch.supervision import (
     PixelClass,
     classify_points,
     coarse_match_ground_truth,
+    label_matches,
     pair_stats,
     sample_depth_bilinear,
 )
@@ -243,3 +244,48 @@ class TestCoarseMatchGroundTruth:
         assert len(gt.vo) > 0
         # vv and vo source patches never overlap.
         assert not ({a for a, _ in gt.vv} & {a for a, _ in gt.vo})
+
+
+class TestLabelMatches:
+    @pytest.mark.parametrize("shift, label", [(0.0, "vv"), (2.0, "vv"), (4.0, "none")])
+    def test_identity_pair_labels_by_the_distance(self, k64, shift, label):
+        # The same plane seen twice: every point reprojects onto itself, so a
+        # B point `shift` px off its A point is that far from the truth.
+        depth = DepthMap(np.full((64, 64), 2.0))
+        rng = np.random.default_rng(5)
+        uv_a = rng.uniform(0.0, 63.0, size=(40, 2))
+        labels, epe = label_matches(uv_a, uv_a + [shift, 0.0], depth, depth, k64, k64, IDENTITY)
+        assert labels.tolist() == [label] * 40
+        assert epe == pytest.approx(np.full(40, shift), abs=1e-9)
+
+    @pytest.fixture(scope="class")
+    def two_plane(self):
+        fx = make_fixture("two_plane")
+        depth_a = render_depth(fx.scene, fx.pose_a, fx.k)
+        depth_b = render_depth(fx.scene, fx.pose_b, fx.k)
+        return fx, depth_a, depth_b, relative_pose(fx.pose_a, fx.pose_b)
+
+    @staticmethod
+    def occluded_pixels(depth_src, depth_dst, k, t) -> tuple[np.ndarray, np.ndarray]:
+        """Integer pixels of the source view occluded in the other, and
+        their GT reprojections there."""
+        v, u = np.mgrid[0:depth_src.height, 0:depth_src.width]
+        uv = np.column_stack([u.ravel(), v.ravel()]).astype(np.float64)
+        cls, uv_dst, _ = classify_points(uv[:, 0], uv[:, 1], depth_src.data.ravel(),
+                                         depth_dst, k, k, t)
+        occluded = cls == PixelClass.OCCLUDED_IN_OTHER
+        assert occluded.sum() > 100
+        return uv[occluded], uv_dst[occluded]
+
+    def test_occluded_a_point_matched_at_its_reprojection_is_vo(self, two_plane):
+        fx, depth_a, depth_b, t_ba = two_plane
+        uv_a, uv_b = self.occluded_pixels(depth_a, depth_b, fx.k, t_ba)
+        labels, epe = label_matches(uv_a, uv_b, depth_a, depth_b, fx.k, fx.k, t_ba)
+        assert set(labels.tolist()) == {"vo"}
+        assert np.all(epe == 0.0)
+
+    def test_occluded_b_point_matched_at_its_reprojection_is_ov(self, two_plane):
+        fx, depth_a, depth_b, t_ba = two_plane
+        uv_b, uv_a = self.occluded_pixels(depth_b, depth_a, fx.k, t_ba.inverse())
+        labels, _ = label_matches(uv_a, uv_b, depth_a, depth_b, fx.k, fx.k, t_ba)
+        assert set(labels.tolist()) == {"ov"}
