@@ -72,7 +72,7 @@ def write_depth(path: PathLike, depth: DepthMap) -> None:
     with path.open("wb") as fh:
         fh.write(_DEPTH_MAGIC)
         fh.write(struct.pack("<2I", depth.width, depth.height))
-        fh.write(depth.data.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(depth.data, dtype="<f4"))
 
 
 def read_depth(path: PathLike) -> DepthMap:
@@ -88,7 +88,7 @@ def write_occupancy(path: PathLike, grid: OccupancyGrid) -> None:
     with path.open("wb") as fh:
         fh.write(_OCC_MAGIC)
         fh.write(struct.pack("<4I", 1, rows, cols, bins))
-        fh.write(grid.values.astype("<f4").tobytes())  # C order == (row, col, bin)
+        fh.write(np.ascontiguousarray(grid.values, dtype="<f4"))  # C order == (row, col, bin)
 
 
 def read_occupancy(path: PathLike) -> OccupancyGrid:
@@ -106,7 +106,7 @@ def write_features(path: PathLike, grid: FeatureGrid) -> None:
     with path.open("wb") as fh:
         fh.write(_FEAT_MAGIC)
         fh.write(struct.pack("<4I", channels, rows, cols, grid.stride))
-        fh.write(grid.values.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(grid.values, dtype="<f4"))
 
 
 def read_features(path: PathLike) -> FeatureGrid:

@@ -237,13 +237,14 @@ def coarse_match_ground_truth(
     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         centers = np.column_stack(patch_centers(d_src.height, d_src.width, patch_stride))
         cls, uv, _ = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t, margin)
-        tgt_col = np.floor(uv[:, 0] / patch_stride)
-        tgt_row = np.floor(uv[:, 1] / patch_stride)
-        covis, occl = [], []
-        for p in np.flatnonzero((cls == PixelClass.COVISIBLE) | (cls == PixelClass.OCCLUDED_IN_OTHER)):
-            tgt = int(tgt_row[p]) * grid_dst[1] + int(tgt_col[p])
-            (covis if cls[p] == PixelClass.COVISIBLE else occl).append((int(p), tgt))
-        return covis, occl
+
+        def pairs(c: PixelClass) -> list[tuple[int, int]]:
+            # Both classes land inside the destination image, so uv is finite.
+            p = np.flatnonzero(cls == c)
+            tgt_row, tgt_col = (np.floor(uv[p, i] / patch_stride).astype(np.intp) for i in (1, 0))
+            return list(zip(p.tolist(), (tgt_row * grid_dst[1] + tgt_col).tolist()))
+
+        return pairs(PixelClass.COVISIBLE), pairs(PixelClass.OCCLUDED_IN_OTHER)
 
     vv, vo = one_direction(depth_a, depth_b, k_a, k_b, t_ba, grid_b)
     _, ov_rev = one_direction(depth_b, depth_a, k_b, k_a, t_ab, grid_a)

@@ -41,6 +41,9 @@ _FINE_STRIDE = 2
 _COARSE_SCALE_CELLS = 0.5
 _FINE_SCALE_CELLS = 1.0
 _FREQ_SEED = 61
+# Cells per block of `_feature_grid`: its float64 work arrays stay near 1 MB
+# at 128 channels.
+_BLOCK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -328,32 +331,53 @@ def _feature_grid(
     keep their precision, and its cos/sin run in float32, which is what
     the grid files store. Each cell is then scaled by its measured float64
     norm, and the grid is held as float32, the values the files store.
+
+    Cells are encoded `_BLOCK_CELLS` at a time into work arrays allocated
+    once per call; every cell's arithmetic is elementwise (its phase is a
+    length-3 product), so the blocks change no output byte.
     """
     u, v, (rows, cols) = _grid_centers(k, stride)
-    depth, prim, world = _cast_pixels(scene, pose, k, u, v)
+    _, prim, world = _cast_pixels(scene, pose, k, u, v)
     m = omegas.shape[0]
     n = u.size
-    feats = np.empty((2 * m, n))
-
-    # Every cell is encoded; a missed cell's ray reads the camera centre and
-    # the last texture's signs (prim -1), and is overwritten below.
-    turns = np.matmul(omegas / (2.0 * math.pi), np.ascontiguousarray(world.T), out=feats[m:])
-    turns -= np.rint(turns, out=feats[:m])
-    angle = np.empty((m, n), dtype=np.float32)
-    np.multiply(turns, 2.0 * math.pi, out=angle, casting="same_kind")
+    freqs = omegas / (2.0 * math.pi)
     textures, prim_texture = np.unique([p.texture for p in scene.primitives], return_inverse=True)
     table = np.stack([_texture_signs(int(tex), m) for tex in textures], axis=1)
-    signs = np.take(table, prim_texture[prim], axis=1)  # C-ordered, so the products run contiguous
-    np.multiply(np.cos(angle), signs, out=feats[:m])
-    np.multiply(np.sin(angle, out=angle), signs, out=feats[m:])
+    # A missed cell's ray reads the camera centre and the last texture's
+    # signs (prim -1); its encoding is overwritten by the seeded normal draw.
+    cell_texture = prim_texture[prim]
+    miss = np.flatnonzero(prim < 0)
+    if miss.size:
+        draws = np.random.default_rng([131, fallback_seed]).normal(size=(2 * m, miss.size))
+    unit = np.empty((2 * m, n), dtype=np.float32)
 
-    miss = prim < 0
-    if miss.any():
-        rng = np.random.default_rng([131, fallback_seed])
-        feats[:, miss] = rng.normal(size=(2 * m, int(miss.sum())))
+    # Flat work arrays: the head of each, shaped to a block, is C-contiguous
+    # for the partial last block too.
+    points_buf = np.empty(3 * _BLOCK_CELLS)
+    feats_buf = np.empty(2 * m * _BLOCK_CELLS)
+    angle_buf = np.empty(m * _BLOCK_CELLS, dtype=np.float32)
+    signs_buf = np.empty(m * _BLOCK_CELLS, dtype=np.float32)
+    trig_buf = np.empty(m * _BLOCK_CELLS, dtype=np.float32)
+    for start in range(0, n, _BLOCK_CELLS):
+        stop = min(start + _BLOCK_CELLS, n)
+        b = stop - start
+        points = points_buf[: 3 * b].reshape(3, b)
+        feats = feats_buf[: 2 * m * b].reshape(2 * m, b)
+        angle, signs, trig = (buf[: m * b].reshape(m, b) for buf in (angle_buf, signs_buf, trig_buf))
 
-    unit = np.divide(feats, np.sqrt(np.einsum("ij,ij->j", feats, feats)),
-                     out=np.empty((2 * m, n), dtype=np.float32), casting="same_kind")
+        np.copyto(points, world[start:stop].T)
+        turns = np.matmul(freqs, points, out=feats[m:])
+        turns -= np.rint(turns, out=feats[:m])
+        np.multiply(turns, 2.0 * math.pi, out=angle, casting="same_kind")
+        np.take(table, cell_texture[start:stop], axis=1, out=signs)
+        np.multiply(np.cos(angle, out=trig), signs, out=feats[:m])
+        np.multiply(np.sin(angle, out=angle), signs, out=feats[m:])
+
+        lo, hi = np.searchsorted(miss, (start, stop))
+        if hi > lo:
+            feats[:, miss[lo:hi] - start] = draws[:, lo:hi]
+        np.divide(feats, np.sqrt(np.einsum("ij,ij->j", feats, feats)),
+                  out=unit[:, start:stop], casting="same_kind")
     return FeatureGrid(unit.reshape(2 * m, rows, cols), stride=stride)
 
 

@@ -46,15 +46,30 @@ def float32_exact(rng, shape):
     return rng.uniform(0.0, 8.0, size=shape).astype(np.float32).astype(np.float64)
 
 
+def raster_inputs(values):
+    """`values` as float64, as float32, in Fortran order and as a strided
+    slice of a larger array: the layouts a raster may be built from."""
+    return [values, values.astype(np.float32), np.asfortranarray(values),
+            np.repeat(values, 2, axis=-1)[..., ::2]]
+
+
+def payload(path, header_fields: int) -> bytes:
+    """The float32 payload of a binary raster file: what follows its magic
+    and its u32 header fields."""
+    return path.read_bytes()[4 + 4 * header_fields:]
+
+
 class TestDepthRoundTrip:
     def test_values_survive_exactly(self, tmp_path):
         rng = np.random.default_rng(1)
-        depth = DepthMap(float32_exact(rng, (6, 9)))
         path = tmp_path / "d.odm"
-        write_depth(path, depth)
-        back = read_depth(path)
-        assert np.array_equal(back.data, depth.data)
-        assert back.data.shape == (6, 9)
+        for data in raster_inputs(float32_exact(rng, (6, 9))):
+            depth = DepthMap(data)
+            write_depth(path, depth)
+            assert payload(path, 2) == data.astype("<f4").tobytes()
+            back = read_depth(path)
+            assert np.array_equal(back.data, depth.data)
+            assert back.data.shape == (6, 9)
 
     def test_bad_magic_names_the_file(self, tmp_path):
         path = tmp_path / "bad.odm"
@@ -80,10 +95,12 @@ class TestDepthRoundTrip:
 class TestOccupancyRoundTrip:
     def test_values_survive_exactly(self, tmp_path):
         rng = np.random.default_rng(2)
-        grid = OccupancyGrid(float32_exact(rng, (3, 4, 8)))
         path = tmp_path / "o.ocg"
-        write_occupancy(path, grid)
-        assert np.array_equal(read_occupancy(path).values, grid.values)
+        for values in raster_inputs(float32_exact(rng, (3, 4, 8))):
+            grid = OccupancyGrid(values)
+            write_occupancy(path, grid)
+            assert payload(path, 4) == values.astype("<f4").tobytes()
+            assert np.array_equal(read_occupancy(path).values, grid.values)
 
     def test_bad_leading_dimension_rejected(self, tmp_path):
         path = tmp_path / "lead.ocg"
@@ -95,12 +112,14 @@ class TestOccupancyRoundTrip:
 class TestFeatureRoundTrip:
     def test_values_and_stride_survive(self, tmp_path):
         rng = np.random.default_rng(3)
-        grid = FeatureGrid(float32_exact(rng, (16, 5, 7)), stride=8)
         path = tmp_path / "f.ofg"
-        write_features(path, grid)
-        back = read_features(path)
-        assert np.array_equal(back.values, grid.values)
-        assert back.stride == 8
+        for values in raster_inputs(float32_exact(rng, (16, 5, 7))):
+            grid = FeatureGrid(values, stride=8)
+            write_features(path, grid)
+            assert payload(path, 4) == values.astype("<f4").tobytes()
+            back = read_features(path)
+            assert np.array_equal(back.values, grid.values)
+            assert back.stride == 8
 
     def test_synth_grids_read_back_bit_for_bit(self, tmp_path, pair_cache):
         _, pair = pair_cache("two_plane")

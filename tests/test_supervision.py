@@ -15,6 +15,7 @@ from occmatch.geometry import (
 from occmatch.supervision import (
     OcclusionMargin,
     PixelClass,
+    _classify_nearest,
     classify_points,
     coarse_match_ground_truth,
     label_matches,
@@ -22,6 +23,8 @@ from occmatch.supervision import (
     sample_depth_bilinear,
 )
 from occmatch.synth import Box, Plane, SceneSpec, make_fixture, render_depth
+
+from test_synth import clutter_pair
 
 IDENTITY = PoseSE3.identity()
 
@@ -244,6 +247,44 @@ class TestCoarseMatchGroundTruth:
         assert len(gt.vo) > 0
         # vv and vo source patches never overlap.
         assert not ({a for a, _ in gt.vv} & {a for a, _ in gt.vo})
+
+
+def per_patch_ground_truth(depth_a, depth_b, k_a, k_b, t_ba, stride=8, margin=OcclusionMargin()):
+    """(vv, vo, ov) of `coarse_match_ground_truth` built one patch at a
+    time: the reference its vectorized lists must equal."""
+    def one_direction(d_src, d_dst, k_src, k_dst, t):
+        cols_dst = patch_grid(d_dst.height, d_dst.width, stride)[1]
+        centers = np.column_stack(patch_centers(d_src.height, d_src.width, stride))
+        cls, uv, _ = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t, margin)
+        tgt_col = np.floor(uv[:, 0] / stride)
+        tgt_row = np.floor(uv[:, 1] / stride)
+        covis, occl = [], []
+        for p in np.flatnonzero((cls == PixelClass.COVISIBLE) | (cls == PixelClass.OCCLUDED_IN_OTHER)):
+            tgt = int(tgt_row[p]) * cols_dst + int(tgt_col[p])
+            (covis if cls[p] == PixelClass.COVISIBLE else occl).append((int(p), tgt))
+        return covis, occl
+
+    vv, vo = one_direction(depth_a, depth_b, k_a, k_b, t_ba)
+    _, ov_rev = one_direction(depth_b, depth_a, k_b, k_a, t_ba.inverse())
+    return vv, vo, [(a, b) for (b, a) in ov_rev]
+
+
+class TestVectorizedPatchLists:
+    @pytest.mark.parametrize("name, stride", [("two_plane", 8), ("two_plane", 4),
+                                              ("clutter0", 8), ("clutter30", 8)])
+    def test_lists_equal_the_per_patch_loop(self, name, stride):
+        if name == "two_plane":
+            fx = make_fixture(name)
+            scene, pose_a, pose_b, k = fx.scene, fx.pose_a, fx.pose_b, fx.k
+        else:
+            scene, pose_a, pose_b, k = clutter_pair(float(name[len("clutter"):]))
+        depth_a, depth_b = render_depth(scene, pose_a, k), render_depth(scene, pose_b, k)
+        t_ba = relative_pose(pose_a, pose_b)
+        gt = coarse_match_ground_truth(depth_a, depth_b, k, k, t_ba, patch_stride=stride)
+        want = per_patch_ground_truth(depth_a, depth_b, k, k, t_ba, stride)
+        assert all(want)  # every list has pairs
+        assert (gt.vv, gt.vo, gt.ov) == want
+        assert {type(i) for pairs in (gt.vv, gt.vo, gt.ov) for pair in pairs for i in pair} == {int}
 
 
 class TestLabelMatches:

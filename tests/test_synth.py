@@ -2,14 +2,19 @@
 matched synthetic feature grids."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from occmatch import synth
-from occmatch.geometry import CameraIntrinsics, PoseSE3, project_points, relative_pose, unproject_points
+from occmatch.geometry import (
+    CameraIntrinsics, PoseSE3, patch_grid, project_points, relative_pose, unproject_points,
+)
+from occmatch.matching import FeatureGrid
 from occmatch.supervision import PairStats, PixelClass, classify_points
 from occmatch.synth import (
+    _BLOCK_CELLS,
     FIXTURE_NAMES,
     Box,
     Plane,
@@ -534,3 +539,75 @@ class TestFeatureGrids:
         assert np.array_equal(p1.coarse_a.values, p2.coarse_a.values)
         assert np.array_equal(p1.fine_b.values, p2.fine_b.values)
         assert np.array_equal(p1.classes_a, p2.classes_a)
+
+
+def whole_array_feature_grid(scene, pose, k, stride, omegas, fallback_seed):
+    """`_feature_grid` as one pass over all cells, with full-size float64
+    work arrays: the reference the blocked encoder must match byte for byte."""
+    u, v, (rows, cols) = _grid_centers(k, stride)
+    _, prim, world = _cast_pixels(scene, pose, k, u, v)
+    m = omegas.shape[0]
+    n = u.size
+    feats = np.empty((2 * m, n))
+    turns = np.matmul(omegas / (2.0 * math.pi), np.ascontiguousarray(world.T), out=feats[m:])
+    turns -= np.rint(turns, out=feats[:m])
+    angle = np.empty((m, n), dtype=np.float32)
+    np.multiply(turns, 2.0 * math.pi, out=angle, casting="same_kind")
+    textures, prim_texture = np.unique([p.texture for p in scene.primitives], return_inverse=True)
+    table = np.stack([_texture_signs(int(tex), m) for tex in textures], axis=1)
+    signs = np.take(table, prim_texture[prim], axis=1)
+    np.multiply(np.cos(angle), signs, out=feats[:m])
+    np.multiply(np.sin(angle, out=angle), signs, out=feats[m:])
+    miss = prim < 0
+    if miss.any():
+        rng = np.random.default_rng([131, fallback_seed])
+        feats[:, miss] = rng.normal(size=(2 * m, int(miss.sum())))
+    unit = np.divide(feats, np.sqrt(np.einsum("ij,ij->j", feats, feats)),
+                     out=np.empty((2 * m, n), dtype=np.float32), casting="same_kind")
+    return FeatureGrid(unit.reshape(2 * m, rows, cols), stride=stride)
+
+
+class TestBlockedFeatureGrid:
+    """`_feature_grid` encodes `_BLOCK_CELLS` cells at a time into the same
+    bytes as the whole-array encoding."""
+
+    OMEGAS = np.random.default_rng(3).normal(size=(64, 3)) / 0.05
+    BOXES = SceneSpec((Box((-0.5, -0.5, 1.0), (0.5, 0.5, 1.1), texture=2),
+                       Box((0.6, -0.2, 1.5), (0.9, 0.3, 1.8), texture=1)))
+
+    def assert_same_grid(self, scene, pose, k, stride, seed=0):
+        got = _feature_grid(scene, pose, k, stride, self.OMEGAS, fallback_seed=seed)
+        want = whole_array_feature_grid(scene, pose, k, stride, self.OMEGAS, seed)
+        assert got.stride == want.stride and got.values.shape == want.values.shape
+        assert got.values.dtype == want.values.dtype == np.float32
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_many_blocks_and_a_partial_last_one(self):
+        fx = make_fixture("two_plane", 320, 240)
+        cells = np.prod(patch_grid(240, 320, 2))
+        assert cells == 19_200 and cells > _BLOCK_CELLS and cells % _BLOCK_CELLS
+        self.assert_same_grid(fx.scene, fx.pose_b, fx.k, 2)
+
+    def test_a_grid_smaller_than_one_block(self):
+        fx = make_fixture("two_plane")
+        assert np.prod(patch_grid(144, 192, 8)) < _BLOCK_CELLS
+        self.assert_same_grid(fx.scene, fx.pose_a, fx.k, 8)
+
+    def test_missed_cells_in_several_blocks_take_the_same_draws(self):
+        fx = make_fixture("two_plane", 320, 240)
+        u, v, _ = _grid_centers(fx.k, 2)
+        _, prim, _ = _cast_pixels(self.BOXES, fx.pose_a, fx.k, u, v)
+        blocks = np.arange(prim.size) // _BLOCK_CELLS
+        mixed = [b for b in np.unique(blocks) if len(np.unique(prim[blocks == b] < 0)) == 2]
+        assert len(np.unique(blocks[prim < 0])) > 3 and len(mixed) > 3
+        self.assert_same_grid(self.BOXES, fx.pose_a, fx.k, 2, seed=3)
+
+    def test_peak_memory_stays_near_the_output(self):
+        fx = make_fixture("two_plane", 320, 240)
+        tracemalloc.start()
+        try:
+            grid = _feature_grid(fx.scene, fx.pose_a, fx.k, 2, self.OMEGAS, fallback_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grid.values.nbytes
