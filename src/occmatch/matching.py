@@ -2,13 +2,14 @@
 
 Coarse feature grids are smoothed by a 5-tap neighborhood average whose four
 off-center taps can be rotated by an angle theta (bilinear resampling in
-index space, replicate padding). Scores are temperature-scaled inner
-products, and confidences come from a dual softmax whose column sums are
-kept online, in one pass over each score matrix's row blocks. Per entry the
-candidate rotation branch (0/0, theta/0, 0/theta) with the highest
-confidence is picked. Mutual nearest neighbours above threshold are refined
-to sub-pixel points with an expectation over a local fine-feature
-correlation window.
+index space, replicate padding). The taps fold into one 3x3 stencil per
+angle, applied to the edge-padded grid by shifted adds. Scores are
+temperature-scaled inner products, and confidences come from a dual softmax
+whose column sums are kept online, in one pass over each score matrix's row
+blocks. Per entry the candidate rotation branch (0/0, theta/0, 0/theta, each
+rotation listed once modulo 360 degrees) with the highest confidence is
+picked. Mutual nearest neighbours above threshold are refined to sub-pixel
+points with an expectation over a local fine-feature correlation window.
 
 Alignment, scores, their exps and the refinement's window products run in
 the grids' dtype, float32 as the grid files store it; the norms, the row and
@@ -34,6 +35,7 @@ from .errors import (
 )
 from .geometry import PixelPoint, cell_center_px
 from .numerics import bilinear_sample, gumbel_noise, softmax
+from .occupancy import check_grid_size
 from .supervision import CoarseMatchSet
 
 _LOG_CLAMP = 1e-12
@@ -116,10 +118,15 @@ class MatchingConfig:
     def branches(self) -> list[tuple[float, float]]:
         """Rotation pairs (theta_a, theta_b): un-rotated plus one-sided
         rotations for every non-zero configured angle. Rotating both views
-        by the same angle would be redundant with (0, 0)."""
+        by the same angle would be redundant with (0, 0).
+
+        Angles equal modulo 360 are one rotation, listed once as first
+        configured; one that is a multiple of 360 is the (0, 0) branch."""
         out = [(0.0, 0.0)]
+        seen = {0.0}
         for a in self.angles:
-            if a != 0.0:
+            if a % 360.0 not in seen:
+                seen.add(a % 360.0)
                 out.append((a, 0.0))
                 out.append((0.0, a))
         return out
@@ -155,6 +162,18 @@ def neighborhood_mean(f: FeatureGrid) -> FeatureGrid:
     return FeatureGrid._derived(out, f.stride)
 
 
+def _stencil(theta: float) -> np.ndarray:
+    """(3, 3) float64 weights of rotation_align's taps around a cell: the
+    centre plus the four bilinear taps at unit distance, over 5."""
+    taps = theta + np.arange(4) * (math.pi / 2.0)
+    # Sampling the nine 3x3 impulse grids at the centre cell plus each tap's
+    # offset gives each of the nine cells' weight in that tap.
+    weights = bilinear_sample(np.eye(9).reshape(9, 3, 3), 1.0 + np.cos(taps),
+                              1.0 + np.sin(taps)).sum(axis=1)
+    weights[4] += 1.0
+    return (weights / 5.0).reshape(3, 3)
+
+
 def rotation_align(f: FeatureGrid, theta_deg: float) -> FeatureGrid:
     """5-tap average with the four off-center taps rotated by theta.
 
@@ -162,19 +181,29 @@ def rotation_align(f: FeatureGrid, theta_deg: float) -> FeatureGrid:
     (i + cos(theta + k*pi/2), j + sin(theta + k*pi/2)); replicate padding
     at the borders. theta = 0 reproduces neighborhood_mean; cell indices
     are left untouched, only the sampled content rotates.
+
+    Every cell samples the same offsets, so the taps fold into one 3x3
+    stencil, applied to the edge-padded grid in the grid's dtype (edge
+    padding is the clamp to the border, as each offset is at most 1).
     """
     if not math.isfinite(theta_deg):
         raise UnknownAngleError(f"rotation angle must be finite, got {theta_deg}")
     v = f.values
-    _, h, w = v.shape
-    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
-    theta = math.radians(theta_deg)
-    acc = v.copy()
-    for k in range(4):
-        dr = math.cos(theta + k * math.pi / 2.0)
-        dc = math.sin(theta + k * math.pi / 2.0)
-        acc += bilinear_sample(v, rows + dr, cols + dc)
-    return FeatureGrid._derived(acc / 5.0, f.stride)
+    c, h, w = v.shape
+    width = w + 2
+    # Flat over each channel, stencil cell (di, dj), the neighbour at offset
+    # (di - 1, dj - 1), of output cell x is padded cell x + di * width + dj.
+    # The two pad columns of each row come out as junk and are dropped.
+    padded = np.pad(v, ((0, 0), (1, 1), (1, 1)), mode="edge").reshape(c, -1)
+    n = h * width - 2
+    out = np.zeros((c, h * width), dtype=v.dtype)
+    acc, term = out[:, :n], np.empty((c, n), dtype=v.dtype)
+    weights = _stencil(math.radians(theta_deg)).astype(v.dtype)
+    for (di, dj), weight in np.ndenumerate(weights):
+        if weight:
+            start = di * width + dj
+            acc += np.multiply(padded[:, start:start + n], weight, out=term)
+    return FeatureGrid._derived(out.reshape(c, h, width)[:, :, :w], f.stride)
 
 
 def score_matrix(
@@ -453,6 +482,8 @@ def _refine(
     """Fill each match's points, _REFINE_CHUNK matches per window product."""
     if coarse_a.stride % fine_a.stride or coarse_b.stride % fine_b.stride:
         raise ValueError("coarse stride must be a multiple of the fine stride")
+    check_grid_size((fine_b.channels, _REFINE_CHUNK, cfg.fine_window, cfg.fine_window),
+                    f"fine_window {cfg.fine_window}", "stack of correlation windows")
     ar, ac = _anchor_cells(np.array([m.patch_a for m in matches], dtype=np.intp), coarse_a, fine_a)
     br, bc = _anchor_cells(np.array([m.patch_b for m in matches], dtype=np.intp), coarse_b, fine_b)
     hb, wb = fine_b.grid_shape

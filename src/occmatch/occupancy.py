@@ -18,7 +18,7 @@ from .errors import EmptyCloudError, GridSizeError, ShapeMismatchError
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, patch_grid, project_points, unproject_points
 from .numerics import softmax
 
-# Largest dense array that synth or voxelize builds, in bytes of float64 values.
+# Largest dense array that synth, voxelize or match builds, in bytes of float64 values.
 _MAX_GRID_BYTES = 1 << 30
 
 

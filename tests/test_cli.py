@@ -364,6 +364,23 @@ class TestMatch:
         assert counts == {b: sum(m.branch == b for m in matches) for b in counts}
         assert max(counts, key=counts.get) == (0.0, 30.0)
 
+    def test_repeated_angles_score_each_rotation_once(self, fresh_pair):
+        once, twice = fresh_pair("box_roll30", "once"), fresh_pair("box_roll30", "twice")
+        assert main(["match", "--pair", once, "--angles", "0", "30"]) == 0
+        assert main(["match", "--pair", twice, "--angles", "0", "30", "30"]) == 0
+        assert (Path(once) / "matches.jsonl").read_bytes() == (Path(twice) / "matches.jsonl").read_bytes()
+        sidecar = read_json(f"{twice}/match_config.json")
+        assert sidecar["branches"] == [[0.0, 0.0], [30.0, 0.0], [0.0, 30.0]]
+        assert sum(sidecar["branch_counts"]) == len(read_matches(f"{twice}/matches.jsonl"))
+
+    def test_oversized_fine_window_exits_one(self, fresh_pair, capsys):
+        # 128 channels x 64 matches x 201 x 201 window cells of float64 would be 2.47 GiB.
+        pair = fresh_pair("box_roll30")
+        assert main(["match", "--pair", pair, "--fine-window", "201"]) == 1
+        err = capsys.readouterr().err
+        assert "fine_window 201" in err and "2.47 GiB" in err and "Traceback" not in err
+        assert not (Path(pair) / "matches.jsonl").exists()
+
     def test_output_does_not_depend_on_the_seed(self, fresh_pair):
         a = fresh_pair("box_roll30", "seed0")
         b = fresh_pair("box_roll30", "seed5")

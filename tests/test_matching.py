@@ -34,7 +34,8 @@ from occmatch.matching import (
 )
 from occmatch.numerics import softmax
 from occmatch.supervision import CoarseMatchSet
-from occmatch.synth import FIXTURE_NAMES
+from occmatch.synth import FIXTURE_NAMES, make_fixture, make_pair
+from test_synth import clutter_pair
 
 
 def manual_bilinear(grid: np.ndarray, r: float, c: float) -> np.ndarray:
@@ -51,6 +52,25 @@ def manual_bilinear(grid: np.ndarray, r: float, c: float) -> np.ndarray:
         + grid[:, r1, c0] * fr * (1 - fc)
         + grid[:, r1, c1] * fr * fc
     )
+
+
+def per_tap_align(v: np.ndarray, theta_deg: float) -> np.ndarray:
+    """Reference rotation alignment, one bilinear tap at a time: the centre
+    plus the four taps at (i + cos, j + sin) of theta + k * 90 degrees, each
+    read with replicate padding, over 5, in the grid's dtype."""
+    _, h, w = v.shape
+    rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
+    theta = math.radians(theta_deg)
+    acc = v.copy()
+    for k in range(4):
+        r = np.clip(rows + math.cos(theta + k * math.pi / 2.0), 0.0, h - 1.0)
+        c = np.clip(cols + math.sin(theta + k * math.pi / 2.0), 0.0, w - 1.0)
+        r0, c0 = np.floor(r).astype(np.intp), np.floor(c).astype(np.intp)
+        r1, c1 = np.minimum(r0 + 1, h - 1), np.minimum(c0 + 1, w - 1)
+        fr, fc = (r - r0).astype(v.dtype), (c - c0).astype(v.dtype)
+        acc += ((v[:, r0, c0] * (1 - fc) + v[:, r0, c1] * fc) * (1 - fr)
+                + (v[:, r1, c0] * (1 - fc) + v[:, r1, c1] * fc) * fr)
+    return acc / 5.0
 
 
 def unit_columns(channels: int, h: int, w: int, seed: int, stride: int = 8) -> FeatureGrid:
@@ -174,6 +194,37 @@ class TestRotationAlign:
         base = rotation_align(FeatureGrid(v, stride=8), 30.0).values
         scaled = rotation_align(FeatureGrid(3.0 * v + 2.0, stride=8), 30.0).values
         assert np.max(np.abs(scaled - (3.0 * base + 2.0))) < 1e-9
+
+    @pytest.mark.parametrize("theta", [0.0, 13.0, 30.0, -77.0, 180.0, 390.0, 1e6])
+    def test_stencil_weights_sum_to_one(self, theta):
+        weights = matching._stencil(math.radians(theta))
+        assert weights.shape == (3, 3) and (weights >= 0).all()
+        assert abs(weights.sum() - 1.0) <= 1e-15
+
+    def test_zero_angle_stencil_is_the_five_tap_cross(self):
+        cross = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]) / 5.0
+        assert np.max(np.abs(matching._stencil(0.0) - cross)) <= 1e-16
+
+    def test_a_full_turn_gives_the_same_grid(self):
+        f = unit_columns(16, 7, 9, seed=86)
+        for theta in (0.0, 30.0, -77.0, 180.0, 212.5):
+            diff = rotation_align(f, theta + 360.0).values - rotation_align(f, theta).values
+            assert np.max(np.abs(diff)) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, 30.0, -77.0, 180.0])
+    def test_float32_grid_matches_the_per_tap_reference(self, theta):
+        v = unit_columns(128, 30, 40, seed=87).values.astype(np.float32)
+        got = rotation_align(FeatureGrid(v), theta).values
+        assert got.dtype == np.float32 and got.shape == v.shape
+        assert np.max(np.abs(got - per_tap_align(v, theta))) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (3, 1, 6), (3, 5, 1), (3, 3, 7)])
+    @pytest.mark.parametrize("theta", [0.0, 30.0, -77.0, 180.0])
+    def test_float64_grid_matches_the_per_tap_reference(self, shape, theta):
+        v = np.random.default_rng(88).normal(size=shape)
+        got = rotation_align(FeatureGrid(v), theta).values
+        assert got.dtype == np.float64 and got.shape == v.shape
+        assert np.max(np.abs(got - per_tap_align(v, theta))) <= 1e-14
 
     def test_nonfinite_angle_rejected(self):
         f = FeatureGrid(np.zeros((1, 2, 2)), stride=8)
@@ -435,6 +486,12 @@ class TestMatchingConfig:
         cfg = MatchingConfig(angles=(0.0,))
         assert cfg.branches() == [(0.0, 0.0)]
 
+    def test_angles_equal_modulo_a_full_turn_are_one_rotation(self):
+        cfg = MatchingConfig(angles=(0.0, 30.0, 30.0, 390.0, 360.0))
+        assert cfg.branches() == MatchingConfig().branches()
+        assert MatchingConfig(angles=(-330.0, 30.0, 720.0, -0.0)).branches() == [
+            (0.0, 0.0), (-330.0, 0.0), (0.0, -330.0)]
+
 
 class TestMatchPair:
     def test_identical_grids_match_diagonally(self):
@@ -514,6 +571,30 @@ def test_refined_points_stay_inside_the_image(pair_cache, name):
     assert len(points) > 250
     assert (points >= -0.5).all()
     assert (points <= [fx.k.width - 0.5, fx.k.height - 0.5]).all()
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "clutter"])
+def test_match_pair_finds_the_per_tap_alignments_matches(pair_cache, monkeypatch, name):
+    # The stencil rounds differently from the per-tap sum, by float32
+    # ulps: the matches and their points stay, the confidences move a little.
+    if name == "clutter":
+        scene, pose_a, pose_b, k = clutter_pair(30.0)
+        pair = make_pair(scene, pose_a, pose_b, k)
+        # The fixtures' sharp settings, which the benchmark passes for clutter.
+        cfg = MatchingConfig(**make_fixture("box_roll30").match_overrides)
+    else:
+        fx, pair = pair_cache(name)
+        cfg = MatchingConfig(**fx.match_overrides)
+    grids = (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b)
+    got = match_pair(*grids, cfg).matches
+    monkeypatch.setattr(matching, "rotation_align", lambda f, theta: FeatureGrid._derived(
+        per_tap_align(f.values, theta), f.stride))
+    want = match_pair(*grids, cfg).matches
+    assert len(got) > 250
+    assert ([(m.patch_a, m.patch_b, m.branch, m.point_a, m.point_b) for m in got]
+            == [(m.patch_a, m.patch_b, m.branch, m.point_a, m.point_b) for m in want])
+    conf_got, conf_want = (np.array([m.confidence for m in ms]) for ms in (got, want))
+    assert np.max(np.abs(conf_got - conf_want) / conf_want) <= 1e-4
 
 
 def tied_column_grid(seed: int) -> FeatureGrid:
