@@ -6,8 +6,12 @@ Binary layouts (all multi-byte values little-endian):
   occupancy   "OCG1" | u32 (1, rows, cols, bins) | float32 (row, col, bin) order
   features    "OFG1" | u32 (channels, rows, cols, stride) | float32 channel-major
 
-Feature grids are read as float32 views of the file's bytes, without a
-copy; depth and occupancy rasters are copied to float64 by their types.
+Rasters are read through a read-only mapping of the file, not a copy:
+feature grids are float32 views of it, while depth and occupancy rasters
+are copied to float64 by their types. A mapping lives as long as its
+array, so the writers never rewrite a file in place: each writes a
+temporary file beside the target and renames it over the target, and an
+array still mapped from the old file keeps its values.
 
 JSON stays human-editable; readers validate field by field and raise
 SchemaError messages naming the file and field so batch runs fail loudly
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
@@ -40,10 +46,14 @@ PathLike = Union[str, Path]
 
 
 def _read_raster(path: Path, magic: bytes, n_fields: int) -> tuple[tuple[int, ...], memoryview]:
-    """Header fields of a binary raster and the payload bytes after them,
-    from one read of the file."""
+    """Header fields of a binary raster and a read-only view of the payload
+    bytes after them, mapped from the file rather than copied."""
     size = len(magic) + 4 * n_fields
-    blob = path.read_bytes()
+    with path.open("rb") as fh:
+        try:
+            blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # an empty file cannot be mapped
+            blob = b""
     if len(blob) < size:
         raise SchemaError(f"{path}: truncated header (need {size} bytes, have {len(blob)})")
     if blob[: len(magic)] != magic:
@@ -52,10 +62,26 @@ def _read_raster(path: Path, magic: bytes, n_fields: int) -> tuple[tuple[int, ..
 
 
 def _payload(path: Path, raw: memoryview, count: int) -> np.ndarray:
-    found = len(raw) // 4
-    if found != count:
-        raise SchemaError(f"{path}: expected {count} float32 values, found {found}")
+    if len(raw) != 4 * count:
+        stray = f" and {len(raw) % 4} stray bytes" if len(raw) % 4 else ""
+        raise SchemaError(f"{path}: expected {count} float32 values, found {len(raw) // 4}{stray}")
     return np.frombuffer(raw, dtype="<f4", count=count)
+
+
+def _write_raster(path: PathLike, magic: bytes, header: tuple[int, ...], values: np.ndarray) -> None:
+    """Write a binary raster to a temporary file beside `path`, then rename
+    it onto `path`, so a mapping of the old file never sees it change."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack(f"<{len(header)}I", *header))
+            fh.write(np.ascontiguousarray(values, dtype="<f4"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _build(source: Union[Path, str], make, *args, **kwargs):
@@ -68,11 +94,7 @@ def _build(source: Union[Path, str], make, *args, **kwargs):
 
 
 def write_depth(path: PathLike, depth: DepthMap) -> None:
-    path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(_DEPTH_MAGIC)
-        fh.write(struct.pack("<2I", depth.width, depth.height))
-        fh.write(np.ascontiguousarray(depth.data, dtype="<f4"))
+    _write_raster(path, _DEPTH_MAGIC, (depth.width, depth.height), depth.data)
 
 
 def read_depth(path: PathLike) -> DepthMap:
@@ -83,12 +105,8 @@ def read_depth(path: PathLike) -> DepthMap:
 
 
 def write_occupancy(path: PathLike, grid: OccupancyGrid) -> None:
-    path = Path(path)
-    rows, cols, bins = grid.values.shape
-    with path.open("wb") as fh:
-        fh.write(_OCC_MAGIC)
-        fh.write(struct.pack("<4I", 1, rows, cols, bins))
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f4"))  # C order == (row, col, bin)
+    # C order == (row, col, bin)
+    _write_raster(path, _OCC_MAGIC, (1, *grid.values.shape), grid.values)
 
 
 def read_occupancy(path: PathLike) -> OccupancyGrid:
@@ -101,12 +119,7 @@ def read_occupancy(path: PathLike) -> OccupancyGrid:
 
 
 def write_features(path: PathLike, grid: FeatureGrid) -> None:
-    path = Path(path)
-    channels, rows, cols = grid.values.shape
-    with path.open("wb") as fh:
-        fh.write(_FEAT_MAGIC)
-        fh.write(struct.pack("<4I", channels, rows, cols, grid.stride))
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f4"))
+    _write_raster(path, _FEAT_MAGIC, (*grid.values.shape, grid.stride), grid.values)
 
 
 def read_features(path: PathLike) -> FeatureGrid:
@@ -281,7 +294,8 @@ def _pixel_point(obj: dict, field: str, source: str) -> Optional[PixelPoint]:
         return None
     if isinstance(value, list) and len(value) == 2:
         u, v = value
-        if _is_number(u) and _is_number(v):
+        if (isinstance(u, (int, float)) and isinstance(v, (int, float))
+                and u.__class__ is not bool and v.__class__ is not bool):
             try:
                 u, v = float(u), float(v)
             except OverflowError:  # an integer beyond the float range
@@ -295,45 +309,73 @@ def _pixel_point(obj: dict, field: str, source: str) -> Optional[PixelPoint]:
 
 def match_from_json(obj: dict, source: str = "matches") -> Match:
     """One matches.jsonl record. The fields are checked in a fixed order,
-    a, b, branch, pa, pb, conf, and the first bad one is named."""
+    a, b, branch, pa, pb, conf, and the first bad one is named. The checks
+    are written out rather than built from _field and _number: this runs
+    once per match."""
     point_a, point_b = _pixel_point(obj, "a", source), _pixel_point(obj, "b", source)
     branch = obj.get("branch")
-    if branch is not None and not (isinstance(branch, list) and all(map(_is_number, branch))):
-        raise SchemaError(f"{source}: field 'branch' must be a list of numbers, got {branch!r}")
-    pa, pb = obj.get("pa", -1), obj.get("pb", -1)
-    if not _is_int(pa):
-        raise SchemaError(f"{source}: field 'pa' must be an integer, got {pa!r}")
-    if not _is_int(pb):
-        raise SchemaError(f"{source}: field 'pb' must be an integer, got {pb!r}")
-    conf = _number(obj, "conf", source)
     if branch is not None:
+        if not (isinstance(branch, list) and all(
+                [isinstance(x, (int, float)) and x.__class__ is not bool for x in branch])):
+            raise SchemaError(f"{source}: field 'branch' must be a list of numbers, got {branch!r}")
         try:
             branch = tuple(map(float, branch))
         except OverflowError:
             raise _out_of_range("branch", branch, source) from None
+    pa, pb = obj.get("pa", -1), obj.get("pb", -1)
+    if not isinstance(pa, int) or pa.__class__ is bool:
+        raise SchemaError(f"{source}: field 'pa' must be an integer, got {pa!r}")
+    if not isinstance(pb, int) or pb.__class__ is bool:
+        raise SchemaError(f"{source}: field 'pb' must be an integer, got {pb!r}")
+    conf = _require(obj, "conf", source)
+    if not isinstance(conf, (int, float)) or conf.__class__ is bool:
+        raise SchemaError(f"{source}: field 'conf' must be a number, got {conf!r}")
+    try:
+        conf = float(conf)
+    except OverflowError:
+        raise _out_of_range("conf", conf, source) from None
     return Match(pa, pb, conf, point_a, point_b, branch)
 
 
+def _json_number(x: Union[int, float]) -> str:
+    """An int or float (a NumPy float scalar too) as json.dumps spells it,
+    except that non-finite floats keep Python's spelling (nan, inf)."""
+    return int.__repr__(x) if isinstance(x, int) else float.__repr__(x)
+
+
 def write_matches(path: PathLike, matches: Iterable[Match]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for m in matches:
-            fh.write(dump_json_line(match_to_json(m)) + "\n")
+    """One line per match, the bytes of dump_json_line(match_to_json(m)),
+    formatted directly: keys sorted, `branch` only when known."""
+    num = _json_number
+    lines = []
+    for m in matches:
+        a, b, branch = m.point_a, m.point_b, m.branch
+        text_a = "null" if a is None else f"[{num(a[0])},{num(a[1])}]"
+        text_b = "null" if b is None else f"[{num(b[0])},{num(b[1])}]"
+        text_branch = "" if branch is None else f'"branch":[{num(branch[0])},{num(branch[1])}],'
+        lines.append(f'{{"a":{text_a},"b":{text_b},{text_branch}"conf":{num(m.confidence)},'
+                     f'"pa":{m.patch_a},"pb":{m.patch_b}}}\n')
+    # Every value is a number and no key holds "nan" or "inf", so JSON's
+    # spellings of the non-finite floats go in over the whole text at once.
+    text = "".join(lines).replace("nan", "NaN").replace("inf", "Infinity")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_matches(path: PathLike) -> list[Match]:
     path = Path(path)
+    name = str(path)
     out = []
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{name}: line {number}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: line {i + 1}: {exc}") from None
+            raise SchemaError(f"{where}: {exc}") from None
         if not isinstance(obj, dict):
-            raise SchemaError(f"{path}: line {i + 1}: expected an object")
-        out.append(match_from_json(obj, source=f"{path}: line {i + 1}"))
+            raise SchemaError(f"{where}: expected an object")
+        out.append(match_from_json(obj, source=where))
     return out
 
 

@@ -286,6 +286,21 @@ class TestVoxelize:
         for side in ("a", "b"):
             assert read_occupancy(f"{pair}/occ_{side}.ocg").values.shape == (72, 96, 64)
 
+    def test_synth_and_voxelize_leave_only_their_files(self, tmp_path):
+        # The raster writers write a temporary file beside each target and
+        # rename it over the target; none may be left behind, on a first
+        # write or a rewrite.
+        pair = tmp_path / "stereo"
+        synth_files = ["coarse_a.ofg", "coarse_b.ofg", "depth_a.odm", "depth_b.odm",
+                       "fine_a.ofg", "fine_b.ofg", "manifest.json"]
+        for _ in range(2):
+            assert main(["synth", "--fixture", "stereo", "--out", str(pair)]) == 0
+            assert sorted(p.name for p in pair.iterdir()) == synth_files
+        for _ in range(2):
+            assert main(["voxelize", "--pair", str(pair)]) == 0
+            assert sorted(p.name for p in pair.iterdir()) == sorted(
+                synth_files + ["occ_a.ocg", "occ_b.ocg", "voxelize_config.json"])
+
     def test_missing_depth_file_fails_cleanly(self, fresh_pair, capsys):
         pair = fresh_pair("identity")
         (Path(pair) / "depth_a.odm").unlink()
@@ -814,6 +829,22 @@ class TestMalformedInputs:
         assert main(["voxelize", "--pair", pair, "--depth-bins", "100000000"]) == 1
         err = capsys.readouterr().err
         assert "depth_bins" in err and "5.15e+03 GiB" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, name, need", [
+        ("supervise", "depth_a.odm", 12),
+        ("supervise", "depth_b.odm", 12),
+        ("match", "coarse_a.ofg", 20),
+        ("match", "fine_b.ofg", 20),
+    ])
+    def test_zero_byte_raster_exits_one(self, fresh_pair, capsys, command, name, need):
+        # Rasters are read through mmap, which refuses an empty file.
+        pair = fresh_pair("identity")
+        (Path(pair) / name).write_bytes(b"")
+        capsys.readouterr()
+        assert main([command, "--pair", pair]) == 1
+        err = capsys.readouterr().err
+        assert f"{name}: truncated header (need {need} bytes, have 0)" in err
+        assert "Traceback" not in err
 
 
 class TestEvalAndCurve:

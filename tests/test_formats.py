@@ -1,8 +1,11 @@
 """Binary grid formats, JSON codecs, and the deterministic dump helpers."""
 
 import json
+import math
+import mmap
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,6 +140,78 @@ class TestFeatureRoundTrip:
             read_features(path)
 
 
+# Each raster kind: (file name, u32 header fields, writer, reader, array of a read value).
+RASTERS = {
+    "depth": ("d.odm", 2, write_depth, read_depth, lambda r: r.data),
+    "occupancy": ("o.ocg", 4, write_occupancy, read_occupancy, lambda r: r.values),
+    "features": ("f.ofg", 4, write_features, read_features, lambda r: r.values),
+}
+
+
+def small_raster(kind: str, values: np.ndarray = np.arange(1.0, 25.0).reshape(2, 3, 4)):
+    """A raster of `kind` from (n, h, w) values; a depth map takes values[0]."""
+    return {"depth": lambda: DepthMap(values[0]), "occupancy": lambda: OccupancyGrid(values),
+            "features": lambda: FeatureGrid(values, stride=4)}[kind]()
+
+
+class TestMappedRasters:
+    @pytest.mark.parametrize("kind", RASTERS)
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_stray_trailing_bytes_rejected(self, tmp_path, kind, extra):
+        name, _, write, read, array = RASTERS[kind]
+        path = tmp_path / name
+        raster = small_raster(kind)
+        write(path, raster)
+        count = array(raster).size
+        path.write_bytes(path.read_bytes() + b"\0" * extra)
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: expected {count} "
+                                              rf"float32 values, found {count} and {extra} stray"):
+            read(path)
+
+    @pytest.mark.parametrize("kind", RASTERS)
+    def test_zero_byte_file_is_a_truncated_header(self, tmp_path, kind):
+        # mmap refuses an empty file with ValueError; the reader must not.
+        name, fields, _, read, _ = RASTERS[kind]
+        path = tmp_path / name
+        path.write_bytes(b"")
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: truncated header "
+                                              rf"\(need {4 + 4 * fields} bytes, have 0\)$"):
+            read(path)
+
+    def test_feature_grid_is_a_view_of_the_mapped_file(self, tmp_path):
+        path = tmp_path / "f.ofg"
+        write_features(path, small_raster("features"))
+        values = read_features(path).values
+        assert not values.flags.writeable
+        base = values
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+
+    @pytest.mark.parametrize("kind", RASTERS)
+    def test_read_value_survives_a_rewrite_of_its_file(self, tmp_path, kind):
+        # A rewrite in place would truncate the file under a mapped grid.
+        name, _, write, read, array = RASTERS[kind]
+        path = tmp_path / name
+        write(path, small_raster(kind))
+        before = read(path)
+        kept = array(before).copy()
+        write(path, small_raster(kind, np.full((1, 1, 1), 7.0)))
+        assert np.array_equal(array(before), kept)
+        assert array(read(path)).tolist() in ([[7.0]], [[[7.0]]])
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_failed_write_keeps_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "d.odm"
+        write_depth(path, small_raster("depth"))
+        blob = path.read_bytes()
+        broken = SimpleNamespace(width=1, height=1, data=np.array([["x"]]))
+        with pytest.raises(ValueError):
+            write_depth(path, broken)
+        assert path.read_bytes() == blob
+        assert [p.name for p in tmp_path.iterdir()] == ["d.odm"]
+
+
 class TestJsonCodecs:
     def test_intrinsics_round_trip(self):
         k = CameraIntrinsics(128.0, 128.0, 95.5, 71.5, 192, 144)
@@ -256,6 +331,34 @@ class TestMatchesJsonl:
         path = tmp_path / "m.jsonl"
         write_matches(path, matches)
         assert read_matches(path) == matches
+
+    def test_bytes_are_the_json_encoders(self, tmp_path):
+        matches = [
+            Match(0, 1, 0.5, PixelPoint(-0.0, 5e-324), PixelPoint(1e16, 1e-5), (30.0, 0.0)),
+            Match(2, 3, float("nan"), PixelPoint(np.float64(0.1), np.float64(-2.5)),
+                  PixelPoint(np.float64(1 / 3), np.float64(2.2e-310)), (0.0, 30.0)),
+            Match(4, 5, float("inf"), None, None, None),
+            Match(6, 7, float("-inf"), PixelPoint(1.0, 2.0), None, (-0.0, 1e-5)),
+            Match(10**30, 8, 1e-300, None, PixelPoint(3.0, 4.0), None),
+            Match(9, 9, 1, PixelPoint(3, 4), None, (30, 0)),
+        ]
+        path = tmp_path / "m.jsonl"
+        write_matches(path, matches)
+        lines = [dump_json_line(match_to_json(m)) for m in matches]
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+        back = read_matches(path)
+        # NaN != NaN, so the records are compared through their lines; the
+        # last one's ints read back as floats.
+        assert [dump_json_line(match_to_json(m)) for m in back[:-1]] == lines[:-1]
+        assert math.isnan(back[1].confidence) and back[1].point_a == PixelPoint(0.1, -2.5)
+        assert back[4].patch_a == 10**30
+        assert back[-1] == Match(9, 9, 1.0, PixelPoint(3.0, 4.0), None, (30.0, 0.0))
+
+    def test_no_matches_write_an_empty_file(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_matches(path, [])
+        assert path.read_bytes() == b""
+        assert read_matches(path) == []
 
     def test_one_record_per_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
