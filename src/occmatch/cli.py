@@ -307,7 +307,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     except EmptyDepthError as exc:
         raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
     out = Path(args.out) if args.out else pair.path / "supervision.json"
-    formats.write_json(out, formats.supervision_to_json(gt, stats, config=cfg.to_json(args.command)))
+    formats.write_supervision(out, gt, stats, config=cfg.to_json(args.command))
     print(f"supervise: {len(gt.vv)} vv / {len(gt.vo)} vo / {len(gt.ov)} ov -> {out}")
     return 0
 

@@ -271,6 +271,24 @@ def supervision_to_json(matches: CoarseMatchSet, stats: PairStats, config: dict)
     }
 
 
+def write_supervision(path: PathLike, matches: CoarseMatchSet, stats: PairStats,
+                      config: dict) -> None:
+    """supervision.json: the bytes of dump_json(supervision_to_json(...)).
+    The pair lists, most of the file, are formatted directly; every other
+    field goes through json.dumps, indented one level deeper."""
+    obj = supervision_to_json(matches, stats, config)
+    fields = []
+    for key in sorted(obj):
+        if key in ("vv", "vo", "ov"):
+            pairs = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in obj[key])
+            text = f"[\n{pairs}\n  ]" if pairs else "[]"
+        else:
+            # Strings in JSON text hold no raw newline, so every one is a line break.
+            text = json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+        fields.append(f'  "{key}": {text}')
+    Path(path).write_text("{\n" + ",\n".join(fields) + "\n}\n", encoding="utf-8")
+
+
 def match_to_json(m: Match) -> dict:
     """One matches.jsonl record. `a`/`b` are refined pixel coordinates
     (u, v); patch indices and the chosen alignment branch ride along as

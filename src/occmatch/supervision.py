@@ -27,6 +27,9 @@ from .geometry import (
 MATCH_LABELS = ("vv", "vo", "ov", "none")
 _LABEL_RADIUS_PX = 3.0
 
+# Pixels per block of `pair_stats`: its work arrays stay near 2 MB.
+_BLOCK_PIXELS = 8192
+
 
 class PixelClass(IntEnum):
     """Visibility outcome of reprojecting one A pixel into view B."""
@@ -70,13 +73,20 @@ class PairStats:
     overlap_score: float
 
     @classmethod
-    def from_classes(cls, classes: np.ndarray) -> "PairStats":
-        """Counts and scores of a class map over all of its pixels; both
-        pair_stats and synth's manifest count classes through this."""
-        counts = {c: int(np.count_nonzero(classes == c)) for c in PixelClass}
+    def from_counts(cls, counts: np.ndarray) -> "PairStats":
+        """Scores of the per-class pixel counts `counts`, indexed by
+        PixelClass value."""
+        counts = {c: int(counts[c]) for c in PixelClass}
+        total = sum(counts.values())
         occluded = counts[PixelClass.OCCLUDED_IN_OTHER]
         covisible = counts[PixelClass.COVISIBLE]
-        return cls(counts, occluded / classes.size, (covisible + occluded) / classes.size)
+        return cls(counts, occluded / total, (covisible + occluded) / total)
+
+    @classmethod
+    def from_classes(cls, classes: np.ndarray) -> "PairStats":
+        """Counts and scores of a class map over all of its pixels, as
+        synth's manifest reports them."""
+        return cls.from_counts(np.bincount(classes.ravel(), minlength=len(PixelClass)))
 
     @property
     def total(self) -> int:
@@ -108,25 +118,26 @@ def sample_depth_bilinear(depth: DepthMap, u: np.ndarray, v: np.ndarray) -> tupl
     support reports ok = False. Coordinates must already lie within
     [0, W-1] x [0, H-1].
     """
-    d = depth.data
-    h, w = d.shape
+    h, w = depth.data.shape
+    flat = depth.data.reshape(-1)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     x0 = np.floor(u).astype(np.intp)
     y0 = np.floor(v).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
     fx = u - x0
     fy = v - y0
     acc = np.zeros(u.shape, dtype=np.float64)
     wsum = np.zeros(u.shape, dtype=np.float64)
-    for yy, xx, wt in (
-        (y0, x0, (1.0 - fx) * (1.0 - fy)),
-        (y0, x1, fx * (1.0 - fy)),
-        (y1, x0, (1.0 - fx) * fy),
-        (y1, x1, fx * fy),
+    for tap, wt in (
+        (row0 + x0, (1.0 - fx) * (1.0 - fy)),
+        (row0 + x1, fx * (1.0 - fy)),
+        (row1 + x0, (1.0 - fx) * fy),
+        (row1 + x1, fx * fy),
     ):
-        val = d[yy, xx]
+        val = flat[tap]
         m = val > 0.0
         acc += wt * val * m
         wsum += wt * m
@@ -134,6 +145,39 @@ def sample_depth_bilinear(depth: DepthMap, u: np.ndarray, v: np.ndarray) -> tupl
     out = np.zeros_like(acc)
     np.divide(acc, wsum, out=out, where=ok)
     return out, ok
+
+
+def _classify(
+    u: np.ndarray, v: np.ndarray, d: np.ndarray, depth_b: DepthMap, k_a: CameraIntrinsics,
+    k_b: CameraIntrinsics, t_ba: PoseSE3, margin: OcclusionMargin,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Classes of the points (u, v) of A at depths d (1-d float64; 0 =
+    invalid). Returns (classes, front, u_b, v_b, z_b): `front` indexes the
+    points in front of B, the ones that reach its image plane, and u_b,
+    v_b, z_b are their coordinates and depth in B."""
+    cls = np.full(u.size, int(PixelClass.COVISIBLE), dtype=np.int8)
+    valid = np.flatnonzero(d > 0.0)
+    cls[d <= 0.0] = PixelClass.INVALID_DEPTH
+
+    p_b = t_ba.transform(unproject_points(u[valid], v[valid], d[valid], k_a))
+    behind = p_b[:, 2] <= 0.0
+    cls[valid[behind]] = PixelClass.BEHIND_CAMERA
+
+    front = valid[~behind]
+    p_b = p_b[~behind]
+    ub, vb = project_points(p_b, k_b)
+    zb = p_b[:, 2]
+
+    inside = (ub >= 0.0) & (ub <= k_b.width - 1.0) & (vb >= 0.0) & (vb <= k_b.height - 1.0)
+    cls[front[~inside]] = PixelClass.OUT_OF_BOUNDS
+
+    hit = front[inside]
+    sampled, ok = sample_depth_bilinear(depth_b, ub[inside], vb[inside])
+    # Landing on invalid B depth counts as leaving the map.
+    cls[hit[~ok]] = PixelClass.OUT_OF_BOUNDS
+    occluded = ok & (zb[inside] - sampled > margin(sampled))
+    cls[hit[occluded]] = PixelClass.OCCLUDED_IN_OTHER
+    return cls, front, ub, vb, zb
 
 
 def classify_points(
@@ -146,46 +190,20 @@ def classify_points(
     t_ba: PoseSE3,
     margin: OcclusionMargin = OcclusionMargin(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized core of the per-pixel classification.
+    """Vectorized per-point classification.
 
     u, v: pixel coordinates in A; depth_at: A's depth at those pixels
     (0 = invalid). Returns (classes, uv_b, depth_in_b) where uv_b holds the
     reprojected continuous coordinates (NaN when the point never reaches
     B's image plane) and depth_in_b the point's z in B's frame.
     """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    d = np.asarray(depth_at, dtype=np.float64).ravel()
-    n = u.size
-    cls = np.full(n, int(PixelClass.COVISIBLE), dtype=np.int8)
-    uv_b = np.full((n, 2), np.nan)
-    z_b = np.full(n, np.nan)
-
-    valid = np.flatnonzero(d > 0.0)
-    cls[d <= 0.0] = PixelClass.INVALID_DEPTH
-    if valid.size == 0:
-        return cls, uv_b, z_b
-
-    p_b = t_ba.transform(unproject_points(u[valid], v[valid], d[valid], k_a))
-    behind = p_b[:, 2] <= 0.0
-    cls[valid[behind]] = PixelClass.BEHIND_CAMERA
-
-    front = valid[~behind]
-    p_b = p_b[~behind]
-    ub, vb = project_points(p_b, k_b)
+    u, v, d = (np.asarray(x, dtype=np.float64).ravel() for x in (u, v, depth_at))
+    cls, front, ub, vb, zb = _classify(u, v, d, depth_b, k_a, k_b, t_ba, margin)
+    uv_b = np.full((u.size, 2), np.nan)
+    z_b = np.full(u.size, np.nan)
     uv_b[front, 0] = ub
     uv_b[front, 1] = vb
-    z_b[front] = p_b[:, 2]
-
-    inside = (ub >= 0.0) & (ub <= k_b.width - 1.0) & (vb >= 0.0) & (vb <= k_b.height - 1.0)
-    cls[front[~inside]] = PixelClass.OUT_OF_BOUNDS
-
-    hit = front[inside]
-    sampled, ok = sample_depth_bilinear(depth_b, ub[inside], vb[inside])
-    # Landing on invalid B depth counts as leaving the map.
-    cls[hit[~ok]] = PixelClass.OUT_OF_BOUNDS
-    occluded = ok & (z_b[hit] - sampled > margin(sampled))
-    cls[hit[occluded]] = PixelClass.OCCLUDED_IN_OTHER
+    z_b[front] = zb
     return cls, uv_b, z_b
 
 
@@ -197,16 +215,27 @@ def pair_stats(
     t_ba: PoseSE3,
     margin: OcclusionMargin = OcclusionMargin(),
 ) -> PairStats:
-    """Classify every pixel of A and derive occlusion ratio / overlap score."""
-    if not depth_a.valid_mask.any():
-        raise EmptyDepthError("view A has no valid depth pixel")
+    """Classify every pixel of A and derive occlusion ratio / overlap score.
+
+    A's pixels are classified a block of whole rows (about `_BLOCK_PIXELS`
+    pixels, one row at least) at a time and only their class counts are
+    kept, so the work arrays stay the size of one block at any image size.
+    Every step works point by point, so the blocks change no count.
+    """
     h, w = depth_a.data.shape
-    vv, uu = np.mgrid[0:h, 0:w]
-    cls, _, _ = classify_points(
-        uu.astype(np.float64), vv.astype(np.float64), depth_a.data,
-        depth_b, k_a, k_b, t_ba, margin,
-    )
-    return PairStats.from_classes(cls)
+    rows = max(1, _BLOCK_PIXELS // w)
+    flat = depth_a.data.reshape(-1)
+    u = np.tile(np.arange(w, dtype=np.float64), rows)
+    v = np.repeat(np.arange(rows, dtype=np.float64), w)
+    counts = np.zeros(len(PixelClass), dtype=np.int64)
+    for top in range(0, h, rows):
+        n = min(rows, h - top) * w
+        cls = _classify(u[:n], v[:n] + top, flat[top * w:top * w + n],
+                        depth_b, k_a, k_b, t_ba, margin)[0]
+        counts += np.bincount(cls, minlength=len(PixelClass))
+    if counts[PixelClass.INVALID_DEPTH] == h * w:
+        raise EmptyDepthError("view A has no valid depth pixel")
+    return PairStats.from_counts(counts)
 
 
 def coarse_match_ground_truth(

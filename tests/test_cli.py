@@ -2,6 +2,7 @@
 eval; config precedence; exit codes; byte determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -258,6 +259,14 @@ class TestSupervise:
         assert sup["overlap_score"] == manifest["overlap_score"]
         assert len(sup["vo"]) > 0
         assert len(sup["ov"]) > 0
+
+    def test_two_plane_bytes_are_frozen(self, fresh_pair):
+        # The SHA-256 of the file as the dense classification and
+        # dump_json wrote it; the row blocks and the direct writer keep it.
+        pair = fresh_pair("two_plane")
+        assert main(["supervise", "--pair", pair]) == 0
+        digest = hashlib.sha256(Path(pair, "supervision.json").read_bytes()).hexdigest()
+        assert digest == "c20e835df95f0c582113f0eff8709d8a9aafb75f0c8d0331250d84ca6d08f094"
 
     def test_malformed_manifest_fails_with_file_name(self, tmp_path, capsys):
         bad = tmp_path / "broken"

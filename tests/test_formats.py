@@ -38,6 +38,7 @@ from occmatch.formats import (
     write_json,
     write_matches,
     write_occupancy,
+    write_supervision,
 )
 from occmatch.supervision import CoarseMatchSet, PairStats, PixelClass
 from occmatch.synth import make_fixture
@@ -270,6 +271,22 @@ class TestJsonCodecs:
         assert (obj["occlusion_ratio"], obj["overlap_score"]) == (0.25, 0.75)
         assert obj["counts"] == {cls.name.lower(): 0 for cls in PixelClass}
         assert obj["config"] == {"margin_floor": 0.05}
+
+    @pytest.mark.parametrize("vo, ov", [([], []), ([(7, 2)], []), ([(7, 2), (3, 11)], [(1, 6)])])
+    def test_supervision_writer_formats_the_dump_json_bytes(self, tmp_path, vo, ov):
+        matches = CoarseMatchSet(
+            patch_stride=8, vv=[(0, 0), (5, 3), (12, 140)], vo=vo, ov=ov,
+            grid_a=(2, 4), grid_b=(3, 4),
+        )
+        stats = PairStats(
+            counts={cls: 10 * cls + 3 for cls in PixelClass},
+            occlusion_ratio=0.1,
+            overlap_score=1 / 3,
+        )
+        config = {"margin_floor": 0.05, "margin_relative": 1e-7, "patch_stride": 8}
+        write_supervision(tmp_path / "s.json", matches, stats, config)
+        want = dump_json(supervision_to_json(matches, stats, config))
+        assert (tmp_path / "s.json").read_text(encoding="utf-8") == want
 
     def test_match_round_trip_with_points_and_branch(self):
         m = Match(

@@ -1,20 +1,27 @@
 """Per-pixel covisibility labels, pair statistics, and patch-level matches."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from occmatch.errors import EmptyDepthError
+from occmatch.formats import read_json, scene_from_json, scene_to_json, write_json
 from occmatch.geometry import (
     CameraIntrinsics,
     DepthMap,
     PoseSE3,
     patch_centers,
     patch_grid,
+    project_points,
     relative_pose,
+    unproject_points,
 )
 from occmatch.supervision import (
     OcclusionMargin,
+    PairStats,
     PixelClass,
+    _BLOCK_PIXELS,
     _classify_nearest,
     classify_points,
     coarse_match_ground_truth,
@@ -22,7 +29,7 @@ from occmatch.supervision import (
     pair_stats,
     sample_depth_bilinear,
 )
-from occmatch.synth import Box, Plane, SceneSpec, make_fixture, render_depth
+from occmatch.synth import FIXTURE_NAMES, Box, Plane, SceneSpec, make_fixture, render_depth
 
 from test_synth import clutter_pair
 
@@ -83,6 +90,108 @@ class TestSampleDepthBilinear:
         depth = DepthMap(np.array([[0.0, 0.0], [0.0, 0.0]]))
         vals, ok = sample_depth_bilinear(depth, np.array([0.5]), np.array([0.5]))
         assert not ok[0]
+
+
+def gather_depth_bilinear(depth: DepthMap, u: np.ndarray, v: np.ndarray):
+    """sample_depth_bilinear with its taps gathered by (row, column): the
+    reference the flat-index gather must equal bit for bit."""
+    d = depth.data
+    h, w = d.shape
+    x0 = np.floor(u).astype(np.intp)
+    y0 = np.floor(v).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = u - x0
+    fy = v - y0
+    acc = np.zeros(u.shape, dtype=np.float64)
+    wsum = np.zeros(u.shape, dtype=np.float64)
+    for yy, xx, wt in (
+        (y0, x0, (1.0 - fx) * (1.0 - fy)),
+        (y0, x1, fx * (1.0 - fy)),
+        (y1, x0, (1.0 - fx) * fy),
+        (y1, x1, fx * fy),
+    ):
+        val = d[yy, xx]
+        m = val > 0.0
+        acc += wt * val * m
+        wsum += wt * m
+    ok = wsum > 1e-12
+    out = np.zeros_like(acc)
+    np.divide(acc, wsum, out=out, where=ok)
+    return out, ok
+
+
+def dense_pair_stats(depth_a, depth_b, k_a, k_b, t_ba, margin=OcclusionMargin()) -> PairStats:
+    """pair_stats as one dense pass: coordinate grids and B coordinates of
+    every pixel of A, then one count per class. The reference the blocked
+    pair_stats must equal."""
+    h, w = depth_a.data.shape
+    vv, uu = np.mgrid[0:h, 0:w]
+    u, v, d = uu.astype(np.float64).ravel(), vv.astype(np.float64).ravel(), depth_a.data.ravel()
+    cls = np.full(u.size, int(PixelClass.COVISIBLE), dtype=np.int8)
+    uv_b = np.full((u.size, 2), np.nan)
+    z_b = np.full(u.size, np.nan)
+    valid = np.flatnonzero(d > 0.0)
+    cls[d <= 0.0] = PixelClass.INVALID_DEPTH
+    p_b = t_ba.transform(unproject_points(u[valid], v[valid], d[valid], k_a))
+    behind = p_b[:, 2] <= 0.0
+    cls[valid[behind]] = PixelClass.BEHIND_CAMERA
+    front = valid[~behind]
+    p_b = p_b[~behind]
+    ub, vb = project_points(p_b, k_b)
+    uv_b[front, 0] = ub
+    uv_b[front, 1] = vb
+    z_b[front] = p_b[:, 2]
+    inside = (ub >= 0.0) & (ub <= k_b.width - 1.0) & (vb >= 0.0) & (vb <= k_b.height - 1.0)
+    cls[front[~inside]] = PixelClass.OUT_OF_BOUNDS
+    hit = front[inside]
+    sampled, ok = gather_depth_bilinear(depth_b, ub[inside], vb[inside])
+    cls[hit[~ok]] = PixelClass.OUT_OF_BOUNDS
+    occluded = ok & (z_b[hit] - sampled > margin(sampled))
+    cls[hit[occluded]] = PixelClass.OCCLUDED_IN_OTHER
+    counts = {c: int(np.count_nonzero(cls == c)) for c in PixelClass}
+    occluded, covisible = counts[PixelClass.OCCLUDED_IN_OTHER], counts[PixelClass.COVISIBLE]
+    return PairStats(counts, occluded / cls.size, (covisible + occluded) / cls.size)
+
+
+class TestFlatGather:
+    """The flat-index gather of sample_depth_bilinear equals the 2-D one."""
+
+    @pytest.fixture
+    def depth(self):
+        rng = np.random.default_rng(11)
+        data = rng.uniform(0.5, 6.0, size=(37, 53))
+        data[rng.random(data.shape) < 0.2] = 0.0
+        return DepthMap(data)
+
+    def assert_same(self, depth, u, v):
+        got, got_ok = sample_depth_bilinear(depth, u, v)
+        want, want_ok = gather_depth_bilinear(depth, u, v)
+        assert np.array_equal(got_ok, want_ok)
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_points(self, depth):
+        rng = np.random.default_rng(12)
+        u = rng.uniform(0.0, depth.width - 1.0, 5000)
+        v = rng.uniform(0.0, depth.height - 1.0, 5000)
+        self.assert_same(depth, u, v)
+
+    def test_taps_clamped_at_the_last_row_and_column(self, depth):
+        w, h = depth.width - 1.0, depth.height - 1.0
+        frac = np.linspace(0.0, 1.0, 9)
+        u = np.concatenate([np.full(9, w), w - frac, frac * w, np.full(9, w)])
+        v = np.concatenate([frac * h, np.full(9, h), np.full(9, h), h - frac])
+        self.assert_same(depth, u, v)
+
+    def test_taps_on_zero_depth(self, depth):
+        rows, cols = np.nonzero(depth.data == 0.0)
+        assert rows.size > 100
+        offsets = np.random.default_rng(13).uniform(-0.9, 0.9, (2, rows.size))
+        u = np.clip(cols + offsets[0], 0.0, depth.width - 1.0)
+        v = np.clip(rows + offsets[1], 0.0, depth.height - 1.0)
+        self.assert_same(depth, u, v)
+        _, ok = sample_depth_bilinear(depth, cols.astype(np.float64), rows.astype(np.float64))
+        assert not ok.all()
 
 
 class TestClassifyPixel:
@@ -188,6 +297,62 @@ class TestPairStats:
         assert stats.occlusion_ratio == 0.5
         assert stats.overlap_score == 0.5
         assert stats.counts[PixelClass.COVISIBLE] == 0
+
+
+class TestBlockedPairStats:
+    """pair_stats, classifying in row blocks, equals the dense pass."""
+
+    def assert_same(self, depth_a, depth_b, k, t_ba):
+        got = pair_stats(depth_a, depth_b, k, k, t_ba)
+        want = dense_pair_stats(depth_a, depth_b, k, k, t_ba)
+        assert got.counts == want.counts
+        assert (got.occlusion_ratio, got.overlap_score) == (want.occlusion_ratio, want.overlap_score)
+        return got
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        fx = make_fixture(name)
+        assert (fx.k.width, fx.k.height) == (192, 144)
+        # Rows per block do not divide the height: the last block is partial.
+        assert 144 % (_BLOCK_PIXELS // 192)
+        self.assert_same(render_depth(fx.scene, fx.pose_a, fx.k), render_depth(fx.scene, fx.pose_b, fx.k),
+                         fx.k, relative_pose(fx.pose_a, fx.pose_b))
+
+    def test_clutter_scene_read_from_a_scene_file(self, tmp_path):
+        scene, pose_a, pose_b, k = clutter_pair(30.0, seed=2)
+        write_json(tmp_path / "scene.json", scene_to_json(scene))
+        scene = scene_from_json(read_json(tmp_path / "scene.json"))
+        stats = self.assert_same(render_depth(scene, pose_a, k), render_depth(scene, pose_b, k),
+                                 k, relative_pose(pose_a, pose_b))
+        assert stats.counts[PixelClass.OCCLUDED_IN_OTHER] > 1000
+
+    @pytest.mark.parametrize("h, w", [(200, 100), (3, _BLOCK_PIXELS + 808)])
+    def test_all_five_classes(self, h, w):
+        # B sits 2.5 m ahead of A: nearer points fall behind it, the rest
+        # spread out past its borders or land on a random depth map.
+        rng = np.random.default_rng([h, w])
+        data = rng.uniform(1.0, 6.0, size=(h, w))
+        data[rng.random((h, w)) < 0.1] = 0.0
+        k = CameraIntrinsics(50.0, 50.0, (w - 1) / 2, (h - 1) / 2, w, h)
+        depth_b = DepthMap(rng.uniform(0.5, 4.0, size=(h, w)) * (rng.random((h, w)) < 0.9))
+        assert w > _BLOCK_PIXELS or h % (_BLOCK_PIXELS // w)  # one row over a block, or a partial last block
+        stats = self.assert_same(DepthMap(data), depth_b, k, relative_pose(IDENTITY, PoseSE3(
+            np.eye(3), np.array([0.0, 0.0, 2.5]))))
+        assert min(stats.counts.values()) > 0
+
+    @pytest.mark.parametrize("width, height", [(320, 240), (640, 480)])
+    def test_scratch_stays_bounded(self, width, height):
+        fx = make_fixture("two_plane", width, height)
+        depth_a = render_depth(fx.scene, fx.pose_a, fx.k)
+        depth_b = render_depth(fx.scene, fx.pose_b, fx.k)
+        t_ba = relative_pose(fx.pose_a, fx.pose_b)
+        tracemalloc.start()
+        try:
+            pair_stats(depth_a, depth_b, fx.k, fx.k, t_ba)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestPatchGrid:
