@@ -1,10 +1,10 @@
 """Batch command-line front-end over the pair-directory file formats.
 
-Commands: synth, supervise, voxelize, match, eval. Each takes, as flags,
---config keys or (match) manifest overrides, only the settings `_READS`
-lists for it, merged with precedence flags > --config file > manifest
-overrides > package defaults through one converter, and echoes just those
-into its JSON output. Seeded commands are deterministic down to the byte.
+Commands: synth, supervise, voxelize, match, eval. Each takes, as flags or
+--config keys, only the settings `_READS` lists for it, merged with
+precedence flags > --config file > package defaults through one converter,
+and echoes just those into its JSON output. Seeded commands are
+deterministic down to the byte.
 
 Exit codes: 0 success, 1 any error, an unreadable command line included.
 """
@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 any error, an unreadable command line included.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -48,8 +47,6 @@ from .supervision import (
 )
 from .synth import FIXTURE_NAMES, FeatureParams, make_fixture, make_pair
 
-_ENV_SEED = "OCCMATCH_SEED"
-
 _FEATURE_FILES = ("coarse_a", "coarse_b", "fine_a", "fine_b")
 _PAIR_FILES = ("depth_a", "depth_b", *_FEATURE_FILES)
 
@@ -60,10 +57,10 @@ _RENAMED = {"margin_floor": "floor", "margin_relative": "relative",
             "seed": "rng_seed", "patch_stride": "coarse_stride"}
 
 # The settings each command reads: its setting flags, the names its --config
-# file and manifest overrides may set, and the keys of its JSON echo.
+# file may set, and the keys of its JSON echo.
 _READS = {
     "synth": ("channels", "patch_stride"),
-    "supervise": ("margin_floor", "margin_relative", "patch_stride"),
+    "supervise": ("margin_floor", "margin_relative"),  # the stride is coarse_a.ofg's
     "voxelize": ("depth_bins", "d_min", "d_max"),
     "match": ("temperature", "angles", "match_threshold", "fine_window", "fine_temperature"),
     "eval": ("ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds",
@@ -114,8 +111,8 @@ def _refusal(command: str, name: str, shown: str) -> str:
 
 
 def _convert(hint: Any, value: Any) -> Any:
-    """A setting's value from flag text, a JSON value or the environment,
-    checked against its type hint: int, float or tuple[X, ...]."""
+    """A setting's value from flag text or a JSON value, checked against its
+    type hint: int, float or tuple[X, ...]."""
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"expected a list, got {value!r}")
@@ -127,12 +124,11 @@ def _convert(hint: Any, value: Any) -> Any:
     return hint(value)
 
 
-def merge_config(args: argparse.Namespace, manifest_overrides: Optional[dict] = None) -> RunConfig:
+def merge_config(args: argparse.Namespace) -> RunConfig:
     """Resolve the settings `args.command` reads with precedence flags >
-    config file > manifest overrides > defaults; eval's seed additionally
-    falls back to the OCCMATCH_SEED environment variable. A setting the
-    command does not read, or a value its type or its owner's constructor
-    rejects, raises a SchemaError naming the setting and source."""
+    config file > defaults, reading no manifest and no environment. A
+    setting the command does not read, or a value its type or its owner's
+    constructor rejects, raises a SchemaError naming the setting and source."""
     reads = _READS[args.command]
     given: dict[Optional[str], dict[str, Any]] = {owner: {} for owner in (None, *_MODULE_CONFIGS)}
     origin: dict[str, str] = {}
@@ -150,13 +146,9 @@ def merge_config(args: argparse.Namespace, manifest_overrides: Optional[dict] = 
                 raise SchemaError(f"{source}: {name}: {exc}") from None
             origin[name] = source
 
-    if manifest_overrides:
-        absorb(manifest_overrides, "manifest match_overrides")
     if args.config:
         absorb(formats.read_json(args.config), str(args.config))
     absorb({k: getattr(args, k) for k in reads if getattr(args, k) is not None}, "flags")
-    if "seed" in reads and "seed" not in origin and _ENV_SEED in os.environ:
-        absorb({"seed": os.environ[_ENV_SEED]}, f"env {_ENV_SEED}")
 
     def construct(owner: Optional[str], cls: type, **modules: Any) -> Any:
         try:
@@ -197,21 +189,26 @@ class PairDir:
                               f"{self.k.width}x{self.k.height}")
         return depth
 
+    def feature_grid(self, key: str) -> FeatureGrid:
+        """The feature grid `key` (one of _FEATURE_FILES); it must have the
+        manifest image's patch grid at its own stride."""
+        path = self.file(key)
+        grid = formats.read_features(path)
+        want = patch_grid(self.k.height, self.k.width, grid.stride)
+        if grid.grid_shape != want:
+            rows, cols = grid.grid_shape
+            raise SchemaError(f"{path}: fields 'rows'/'cols'/'stride' give {rows}x{cols} cells "
+                              f"at stride {grid.stride}, but {self.path / 'manifest.json'}: "
+                              f"fields 'k.width'/'k.height' ({self.k.width}x{self.k.height}) "
+                              f"give {want[0]}x{want[1]} at that stride")
+        return grid
+
     def features(self) -> tuple[FeatureGrid, ...]:
-        """coarse_a, coarse_b, fine_a, fine_b. Each grid must have the
-        manifest image's patch grid at its own stride; the views must share
-        each level's stride and channel count, and the fine stride must
-        divide the coarse one."""
+        """coarse_a, coarse_b, fine_a, fine_b, each read by feature_grid;
+        the views must share each level's stride and channel count, and the
+        fine stride must divide the coarse one."""
+        grids = [self.feature_grid(key) for key in _FEATURE_FILES]
         paths = [self.file(key) for key in _FEATURE_FILES]
-        grids = [formats.read_features(path) for path in paths]
-        for path, grid in zip(paths, grids):
-            want = patch_grid(self.k.height, self.k.width, grid.stride)
-            if grid.grid_shape != want:
-                rows, cols = grid.grid_shape
-                raise SchemaError(f"{path}: fields 'rows'/'cols'/'stride' give {rows}x{cols} cells "
-                                  f"at stride {grid.stride}, but {self.path / 'manifest.json'}: "
-                                  f"fields 'k.width'/'k.height' ({self.k.width}x{self.k.height}) "
-                                  f"give {want[0]}x{want[1]} at that stride")
         for a, b in ((0, 1), (2, 3)):
             for name in ("stride", "channels"):
                 if getattr(grids[b], name) != getattr(grids[a], name):
@@ -246,7 +243,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 raise SchemaError(f"flags: --{flag} must be at least 1, got {getattr(args, flag)}")
         fixture = make_fixture(args.fixture, width=args.width, height=args.height)
         scene, pose_a, pose_b, k = fixture.scene, fixture.pose_a, fixture.pose_b, fixture.k
-        overrides = fixture.match_overrides
         pair_id = fixture.name
         source = f"--fixture {fixture.name}"
     else:
@@ -257,7 +253,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         pose_a = formats.pose_from_json(formats.read_json(args.pose_a), source=str(args.pose_a))
         pose_b = formats.pose_from_json(formats.read_json(args.pose_b), source=str(args.pose_b))
         k = formats.intrinsics_from_json(formats.read_json(args.intrinsics), source=str(args.intrinsics))
-        overrides = {}
         pair_id = Path(args.scene).stem
         source = str(args.scene)
 
@@ -285,7 +280,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "files": files,
         "occlusion_ratio": stats.occlusion_ratio,
         "overlap_score": stats.overlap_score,
-        "match_overrides": overrides,
         "config": cfg.to_json(args.command),
     }
     formats.write_json(out / "manifest.json", manifest)
@@ -297,12 +291,14 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     pair = load_pair(args.pair)
     cfg = merge_config(args)
     depth_a, depth_b = pair.depth("a"), pair.depth("b")
+    # The GT indexes the patches of the grids that match will read.
+    stride = pair.feature_grid("coarse_a").stride
     t_ba = relative_pose(pair.pose_a, pair.pose_b)
     try:
         stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
         gt = coarse_match_ground_truth(
             depth_a, depth_b, pair.k, pair.k, t_ba,
-            margin=cfg.margin, patch_stride=cfg.features.coarse_stride,
+            margin=cfg.margin, patch_stride=stride,
         )
     except EmptyDepthError as exc:
         raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
@@ -334,7 +330,7 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     pair = load_pair(args.pair)
-    cfg = merge_config(args, manifest_overrides=pair.manifest.get("match_overrides"))
+    cfg = merge_config(args)
     result = match_pair(*pair.features(), cfg.matching)
     out = Path(args.out) if args.out else pair.path / "matches.jsonl"
     formats.write_matches(out, result.matches)
@@ -433,9 +429,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
-    overrides = "manifest match_overrides > " if command == "match" else ""
-    seed = f"; --seed falls back to ${_ENV_SEED}, then 0" if "seed" in _READS[command] else ""
-    g = p.add_argument_group("configuration", f"flags > --config file > {overrides}defaults{seed}")
+    g = p.add_argument_group("configuration", "flags > --config file > defaults")
     g.add_argument("--config", type=Path, help="JSON object of settings, by flag name with '_'")
     for name in _READS[command]:
         g.add_argument("--" + name.replace("_", "-"),

@@ -166,9 +166,16 @@ def patch_centers(height: int, width: int, stride: int) -> tuple[np.ndarray, np.
     rows, cols = patch_grid(height, width, stride)
     pr = np.repeat(np.arange(rows), cols)
     pc = np.tile(np.arange(cols), rows)
-    ph = np.minimum(stride, height - pr * stride)
-    pw = np.minimum(stride, width - pc * stride)
-    return (pc * stride + pw // 2).astype(np.float64), (pr * stride + ph // 2).astype(np.float64)
+    return (extent_midpoint(pc, stride, width).astype(np.float64),
+            extent_midpoint(pr, stride, height).astype(np.float64))
+
+
+def extent_midpoint(index: np.ndarray, size: int, n: int) -> np.ndarray:
+    """Integer middle of each block [index*size, index*size + size) of a
+    line of n units, clipped to the line: the patch-centre rule, in pixels
+    for supervision and in fine cells for the matcher's refine anchors."""
+    lo = index * size
+    return lo + np.minimum(size, n - lo) // 2
 
 
 def cell_center_px(cell: float, stride: int) -> float:

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatchError,
     UnknownAngleError,
 )
-from .geometry import PixelPoint, cell_center_px
+from .geometry import PixelPoint, cell_center_px, extent_midpoint
 from .numerics import bilinear_sample, gumbel_noise, softmax
 from .occupancy import check_grid_size
 from .supervision import CoarseMatchSet
@@ -96,14 +96,17 @@ class MatchingConfig:
 
     temperature scales the inner-product scores (Lo-style dual softmax);
     angles is the candidate rotation set in degrees, 0 must be readable as
-    the un-rotated branch.
+    the un-rotated branch. The sharp temperatures suit the synthetic
+    descriptors, whose matched inner products sit far above the sampling
+    noise floor; a wide fine window keeps the sub-pixel expectation stable
+    under 30 degree roll.
     """
 
-    temperature: float = 0.1
+    temperature: float = 0.02
     angles: tuple[float, ...] = (0.0, 30.0)
     match_threshold: float = 0.2
-    fine_window: int = 5
-    fine_temperature: float = 0.25
+    fine_window: int = 7
+    fine_temperature: float = 0.05
 
     def __post_init__(self) -> None:
         if not all(t > 0 for t in (self.temperature, self.fine_temperature)):
@@ -464,15 +467,13 @@ def _branch_confidences(
 
 
 def _anchor_cells(patch: np.ndarray, coarse: FeatureGrid, fine: FeatureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) of each patch's middle fine cell, lo + (hi - lo) // 2 over
-    the fine cells [lo, hi) it covers; hi stops at the fine grid's edge, so
-    a partial edge patch anchors inside the grid."""
+    """(row, col) of each patch's middle fine cell: the extent midpoint of
+    the fine cells it covers, so a partial edge patch anchors inside the
+    fine grid."""
     ratio = coarse.stride // fine.stride
-    out = []
-    for index, n_fine in zip(np.divmod(patch, coarse.grid_shape[1]), fine.grid_shape):
-        lo = index * ratio
-        out.append(lo + (np.minimum(lo + ratio, n_fine) - lo) // 2)
-    return out[0], out[1]
+    row, col = np.divmod(patch, coarse.grid_shape[1])
+    n_rows, n_cols = fine.grid_shape
+    return extent_midpoint(row, ratio, n_rows), extent_midpoint(col, ratio, n_cols)
 
 
 def _refine(

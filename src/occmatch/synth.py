@@ -448,14 +448,14 @@ def _rot_z(deg: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Fixture:
-    """A named scene + camera pair with recommended matcher settings."""
+    """A named scene and camera pair; the matcher's defaults suit every
+    fixture, so none carries settings of its own."""
 
     name: str
     scene: SceneSpec
     pose_a: PoseSE3
     pose_b: PoseSE3
     k: CameraIntrinsics
-    match_overrides: dict
 
 
 FIXTURE_NAMES = ("identity", "rotation", "stereo", "two_plane", "box_roll30")
@@ -467,10 +467,6 @@ FIXTURE_NAMES = ("identity", "rotation", "stereo", "two_plane", "box_roll30")
 # translations reproject pixel centers onto pixel centers exactly.
 _BG = Plane(point=(0.0, 0.0, 2.0), normal=(0.0, 0.0, 1.0), texture=0)
 _BASELINE = 0.25
-# Sharp softmax temperatures suit the synthetic descriptors: their matched
-# inner products sit far above the sampling noise floor, and a wide fine
-# window keeps the sub-pixel expectation stable under 30 degree roll.
-_SHARP = {"temperature": 0.02, "fine_temperature": 0.05, "fine_window": 7}
 
 
 def make_fixture(name: str, width: int = 192, height: int = 144) -> Fixture:
@@ -485,25 +481,23 @@ def make_fixture(name: str, width: int = 192, height: int = 144) -> Fixture:
     shift = PoseSE3(np.eye(3), np.array([_BASELINE, 0.0, 0.0]))
 
     if name == "identity":
-        return Fixture(name, SceneSpec((_BG,)), eye, eye, k, dict(_SHARP))
+        return Fixture(name, SceneSpec((_BG,)), eye, eye, k)
     if name == "rotation":
         # Pure rotation: ~16 px yaw shift at the principal point, no baseline.
         yaw = math.degrees(math.atan(16.0 / 128.0))
-        return Fixture(
-            name, SceneSpec((_BG,)), eye, PoseSE3(_rot_y(yaw), np.zeros(3)), k, dict(_SHARP)
-        )
+        return Fixture(name, SceneSpec((_BG,)), eye, PoseSE3(_rot_y(yaw), np.zeros(3)), k)
     if name == "stereo":
         # Two depth layers (16 px and 8 px disparity). A single plane would
         # leave the essential matrix underdetermined, so the backdrop at 4 m
         # shows through to the right of the slab edge at x = 0.25.
         slab = Box((-1.6, -1.2, 2.0), (0.25, 1.2, 2.02), texture=0)
         backdrop = Plane(point=(0.0, 0.0, 4.0), normal=(0.0, 0.0, 1.0), texture=2)
-        return Fixture(name, SceneSpec((slab, backdrop)), eye, shift, k, dict(_SHARP))
+        return Fixture(name, SceneSpec((slab, backdrop)), eye, shift, k)
     if name == "two_plane":
         occluder = Box((0.0, -0.75, 1.0), (0.4, 0.75, 1.02), texture=1)
-        return Fixture(name, SceneSpec((_BG, occluder)), eye, shift, k, dict(_SHARP))
+        return Fixture(name, SceneSpec((_BG, occluder)), eye, shift, k)
     if name == "box_roll30":
         occluder = Box((0.0, -0.25, 1.0), (0.35, 0.25, 1.02), texture=1)
         pose_b = PoseSE3(_rot_z(30.0), np.array([_BASELINE, 0.0, 0.0]))
-        return Fixture(name, SceneSpec((_BG, occluder)), eye, pose_b, k, dict(_SHARP))
+        return Fixture(name, SceneSpec((_BG, occluder)), eye, pose_b, k)
     raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

@@ -58,7 +58,7 @@ def matched_pair(synth_root, tmp_path_factory):
 # The settings each command reads, as the README's table lists them.
 READS = {
     "synth": {"channels", "patch_stride"},
-    "supervise": {"margin_floor", "margin_relative", "patch_stride"},
+    "supervise": {"margin_floor", "margin_relative"},
     "voxelize": {"depth_bins", "d_min", "d_max"},
     "match": {"temperature", "angles", "match_threshold", "fine_window", "fine_temperature"},
     "eval": {"ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds",
@@ -266,7 +266,44 @@ class TestSupervise:
         pair = fresh_pair("two_plane")
         assert main(["supervise", "--pair", pair]) == 0
         digest = hashlib.sha256(Path(pair, "supervision.json").read_bytes()).hexdigest()
-        assert digest == "c20e835df95f0c582113f0eff8709d8a9aafb75f0c8d0331250d84ca6d08f094"
+        assert digest == "9e36b79c554a9e7c7c15ef5dfb0b0e9c342905dd8d62d92f271f806d22a036de"
+
+    def test_patch_stride_comes_from_the_coarse_features(self, tmp_path, capsys):
+        # Once supervise wrote the GT at its own default stride 8 beside
+        # stride-16 features, so its indices named patches of another grid.
+        pair = tmp_path / "two_plane"
+        assert main(["synth", "--fixture", "two_plane", "--patch-stride", "16",
+                     "--out", str(pair)]) == 0
+        assert main(["supervise", "--pair", str(pair)]) == 0
+        sup = read_json(pair / "supervision.json")
+        assert sup["patch_stride"] == 16 and sup["grid_a"] == [9, 12] and sup["grid_b"] == [9, 12]
+        assert read_features(pair / "coarse_a.ofg").grid_shape == (9, 12)
+        assert sup["vv"] and sup["vo"] and sup["ov"]
+        assert all(0 <= i < 9 * 12 for key in ("vv", "vo", "ov") for ij in sup[key] for i in ij)
+        assert "patch_stride" not in sup["config"]
+        capsys.readouterr()
+        assert main(["supervise", "--pair", str(pair), "--patch-stride", "16"]) == 1
+        err = capsys.readouterr().err
+        assert "--patch-stride is read by synth, not by supervise" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "rows"])
+    def test_bad_coarse_a_exits_one_naming_it(self, fresh_pair, capsys, damage):
+        pair = Path(fresh_pair("two_plane"))
+        path = pair / "coarse_a.ofg"
+        if damage == "missing":
+            path.unlink()
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:10])
+        else:
+            grid = read_features(path)
+            write_features(path, FeatureGrid(grid.values[:, :10], grid.stride))
+        capsys.readouterr()
+        assert main(["supervise", "--pair", str(pair)]) == 1
+        err = capsys.readouterr().err
+        assert "coarse_a.ofg" in err and "Traceback" not in err
+        if damage == "rows":
+            assert "'rows'/'cols'/'stride' give 10x24 cells at stride 8" in err
+        assert not (pair / "supervision.json").exists()
 
     def test_malformed_manifest_fails_with_file_name(self, tmp_path, capsys):
         bad = tmp_path / "broken"
@@ -489,15 +526,25 @@ class TestMatch:
 
 
 class TestConfigPrecedence:
-    def test_fixture_overrides_beat_defaults(self, fresh_pair):
-        # The fixture manifests recommend a sharper temperature than the
-        # built-in default of 0.1.
+    def test_fixture_match_echoes_the_sharp_defaults(self, fresh_pair):
         pair = fresh_pair("identity")
         assert main(["match", "--pair", pair]) == 0
         cfg = read_json(f"{pair}/match_config.json")["config"]
-        assert cfg["temperature"] == 0.02
+        assert (cfg["temperature"], cfg["fine_temperature"], cfg["fine_window"]) == (0.02, 0.05, 7)
 
-    def test_config_file_beats_fixture_overrides(self, fresh_pair, tmp_path):
+    def test_manifest_match_overrides_are_not_read(self, fresh_pair):
+        # Manifests written before the sharp settings became the defaults
+        # carry them as match_overrides; match ignores the field.
+        plain, old = Path(fresh_pair("stereo", "plain")), Path(fresh_pair("stereo", "old"))
+        manifest = read_json(old / "manifest.json")
+        manifest["match_overrides"] = {"temperature": 0.5, "seed": 3}
+        write_json(old / "manifest.json", manifest)
+        for pair in (plain, old):
+            assert main(["match", "--pair", str(pair)]) == 0
+        for name in ("matches.jsonl", "match_config.json"):
+            assert (old / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_config_file_beats_defaults(self, fresh_pair, tmp_path):
         pair = fresh_pair("identity")
         cfg_path = tmp_path / "cfg.json"
         write_json(cfg_path, {"temperature": 0.5})
@@ -521,14 +568,6 @@ class TestConfigPrecedence:
         assert main(["match", "--pair", pair, "--config", str(cfg_path)]) == 1
         assert "bogus_knob" in capsys.readouterr().err
 
-    def test_non_object_manifest_overrides_fail_with_their_name(self, fresh_pair, capsys):
-        pair = fresh_pair("identity")
-        manifest = read_json(f"{pair}/manifest.json")
-        manifest["match_overrides"] = [5]
-        write_json(f"{pair}/manifest.json", manifest)
-        assert main(["match", "--pair", pair]) == 1
-        assert "match_overrides" in capsys.readouterr().err
-
     @pytest.mark.parametrize("name", ["min_overlap", "max_overlap", "min_occlusion"])
     def test_removed_filter_setting_is_unknown(self, fresh_pair, tmp_path, capsys, name):
         pair = fresh_pair("identity")
@@ -537,36 +576,12 @@ class TestConfigPrecedence:
         assert f"unknown setting {name!r}" in capsys.readouterr().err
         assert not (Path(pair) / "supervision.json").exists()
 
-    def test_manifest_override_of_another_command_exits_one(self, fresh_pair, capsys):
-        pair = fresh_pair("identity")
-        manifest = read_json(f"{pair}/manifest.json")
-        manifest["match_overrides"]["seed"] = 3
-        write_json(f"{pair}/manifest.json", manifest)
-        assert main(["match", "--pair", pair]) == 1
-        err = capsys.readouterr().err
-        assert "manifest match_overrides: setting 'seed' is read by eval, not by match" in err
-        assert not (Path(pair) / "matches.jsonl").exists()
-        assert not (Path(pair) / "match_config.json").exists()
-
-    def test_seed_env_fallback_and_flag_override(self, matched_pair, tmp_path, monkeypatch):
+    def test_eval_seed_defaults_to_zero_whatever_the_environment(self, matched_pair, tmp_path,
+                                                                 monkeypatch):
+        # Settings come from flags, --config and defaults alone.
         monkeypatch.setenv("OCCMATCH_SEED", "7")
-        assert main(command_argv("eval", matched_pair, tmp_path / "env")) == 0
-        assert read_json(tmp_path / "env" / "r.json")["config"]["seed"] == 7
-        assert main([*command_argv("eval", matched_pair, tmp_path / "flag"), "--seed", "3"]) == 0
-        assert read_json(tmp_path / "flag" / "r.json")["config"]["seed"] == 3
-
-    @pytest.mark.parametrize("command", sorted(READS))
-    def test_seed_env_is_read_by_eval_alone(self, matched_pair, tmp_path, monkeypatch, capsys,
-                                            command):
-        # The variable is ambient: the commands that do not read it ignore it.
-        monkeypatch.setenv("OCCMATCH_SEED", "abc")
-        code = main(command_argv(command, matched_pair, tmp_path / "out"))
-        err = capsys.readouterr().err
-        if command != "eval":
-            assert code == 0 and err == ""
-            return
-        assert code == 1 and "env OCCMATCH_SEED: seed" in err and "Traceback" not in err
-        assert not (tmp_path / "out" / "r.json").exists()
+        assert main(command_argv("eval", matched_pair, tmp_path / "out")) == 0
+        assert read_json(tmp_path / "out" / "r.json")["config"]["seed"] == 0
 
 
 class TestSettings:

@@ -34,7 +34,7 @@ from occmatch.matching import (
 )
 from occmatch.numerics import softmax
 from occmatch.supervision import CoarseMatchSet
-from occmatch.synth import FIXTURE_NAMES, make_fixture, make_pair
+from occmatch.synth import FIXTURE_NAMES, make_pair
 from test_synth import clutter_pair
 
 
@@ -565,7 +565,7 @@ class TestRefineAtTheGridEdge:
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_refined_points_stay_inside_the_image(pair_cache, name):
     fx, pair = pair_cache(name)
-    cfg = MatchingConfig(**fx.match_overrides)
+    cfg = MatchingConfig()
     matches = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b, cfg).matches
     points = np.array([(m.point_a, m.point_b) for m in matches])  # (n, 2 views, (u, v))
     assert len(points) > 250
@@ -580,11 +580,9 @@ def test_match_pair_finds_the_per_tap_alignments_matches(pair_cache, monkeypatch
     if name == "clutter":
         scene, pose_a, pose_b, k = clutter_pair(30.0)
         pair = make_pair(scene, pose_a, pose_b, k)
-        # The fixtures' sharp settings, which the benchmark passes for clutter.
-        cfg = MatchingConfig(**make_fixture("box_roll30").match_overrides)
     else:
-        fx, pair = pair_cache(name)
-        cfg = MatchingConfig(**fx.match_overrides)
+        _, pair = pair_cache(name)
+    cfg = MatchingConfig()
     grids = (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b)
     got = match_pair(*grids, cfg).matches
     monkeypatch.setattr(matching, "rotation_align", lambda f, theta: FeatureGrid._derived(
@@ -810,8 +808,8 @@ class TestSparseMatchesDenseFloat32(TestSparseMatchesDense):
 def test_fixture_matches_equal_the_dense_reference(name, pair_cache):
     # On float64 copies of the fixture grids; the float32 grids are compared
     # with these copies in test_float32_grids_match_like_float64_copies.
-    fixture, pair = pair_cache(name)
-    cfg = MatchingConfig(**fixture.match_overrides)
+    _, pair = pair_cache(name)
+    cfg = MatchingConfig()
     coarse_a, coarse_b = as_dtype(pair.coarse_a, np.float64), as_dtype(pair.coarse_b, np.float64)
     want = dense_reference(coarse_a, coarse_b, cfg)
     got = match_pair(coarse_a, coarse_b, cfg=cfg).matches
@@ -885,8 +883,8 @@ class TestFloat32Path:
 
     @pytest.mark.parametrize("name", ["identity", "rotation", "stereo", "two_plane", "box_roll30"])
     def test_float32_grids_match_like_float64_copies(self, name, pair_cache):
-        fixture, pair = pair_cache(name)
-        cfg = MatchingConfig(**fixture.match_overrides)
+        _, pair = pair_cache(name)
+        cfg = MatchingConfig()
         grids = (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b)
         assert {g.values.dtype for g in grids} == {np.dtype(np.float32)}
         got = match_pair(*grids, cfg=cfg).matches

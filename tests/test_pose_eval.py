@@ -531,7 +531,7 @@ def _fixture_matches(name, pair_cache):
     """Refined pixel matches of one 192x144 fixture and its intrinsics."""
     fixture, pair = pair_cache(name)
     result = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b,
-                        MatchingConfig(**fixture.match_overrides))
+                        MatchingConfig())
     px = np.array([[*m.point_a, *m.point_b] for m in result.matches])
     return px[:, :2], px[:, 2:], fixture.k
 
