@@ -48,7 +48,9 @@ from .supervision import (
 from .synth import FIXTURE_NAMES, FeatureParams, make_fixture, make_pair
 
 _FEATURE_FILES = ("coarse_a", "coarse_b", "fine_a", "fine_b")
-_PAIR_FILES = ("depth_a", "depth_b", *_FEATURE_FILES)
+# The rasters synth writes beside the manifest, by key; no manifest lists them.
+_PAIR_FILES = {key: key + (".odm" if key.startswith("depth") else ".ofg")
+               for key in ("depth_a", "depth_b", *_FEATURE_FILES)}
 
 
 # Flat setting names that differ from the field of the module config owning them.
@@ -82,6 +84,10 @@ class RunConfig:
     occupancy: OccupancyConfig = field(default_factory=OccupancyConfig)
     matching: MatchingConfig = field(default_factory=MatchingConfig)
     ransac: RansacConfig = field(default_factory=RansacConfig)
+
+    def __post_init__(self) -> None:
+        if not self.auc_thresholds or not all(0 < t < np.inf for t in self.auc_thresholds):
+            raise ValueError(f"need finite, positive AUC thresholds, got {list(self.auc_thresholds)}")
 
     def to_json(self, command: str) -> dict:
         """The settings `command` reads, by name."""
@@ -175,10 +181,7 @@ class PairDir:
         return str(self.manifest.get("id", self.path.name))
 
     def file(self, key: str) -> Path:
-        name = self.manifest["files"].get(key)
-        if not isinstance(name, str):
-            raise SchemaError(f"{self.path / 'manifest.json'}: files[{key!r}] is not a file name")
-        return self.path / name
+        return self.path / _PAIR_FILES[key]
 
     def depth(self, side: str) -> DepthMap:
         path = self.file(f"depth_{side}")
@@ -224,7 +227,7 @@ def load_pair(path: Path) -> PairDir:
     manifest_path = Path(path) / "manifest.json"
     manifest = formats.read_json(manifest_path)
     src = str(manifest_path)
-    for field in ("k", "pose_a", "pose_b", "files"):
+    for field in ("k", "pose_a", "pose_b"):
         formats._field(manifest, field, src, lambda v: isinstance(v, dict), "an object")
     return PairDir(
         path=Path(path),
@@ -265,10 +268,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    files = {name: name + (".odm" if name.startswith("depth") else ".ofg") for name in _PAIR_FILES}
-    for name, file_name in files.items():
-        write = formats.write_depth if name.startswith("depth") else formats.write_features
-        write(out / file_name, getattr(pair, name))
+    for key, file_name in _PAIR_FILES.items():
+        write = formats.write_depth if key.startswith("depth") else formats.write_features
+        write(out / file_name, getattr(pair, key))
 
     stats = PairStats.from_classes(pair.classes_a)
     manifest = {
@@ -277,7 +279,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "pose_a": formats.pose_to_json(pose_a),
         "pose_b": formats.pose_to_json(pose_b),
         "scene": formats.scene_to_json(scene),
-        "files": files,
         "occlusion_ratio": stats.occlusion_ratio,
         "overlap_score": stats.overlap_score,
         "config": cfg.to_json(args.command),
@@ -337,7 +338,6 @@ def cmd_match(args: argparse.Namespace) -> int:
     formats.write_json(out.with_name("match_config.json"), {
         "pair": pair.pair_id,
         "branches": [list(b) for b in result.branches],
-        "branch_counts": [sum(m.branch == b for m in result.matches) for b in result.branches],
         "config": cfg.to_json(args.command),
     })
     print(f"match: {len(result.matches)} matches -> {out}")
@@ -394,7 +394,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                       dtype=np.float64).reshape(-1, 2, 2).transpose(1, 0, 2)
         t_ba = relative_pose(pair.pose_a, pair.pose_b)
         report, failure = _evaluate_pair(pair, t_ba, *px, cfg)
-        ratio = formats._number(pair.manifest, "occlusion_ratio", str(manifest_path), default=0.0)
+        ratio = formats._number(pair.manifest, "occlusion_ratio", str(manifest_path))
         found, epe = label_matches(*px, pair.depth("a"), pair.depth("b"), pair.k, pair.k, t_ba,
                                    cfg.margin)
         labels = Counter(found.tolist())
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="pair directory to create")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("supervise", help="compute GT patch matches and pair stats")
+    p = sub.add_parser("supervise", help="compute GT patch matches and pixel class counts")
     p.add_argument("--pair", type=Path, required=True, help="pair directory")
     p.add_argument("--out", type=Path, help="output JSON (default: pair/supervision.json)")
     p.set_defaults(func=cmd_supervise)

@@ -13,10 +13,12 @@ array, so the writers never rewrite a file in place: each writes a
 temporary file beside the target and renames it over the target, and an
 array still mapped from the old file keeps its values.
 
-JSON stays human-editable; readers validate field by field and raise
-SchemaError messages naming the file and field so batch runs fail loudly
-at the offending input. Non-finite floats are serialized in Python's
-extended JSON form (Infinity/NaN) and accepted back.
+JSON stays human-editable, except the two data files, supervision.json
+and matches.jsonl, whose records are compact single lines; readers
+validate field by field and raise SchemaError messages naming the file
+and field so batch runs fail loudly at the offending input. Non-finite
+floats are serialized in Python's extended JSON form (Infinity/NaN) and
+accepted back.
 """
 
 from __future__ import annotations
@@ -153,9 +155,9 @@ def _out_of_range(field: str, value: Any, source: str) -> SchemaError:
                        f"got {value!r}")
 
 
-def _number(obj: dict, field: str, source: str, default: Any = _MISSING) -> float:
-    """obj[field] (or `default` when given and the field is absent) as a float."""
-    value = _field(obj, field, source, _is_number, "a number", default)
+def _number(obj: dict, field: str, source: str) -> float:
+    """obj[field] as a float."""
+    value = _field(obj, field, source, _is_number, "a number")
     try:
         return float(value)
     except OverflowError:
@@ -264,8 +266,6 @@ def supervision_to_json(matches: CoarseMatchSet, stats: PairStats, config: dict)
         "vv": [list(p) for p in matches.vv],
         "vo": [list(p) for p in matches.vo],
         "ov": [list(p) for p in matches.ov],
-        "occlusion_ratio": stats.occlusion_ratio,
-        "overlap_score": stats.overlap_score,
         "counts": {cls.name.lower(): stats.counts[cls] for cls in PixelClass},
         "config": config,
     }
@@ -273,20 +273,9 @@ def supervision_to_json(matches: CoarseMatchSet, stats: PairStats, config: dict)
 
 def write_supervision(path: PathLike, matches: CoarseMatchSet, stats: PairStats,
                       config: dict) -> None:
-    """supervision.json: the bytes of dump_json(supervision_to_json(...)).
-    The pair lists, most of the file, are formatted directly; every other
-    field goes through json.dumps, indented one level deeper."""
-    obj = supervision_to_json(matches, stats, config)
-    fields = []
-    for key in sorted(obj):
-        if key in ("vv", "vo", "ov"):
-            pairs = ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for a, b in obj[key])
-            text = f"[\n{pairs}\n  ]" if pairs else "[]"
-        else:
-            # Strings in JSON text hold no raw newline, so every one is a line break.
-            text = json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", "\n  ")
-        fields.append(f'  "{key}": {text}')
-    Path(path).write_text("{\n" + ",\n".join(fields) + "\n}\n", encoding="utf-8")
+    """supervision.json: dump_json_line(supervision_to_json(...)), one line."""
+    Path(path).write_text(dump_json_line(supervision_to_json(matches, stats, config)) + "\n",
+                          encoding="utf-8")
 
 
 def match_to_json(m: Match) -> dict:

@@ -1,9 +1,10 @@
 """Coarse-to-fine feature matching with rotation-aligned descriptors.
 
 Coarse feature grids are smoothed by a 5-tap neighborhood average whose four
-off-center taps can be rotated by an angle theta (bilinear resampling in
-index space, replicate padding). The taps fold into one 3x3 stencil per
-angle, applied to the edge-padded grid by shifted adds. Scores are
+off-center taps sit at theta + k * 90 degrees (bilinear resampling in index
+space, replicate padding), folded into one 3x3 stencil applied by shifted
+adds. The stencil is symmetric under the square group, so theta only sets
+its weights and nothing in the grid turns (see rotation_align). Scores are
 temperature-scaled inner products, and confidences come from a dual softmax
 whose column sums are kept online, in one pass over each score matrix's row
 blocks. Per entry the candidate rotation branch (0/0, theta/0, 0/theta, each
@@ -109,8 +110,11 @@ class MatchingConfig:
     fine_temperature: float = 0.05
 
     def __post_init__(self) -> None:
-        if not all(t > 0 for t in (self.temperature, self.fine_temperature)):
-            raise ValueError("temperatures must be positive")
+        floor = 2.0 / float(np.finfo(np.float32).max)  # unit float32 scores over T differ by <= 2/T
+        for name in ("temperature", "fine_temperature"):
+            t = getattr(self, name)
+            if not floor <= t < np.inf:
+                raise ValueError(f"{name} must be finite and at least {floor:.4g}, got {t}")
         if not self.angles or not all(math.isfinite(a) for a in self.angles):
             raise UnknownAngleError(f"angle set must be finite and non-empty, got {self.angles}")
         if not 0.0 <= self.match_threshold <= 1.0:
@@ -182,8 +186,11 @@ def rotation_align(f: FeatureGrid, theta_deg: float) -> FeatureGrid:
 
     Tap k (k = 0..3) samples the grid bilinearly at
     (i + cos(theta + k*pi/2), j + sin(theta + k*pi/2)); replicate padding
-    at the borders. theta = 0 reproduces neighborhood_mean; cell indices
-    are left untouched, only the sampled content rotates.
+    at the borders. theta = 0 reproduces neighborhood_mean. The four taps
+    together are symmetric under the square group, so theta only sets the
+    stencil's weights (each corner's is |sin 2 theta| / 10): 30, -30, 60
+    and 120 degrees give the same stencil, and neither the cell indices
+    nor the sampled content turn with theta (ROADMAP item 8).
 
     Every cell samples the same offsets, so the taps fold into one 3x3
     stencil, applied to the edge-padded grid in the grid's dtype (edge

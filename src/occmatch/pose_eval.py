@@ -61,6 +61,8 @@ class RansacConfig:
             raise ValueError(f"inlier threshold must be positive, got {self.inlier_threshold}")
         if not 0 < self.confidence < 1:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
+        if self.rng_seed < 0:  # numpy's default_rng takes no negative seed
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
