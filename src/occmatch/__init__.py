@@ -36,11 +36,13 @@ from .matching import (
     total_loss,
 )
 from .occupancy import (
+    OccupancyCells,
     OccupancyConfig,
     OccupancyFactors,
     OccupancyGrid,
     build_ground_truth_occupancy,
     estimate_occupancy,
+    ground_truth_cells,
     occupancy_loss,
 )
 from .pose_eval import (
@@ -82,8 +84,8 @@ __all__ = [
     "project_points", "unproject_points", "relative_pose", "patch_grid",
     "PixelClass", "OcclusionMargin", "PairStats", "CoarseMatchSet",
     "classify_points", "pair_stats", "coarse_match_ground_truth",
-    "OccupancyConfig", "OccupancyGrid", "OccupancyFactors",
-    "build_ground_truth_occupancy", "estimate_occupancy", "occupancy_loss",
+    "OccupancyConfig", "OccupancyGrid", "OccupancyCells", "OccupancyFactors",
+    "ground_truth_cells", "build_ground_truth_occupancy", "estimate_occupancy", "occupancy_loss",
     "FeatureGrid", "Match", "MatchResult", "MatchingConfig",
     "neighborhood_mean", "rotation_align", "score_matrix", "dual_softmax",
     "dual_softmax_jacobian", "gumbel_select", "extract_matches",

@@ -32,7 +32,11 @@ from .errors import (
 )
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, patch_grid, relative_pose
 from .matching import FeatureGrid, Match, MatchingConfig, match_pair
-from .occupancy import OccupancyConfig, build_ground_truth_occupancy
+# voxelize calls ground_truth_cells; bench/spans.py still traces
+# build_ground_truth_occupancy by this module's name for it.
+from .occupancy import (  # noqa: F401
+    OccupancyConfig, build_ground_truth_occupancy, ground_truth_cells,
+)
 from .pose_eval import (
     PoseErrorReport,
     RansacConfig,
@@ -317,13 +321,13 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for target in ("a", "b"):
         try:
-            grid = build_ground_truth_occupancy(
+            cells = ground_truth_cells(
                 depth_a, depth_b, pair.pose_a, pair.pose_b, pair.k, pair.k,
                 target=target, cfg=cfg.occupancy,
             )
         except EmptyCloudError as exc:
             raise EmptyCloudError(f"{pair.file('depth_a')}, {pair.file('depth_b')}: {exc}") from None
-        formats.write_occupancy(out_dir / f"occ_{target}.ocg", grid)
+        formats.write_occupancy(out_dir / f"occ_{target}.ocg", cells)
     formats.write_json(out_dir / "voxelize_config.json", {"config": cfg.to_json(args.command)})
     print(f"voxelize: wrote occ_a.ocg / occ_b.ocg to {out_dir}")
     return 0
@@ -394,7 +398,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                       dtype=np.float64).reshape(-1, 2, 2).transpose(1, 0, 2)
         t_ba = relative_pose(pair.pose_a, pair.pose_b)
         report, failure = _evaluate_pair(pair, t_ba, *px, cfg)
-        ratio = formats._number(pair.manifest, "occlusion_ratio", str(manifest_path))
+        ratio = float(formats._field(pair.manifest, "occlusion_ratio", str(manifest_path),
+                                     lambda v: formats._is_number(v) and 0 <= v <= 1,
+                                     "a number in [0, 1]"))
         found, epe = label_matches(*px, pair.depth("a"), pair.depth("b"), pair.k, pair.k, t_ba,
                                    cfg.margin)
         labels = Counter(found.tolist())

@@ -36,13 +36,15 @@ import numpy as np
 from .errors import SchemaError
 from .geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3
 from .matching import FeatureGrid, Match
-from .occupancy import OccupancyGrid
+from .occupancy import OccupancyCells, OccupancyGrid
 from .supervision import CoarseMatchSet, PairStats, PixelClass
 from .synth import Box, Plane, SceneSpec
 
 _DEPTH_MAGIC = b"ODM1"
 _OCC_MAGIC = b"OCG1"
 _FEAT_MAGIC = b"OFG1"
+# Values per block in which write_occupancy builds its payload: 1 MiB of float32.
+_OCC_BLOCK_VALUES = 1 << 18
 
 PathLike = Union[str, Path]
 
@@ -70,16 +72,19 @@ def _payload(path: Path, raw: memoryview, count: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4", count=count)
 
 
-def _write_raster(path: PathLike, magic: bytes, header: tuple[int, ...], values: np.ndarray) -> None:
-    """Write a binary raster to a temporary file beside `path`, then rename
-    it onto `path`, so a mapping of the old file never sees it change."""
+def _write_raster(path: PathLike, magic: bytes, header: tuple[int, ...],
+                  blocks: Iterable[np.ndarray]) -> None:
+    """Write a binary raster, its payload the float32 `blocks` one after
+    another, to a temporary file beside `path`, then rename it onto `path`,
+    so a mapping of the old file never sees it change."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("wb") as fh:
             fh.write(magic)
             fh.write(struct.pack(f"<{len(header)}I", *header))
-            fh.write(np.ascontiguousarray(values, dtype="<f4"))
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -96,7 +101,7 @@ def _build(source: Union[Path, str], make, *args, **kwargs):
 
 
 def write_depth(path: PathLike, depth: DepthMap) -> None:
-    _write_raster(path, _DEPTH_MAGIC, (depth.width, depth.height), depth.data)
+    _write_raster(path, _DEPTH_MAGIC, (depth.width, depth.height), [depth.data])
 
 
 def read_depth(path: PathLike) -> DepthMap:
@@ -106,9 +111,27 @@ def read_depth(path: PathLike) -> DepthMap:
     return _build(path, DepthMap, data.reshape(height, width))
 
 
-def write_occupancy(path: PathLike, grid: OccupancyGrid) -> None:
-    # C order == (row, col, bin)
-    _write_raster(path, _OCC_MAGIC, (1, *grid.values.shape), grid.values)
+def write_occupancy(path: PathLike, occ: Union[OccupancyGrid, OccupancyCells]) -> None:
+    """An occupancy grid, given densely or by its non-zero cells. The
+    payload, float32 in C order (row, col, bin), is built and written in
+    blocks of _OCC_BLOCK_VALUES values from the cells, so no dense float32
+    copy of the grid is ever held."""
+    cells = occ if isinstance(occ, OccupancyCells) else OccupancyCells.from_grid(occ)
+    size = math.prod(cells.shape)
+    starts = range(0, size, _OCC_BLOCK_VALUES)
+    ends = np.searchsorted(cells.index, [*starts[1:], size])
+
+    def blocks() -> Iterable[np.ndarray]:
+        block = np.empty(min(size, _OCC_BLOCK_VALUES), dtype="<f4")
+        lo = 0
+        for start, hi in zip(starts, ends.tolist()):
+            out = block[: min(size - start, _OCC_BLOCK_VALUES)]
+            out.fill(0.0)
+            out[cells.index[lo:hi] - start] = cells.values[lo:hi]
+            lo = hi
+            yield out
+
+    _write_raster(path, _OCC_MAGIC, (1, *cells.shape), blocks())
 
 
 def read_occupancy(path: PathLike) -> OccupancyGrid:
@@ -121,7 +144,7 @@ def read_occupancy(path: PathLike) -> OccupancyGrid:
 
 
 def write_features(path: PathLike, grid: FeatureGrid) -> None:
-    _write_raster(path, _FEAT_MAGIC, (*grid.values.shape, grid.stride), grid.values)
+    _write_raster(path, _FEAT_MAGIC, (*grid.values.shape, grid.stride), [grid.values])
 
 
 def read_features(path: PathLike) -> FeatureGrid:

@@ -52,8 +52,11 @@ class OccupancyConfig:
 
 
 def depth_bin_index(z: np.ndarray, cfg: OccupancyConfig) -> np.ndarray:
-    """Bin index for camera depth z; only meaningful for z in [d_min, d_max)."""
-    return np.floor((np.asarray(z, dtype=np.float64) - cfg.d_min) / cfg.bin_width).astype(np.intp)
+    """Bin index for camera depth z; only meaningful for z in [d_min, d_max).
+    A z just below d_max whose quotient rounds up to depth_bins takes the
+    last bin."""
+    k = np.floor((np.asarray(z, dtype=np.float64) - cfg.d_min) / cfg.bin_width).astype(np.intp)
+    return np.minimum(k, cfg.depth_bins - 1)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,28 @@ def _cloud_from_view(depth: DepthMap, k: CameraIntrinsics, pose: PoseSE3) -> np.
     return pose.transform(unproject_points(us, vs, depth.data[vs, us], k))
 
 
-def build_ground_truth_occupancy(
+@dataclass(frozen=True)
+class OccupancyCells:
+    """The non-zero cells of a (rows, cols, bins) occupancy grid: `index`
+    holds their flat indices in C order, ascending, and `values` their
+    values; every other cell is 0."""
+
+    shape: tuple[int, int, int]
+    index: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_grid(cls, grid: OccupancyGrid) -> "OccupancyCells":
+        index = np.flatnonzero(grid.values)
+        return cls(grid.values.shape, index, np.take(grid.values, index))
+
+    def to_grid(self) -> OccupancyGrid:
+        values = np.zeros(self.shape)
+        values.reshape(-1)[self.index] = self.values
+        return OccupancyGrid(values)
+
+
+def ground_truth_cells(
     depth_a: DepthMap,
     depth_b: DepthMap,
     pose_a: PoseSE3,
@@ -116,7 +140,7 @@ def build_ground_truth_occupancy(
     k_b: CameraIntrinsics,
     target: str = "a",
     cfg: OccupancyConfig = OccupancyConfig(),
-) -> OccupancyGrid:
+) -> OccupancyCells:
     """Fuse both views into a point cloud and bin it in the target frame.
 
     The target view's own pixels bin directly at (row, col) = (v // 2,
@@ -124,8 +148,8 @@ def build_ground_truth_occupancy(
     reprojection. This keeps a pixel from drifting out of its own cell by
     one ulp of projective round-trip.
 
-    Each non-empty column is a uniform distribution over its occupied bins
-    (sums to 1); empty columns stay all-zero.
+    Each non-empty column is a uniform distribution over its occupied bins:
+    each of its n occupied cells holds 1/n. Empty columns hold no cell.
     """
     if target not in ("a", "b"):
         raise ValueError(f"target must be 'a' or 'b', got {target!r}")
@@ -138,31 +162,55 @@ def build_ground_truth_occupancy(
     if not (depth_t.valid_mask.any() or depth_o.valid_mask.any()):
         raise EmptyCloudError("no valid depth pixel in either view")
     rows, cols = patch_grid(k_t.height, k_t.width, 2)
-    check_grid_size((rows, cols, cfg.depth_bins), f"depth_bins {cfg.depth_bins}", "occupancy grid")
-    occ = np.zeros((rows, cols, cfg.depth_bins))
+    bins = cfg.depth_bins
+    check_grid_size((rows, cols, bins), f"depth_bins {bins}", "occupancy grid")
+
+    def flat(r: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return (r * cols + c) * bins + depth_bin_index(z, cfg)
 
     vt, ut = np.nonzero(depth_t.valid_mask)
     zt = depth_t.data[vt, ut]
     keep = (zt >= cfg.d_min) & (zt < cfg.d_max)
-    if np.any(keep):
-        occ[vt[keep] // 2, ut[keep] // 2, depth_bin_index(zt[keep], cfg)] = 1.0
+    binned = [flat(vt[keep] // 2, ut[keep] // 2, zt[keep])]
 
     cloud = _cloud_from_view(depth_o, k_o, pose_o)
     if cloud.shape[0]:
         p = pose_t.inverse().transform(cloud)
+        del cloud
         z = p[:, 2]
         keep = (z >= cfg.d_min) & (z < cfg.d_max)
         p, z = p[keep], z[keep]
         u, v = project_points(p, k_t)
+        del p
         inside = (u >= 0.0) & (u < 2.0 * cols) & (v >= 0.0) & (v < 2.0 * rows)
-        if np.any(inside):
-            r = np.floor(v[inside] / 2.0).astype(np.intp)
-            c = np.floor(u[inside] / 2.0).astype(np.intp)
-            k = depth_bin_index(z[inside], cfg)
-            occ[r, c, k] = 1.0
-    sums = occ.sum(axis=-1, keepdims=True)
-    np.divide(occ, sums, out=occ, where=sums > 0)
-    return OccupancyGrid(occ)
+        binned.append(flat(np.floor(v[inside] / 2.0).astype(np.intp),
+                           np.floor(u[inside] / 2.0).astype(np.intp), z[inside]))
+
+    # A one-byte mark per cell drops the duplicates and sorts the rest.
+    occupied = np.zeros(rows * cols * bins, dtype=np.bool_)
+    for flat_index in binned:
+        occupied[flat_index] = True
+    index = np.flatnonzero(occupied)
+    del occupied
+    # n, the occupied bins of each cell's column: the length of its run of
+    # equal columns in the ascending indices.
+    first = np.flatnonzero(np.diff(index // bins, prepend=-1))
+    n = np.diff(first, append=index.size)
+    return OccupancyCells((rows, cols, bins), index, 1.0 / np.repeat(n, n))
+
+
+def build_ground_truth_occupancy(
+    depth_a: DepthMap,
+    depth_b: DepthMap,
+    pose_a: PoseSE3,
+    pose_b: PoseSE3,
+    k_a: CameraIntrinsics,
+    k_b: CameraIntrinsics,
+    target: str = "a",
+    cfg: OccupancyConfig = OccupancyConfig(),
+) -> OccupancyGrid:
+    """The dense grid of `ground_truth_cells`; empty columns are all-zero."""
+    return ground_truth_cells(depth_a, depth_b, pose_a, pose_b, k_a, k_b, target, cfg).to_grid()
 
 
 def estimate_occupancy(factors: OccupancyFactors) -> OccupancyGrid:

@@ -887,10 +887,17 @@ class TestMalformedInputs:
         ("manifest.json", "occlusion_ratio", "abc"),
         pytest.param("manifest.json", "occlusion_ratio", 10**400,
                      id="manifest.json-occlusion_ratio-overflow"),
+        pytest.param("manifest.json", "occlusion_ratio", math.nan,
+                     id="manifest.json-occlusion_ratio-nan"),
+        pytest.param("manifest.json", "occlusion_ratio", math.inf,
+                     id="manifest.json-occlusion_ratio-inf"),
+        ("manifest.json", "occlusion_ratio", -0.5),
+        ("manifest.json", "occlusion_ratio", 1.5),
     ])
     def test_eval_and_curve_inputs_exit_one(self, fresh_pair, tmp_path, capsys,
                                             target, where, value):
-        # eval orders the curve by each manifest's occlusion_ratio.
+        # eval orders the curve by each manifest's occlusion_ratio, a
+        # fraction: a NaN one once sorted the curve by a NaN key.
         pair = Path(fresh_pair("identity"))
         assert main(["match", "--pair", str(pair)]) == 0
         manifest = read_json(pair / target)
@@ -903,6 +910,7 @@ class TestMalformedInputs:
                      "--out-curve", str(tmp_path / "c.csv")]) == 1
         err = capsys.readouterr().err
         assert target in err and repr(where) in err and "Traceback" not in err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "c.csv").exists()
 
 
     def test_oversized_occupancy_grid_exits_one(self, fresh_pair, capsys):

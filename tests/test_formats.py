@@ -1,5 +1,6 @@
 """Binary grid formats, JSON codecs, and the deterministic dump helpers."""
 
+import functools
 import json
 import math
 import mmap
@@ -13,7 +14,15 @@ import pytest
 from occmatch.errors import SchemaError
 from occmatch.geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3
 from occmatch.matching import FeatureGrid, Match
-from occmatch.occupancy import OccupancyGrid
+from occmatch import formats
+from occmatch.geometry import patch_grid, project_points, unproject_points
+from occmatch.occupancy import (
+    OccupancyConfig,
+    OccupancyGrid,
+    build_ground_truth_occupancy,
+    depth_bin_index,
+    ground_truth_cells,
+)
 from occmatch.formats import (
     dump_json,
     dump_json_line,
@@ -41,7 +50,9 @@ from occmatch.formats import (
     write_supervision,
 )
 from occmatch.supervision import CoarseMatchSet, PairStats, PixelClass
-from occmatch.synth import make_fixture
+from occmatch.synth import FIXTURE_NAMES, make_fixture, make_pair
+from conftest import cached_pair
+from test_synth import clutter_pair
 
 
 def float32_exact(rng, shape):
@@ -111,6 +122,110 @@ class TestOccupancyRoundTrip:
         path.write_bytes(b"OCG1" + struct.pack("<4I", 2, 1, 1, 1) + b"\x00" * 8)
         with pytest.raises(SchemaError, match="leading dimension"):
             read_occupancy(path)
+
+
+def dense_occupancy(depth_a, depth_b, pose_a, pose_b, k, target, cfg=OccupancyConfig()):
+    """The ground-truth grid as a dense float64 array, binned the way the
+    dense builder did it before the grid was kept as its occupied cells."""
+    if target == "a":
+        depth_t, pose_t, depth_o, pose_o = depth_a, pose_a, depth_b, pose_b
+    else:
+        depth_t, pose_t, depth_o, pose_o = depth_b, pose_b, depth_a, pose_a
+    rows, cols = patch_grid(k.height, k.width, 2)
+    occ = np.zeros((rows, cols, cfg.depth_bins))
+    vt, ut = np.nonzero(depth_t.valid_mask)
+    zt = depth_t.data[vt, ut]
+    keep = (zt >= cfg.d_min) & (zt < cfg.d_max)
+    occ[vt[keep] // 2, ut[keep] // 2, depth_bin_index(zt[keep], cfg)] = 1.0
+    vs, us = np.nonzero(depth_o.valid_mask)
+    cloud = pose_o.transform(unproject_points(us, vs, depth_o.data[vs, us], k))
+    p = pose_t.inverse().transform(cloud)
+    p = p[(p[:, 2] >= cfg.d_min) & (p[:, 2] < cfg.d_max)]
+    u, v = project_points(p, k)
+    inside = (u >= 0.0) & (u < 2.0 * cols) & (v >= 0.0) & (v < 2.0 * rows)
+    occ[np.floor(v[inside] / 2.0).astype(np.intp), np.floor(u[inside] / 2.0).astype(np.intp),
+        depth_bin_index(p[inside, 2], cfg)] = 1.0
+    sums = occ.sum(axis=-1, keepdims=True)
+    np.divide(occ, sums, out=occ, where=sums > 0)
+    return occ
+
+
+def ocg_bytes(values: np.ndarray) -> bytes:
+    """An OCG1 file as the dense writer laid it out: magic, u32 (1, rows,
+    cols, bins), then every value as little-endian float32 in C order."""
+    return b"OCG1" + struct.pack("<4I", 1, *values.shape) + values.astype("<f4").tobytes()
+
+
+# The views the occupancy writer is checked on: the five fixtures at
+# 192x144, a 320x240 clutter scene, random views with invalid pixels, empty
+# columns and depths past d_max, and views whose every depth is past d_max.
+OCCUPANCY_VIEWS = (*FIXTURE_NAMES, "clutter", "random", "all-zero")
+
+
+@functools.lru_cache(maxsize=None)
+def occupancy_view(name: str):
+    """(depth_a, depth_b, pose_a, pose_b, k) of one of OCCUPANCY_VIEWS."""
+    if name in FIXTURE_NAMES:
+        fx, pair = cached_pair(name)
+        return pair.depth_a, pair.depth_b, fx.pose_a, fx.pose_b, fx.k
+    if name == "clutter":
+        scene, pose_a, pose_b, k = clutter_pair(30.0)
+        pair = make_pair(scene, pose_a, pose_b, k)
+        return pair.depth_a, pair.depth_b, pose_a, pose_b, k
+    k = CameraIntrinsics(20.0, 20.0, 11.5, 9.5, 24, 20)
+    pose_b = PoseSE3(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                     np.array([0.4, -0.2, 0.1]))
+    if name == "all-zero":
+        far = DepthMap(np.full((20, 24), 12.0))
+        return far, far, PoseSE3.identity(), pose_b, k
+    rng = np.random.default_rng(26)
+    data = rng.uniform(0.5, 14.0, size=(2, 20, 24))
+    data[rng.random(data.shape) < 0.3] = 0.0
+    data[:, :8, :10] = 0.0  # a block of empty columns
+    return DepthMap(data[0]), DepthMap(data[1]), PoseSE3.identity(), pose_b, k
+
+
+class TestOccupancyWriterBytes:
+    """write_occupancy streams the payload from the occupied cells in
+    blocks; the file must hold the dense writer's bytes."""
+
+    @pytest.mark.parametrize("name", OCCUPANCY_VIEWS)
+    @pytest.mark.parametrize("target", ["a", "b"])
+    def test_cells_write_the_dense_grids_bytes(self, tmp_path, name, target):
+        depth_a, depth_b, pose_a, pose_b, k = occupancy_view(name)
+        want = dense_occupancy(depth_a, depth_b, pose_a, pose_b, k, target)
+        assert want.any() == (name != "all-zero")
+        if name == "random":
+            assert (np.count_nonzero(want, axis=-1) == 0).any()
+        cells = ground_truth_cells(depth_a, depth_b, pose_a, pose_b, k, k, target=target)
+        grid = build_ground_truth_occupancy(depth_a, depth_b, pose_a, pose_b, k, k, target=target)
+        assert grid.values.tobytes() == want.tobytes()
+        for occ in (cells, grid):
+            write_occupancy(tmp_path / "o.ocg", occ)
+            assert (tmp_path / "o.ocg").read_bytes() == ocg_bytes(want)
+
+    @pytest.mark.parametrize("block", [1, 64, 768, 1000, 7679, 7680, 7681, 1 << 20])
+    def test_any_block_size_writes_the_same_bytes(self, tmp_path, monkeypatch, block):
+        # The random views' grid holds 10 x 12 x 64 = 7,680 values, a row
+        # 768: blocks that divide it, that do not, and larger than it.
+        depth_a, depth_b, pose_a, pose_b, k = occupancy_view("random")
+        monkeypatch.setattr(formats, "_OCC_BLOCK_VALUES", block)
+        write_occupancy(tmp_path / "o.ocg", ground_truth_cells(depth_a, depth_b, pose_a, pose_b, k, k))
+        want = dense_occupancy(depth_a, depth_b, pose_a, pose_b, k, "a")
+        assert (tmp_path / "o.ocg").read_bytes() == ocg_bytes(want)
+
+    def test_default_blocks_split_the_larger_grids(self):
+        # At the default block, the fixtures' and the clutter scene's grids
+        # take several blocks and end in a partial one; the random views'
+        # grid is smaller than one block.
+        block = formats._OCC_BLOCK_VALUES
+        for name in OCCUPANCY_VIEWS:
+            k = occupancy_view(name)[-1]
+            size = math.prod(patch_grid(k.height, k.width, 2)) * OccupancyConfig().depth_bins
+            if name in ("random", "all-zero"):
+                assert size < block
+            else:
+                assert size > block and size % block
 
 
 class TestFeatureRoundTrip:

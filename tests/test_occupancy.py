@@ -75,6 +75,18 @@ class TestBinning:
     def test_just_inside_far_limit_is_last_bin(self):
         assert depth_bin_index(np.array([10.0 - 1e-9]), CFG)[0] == 63
 
+    def test_depth_that_rounds_up_to_the_far_limit_takes_the_last_bin(self):
+        # Here the quotient of the largest z below d_max rounds up to
+        # depth_bins; that z once indexed one bin past the grid.
+        cfg = OccupancyConfig(266, 0.7497889438067533, 27.490783451977286)
+        z = np.nextafter(cfg.d_max, 0.0)
+        assert math.floor((z - cfg.d_min) / cfg.bin_width) == cfg.depth_bins
+        assert depth_bin_index(np.array([z]), cfg)[0] == cfg.depth_bins - 1
+        k = k_of(4, 4)
+        depth = DepthMap(np.full((4, 4), z))
+        grid = build_ground_truth_occupancy(depth, depth, IDENTITY, IDENTITY, k, k, cfg=cfg)
+        assert np.all(grid.values[:, :, -1] == 1.0)
+
     def test_matches_floor_formula(self):
         rng = np.random.default_rng(41)
         z = rng.uniform(0.1, 9.99, size=200)
