@@ -834,6 +834,8 @@ class TestMalformedInputs:
         ("eval", ["--auc-thresholds", "nan"], None, "auc_thresholds"),
         ("eval", ["--auc-thresholds", "inf"], None, "auc_thresholds"),
         ("eval", [], {"auc_thresholds": []}, "auc_thresholds"),
+        # An infinite inlier threshold counts every finite match as an inlier.
+        ("eval", ["--inlier-threshold", "inf"], None, "inlier_threshold"),
         # An infinite temperature scores every pair alike; below 2 / float32
         # max the differences of unit float32 scores over it overflow.
         ("match", ["--temperature", "inf"], None, "temperature"),
@@ -843,7 +845,7 @@ class TestMalformedInputs:
         ("match", ["--fine-temperature", "1e-320"], None, "fine_temperature"),
         ("match", [], {"fine_temperature": 1e-320}, "fine_temperature"),
     ], ids=["seed-flag", "seed-config", "auc-zero", "auc-negative", "auc-nan", "auc-inf",
-            "auc-empty", "temperature-inf", "temperature-subnormal", "temperature-below-floor",
+            "auc-empty", "inlier_threshold-inf", "temperature-inf", "temperature-subnormal", "temperature-below-floor",
             "fine_temperature-inf", "fine_temperature-subnormal", "fine_temperature-config"])
     def test_unusable_setting_exits_one_naming_it(self, matched_pair, tmp_path, capsys,
                                                   command, flags, config, setting):
@@ -1064,6 +1066,23 @@ class TestEvalAndCurve:
         assert code == 0
         row = read_json(report_path)["pairs"][0]
         assert row["pose_err_deg"] < 0.5 and row["inliers"] > 0
+
+    def test_overflowing_essential_matrix_fails_the_pair_cleanly(self, fresh_pair, tmp_path):
+        # A points near 1e300 px overflow the Frobenius norm of every
+        # 8-point solution; those matrices are degenerate, with no numpy
+        # warning (the suite turns RuntimeWarning into an error).
+        pair = fresh_pair("stereo")
+        assert main(["match", "--pair", pair]) == 0
+        path = Path(pair) / "matches.jsonl"
+        matches = [json.loads(line) for line in path.read_text().splitlines()[:50]]
+        for match in matches:
+            match["a"][0] *= 1e300
+        path.write_text("".join(json.dumps(m) + "\n" for m in matches))
+        code, report_path, _ = self.run_eval([pair], tmp_path)
+        assert code == 0
+        row = read_json(report_path)["pairs"][0]
+        assert row["failure"] == "RANSAC found no 8-point consensus"
+        assert row["pose_err_deg"] == math.inf and row["matches"] == 50
 
     def test_curve_rows_follow_occlusion_order(self, fresh_pair, tmp_path):
         pairs = [fresh_pair("stereo"), fresh_pair("two_plane")]

@@ -124,9 +124,9 @@ class TestSampsonDistance:
 
 
     def test_stacked_matrices_score_like_each_matrix_alone(self):
-        # A stack is scored by one (B, 3, 3) @ (3, N) product per side; each
-        # row must equal the single-matrix distances bit for bit, at every
-        # point count and chunk size.
+        # A stack is scored in blocks of matrices, one (3, 3) @ (3, N)
+        # product per matrix and side; each row must equal the single-matrix
+        # distances bit for bit, at every point count and chunk size.
         rng = np.random.default_rng(15)
         for n in [*range(1, 81), 287, 348, 634]:
             xa = rng.normal(size=(n, 2))
@@ -137,6 +137,43 @@ class TestSampsonDistance:
                 assert got.shape == (b, n)
                 for e, row in zip(stack, got):
                     assert np.array_equal(sampson_distance(e, xa, xb), row), (n, b)
+
+    def test_block_boundaries_score_bit_for_bit(self):
+        # Point counts whose blocks hold one matrix, and counts whose last
+        # block is ragged for some stack size: every row must score as its
+        # matrix does alone and as the reference does, also next to a row
+        # holding a NaN entry of E and at a 1e308 point (distance inf).
+        budget = pose_eval._BLOCK_BYTES // 8
+        ns = [1, 7, budget // 64, budget // 64 + 1, budget // 5, budget // 2 + 1, budget, budget + 3]
+        stacks = (1, 8, 63, 64, 65)
+        rows = [max(1, budget // n) for n in ns]
+        assert 1 in rows and any(b % r for r in rows for b in stacks if r < b)
+        rng = np.random.default_rng(16)
+        for n in ns:
+            xa, xb = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+            far = n // 2 if n > 1 else None
+            if far is not None:
+                xa[far] = (1e308, 0.5)
+            ones = np.ones((n, 1))
+            for b in stacks:
+                stack = rng.normal(size=(b, 3, 3))
+                nan_row = b // 2 if b > 1 else None
+                if nan_row is not None:
+                    stack[nan_row, 1, 2] = np.nan
+                inf = np.zeros((b, n), dtype=bool)
+                if far is not None:
+                    inf[:, far] = True
+                if nan_row is not None:
+                    inf[nan_row] = True
+                with np.errstate(over="ignore", invalid="ignore"):
+                    refs = [_reference_sampson(e, xa, xb) for e in stack]
+                for pa, pb in ((xa, xb), (np.hstack([xa, ones]), np.hstack([xb, ones]))):
+                    got = sampson_distance(stack, pa, pb)
+                    assert got.shape == (b, n)
+                    assert np.array_equal(np.isinf(got), inf), (n, b)
+                    for j, (e, row, ref) in enumerate(zip(stack, got, refs)):
+                        assert np.array_equal(sampson_distance(e, pa, pb), row), (n, b, j)
+                        assert np.array_equal(row[~inf[j]], ref[~inf[j]]), (n, b, j)
 
     def test_homogeneous_rows_score_like_their_points(self):
         rng = np.random.default_rng(30)
@@ -441,6 +478,22 @@ class TestChunkedRansacEquivalence:
         assert np.array_equal(e[1], _reference_eight_point(xa[1], xb[1]))
 
 
+class TestEightPoint:
+    def test_overflowing_norm_is_degenerate_without_warnings(self):
+        # A stereo sample whose A points have x scaled by 1e300: the spread
+        # overflows and so does the Frobenius norm of the solution (set 0).
+        u = np.array([100.5, 132.5, 180.5, 60.5, 188.5, 36.5, 76.5, 28.5]) / 128
+        v = np.array([-59, -67, -67, -59, -67, -59, -67, -67]) / 128
+        u_b = np.array([-11, 29, 77, -51, 85, -75, -35, -83]) / 128
+        xa = np.stack([np.stack([u * 1e300, v], 1), np.random.default_rng(22).normal(size=(8, 2))])
+        xb = np.stack([np.stack([u_b, v], 1), np.random.default_rng(23).normal(size=(8, 2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e, valid = _eight_point(xa, xb)
+        assert valid.tolist() == [False, True]
+        assert np.array_equal(e[1], _reference_eight_point(xa[1], xb[1]))
+
+
 def _systems(xa, xb):
     """(B, m, 9) rows of the 8-point systems of (B, m, 2) point sets, built
     and conditioned as _eight_point builds them."""
@@ -609,6 +662,24 @@ class TestRefitMemory:
         assert inliers.sum() == 3000
         assert peak < 3000 * 3000 * 8
 
+    def test_stack_scoring_holds_little_beside_its_output(self):
+        # A full RANSAC chunk of 64 matrices at 20,000 points: the (64, N)
+        # output is the one large array; the scoring blocks, the homogeneous
+        # operands and the mask take at most a quarter of it more.
+        n = 20_000
+        rng = np.random.default_rng(32)
+        stack = rng.normal(size=(64, 3, 3))
+        xa_h = np.hstack([rng.normal(size=(n, 2)), np.ones((n, 1))])
+        xb_h = np.hstack([rng.normal(size=(n, 2)), np.ones((n, 1))])
+        tracemalloc.start()
+        try:
+            d = sampson_distance(stack, xa_h, xb_h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.shape == (64, n)
+        assert peak <= 1.25 * d.nbytes
+
 
 class TestPoseError:
     def test_exact_estimate_has_near_zero_error(self):
@@ -707,5 +778,8 @@ class TestRansacConfig:
             RansacConfig(max_iterations=0)
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=0.0)
+        # At inf every finite match would be an inlier.
+        with pytest.raises(ValueError, match="inlier_threshold"):
+            RansacConfig(inlier_threshold=np.inf)
         with pytest.raises(ValueError):
             RansacConfig(confidence=1.0)
