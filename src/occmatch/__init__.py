@@ -22,7 +22,6 @@ from .matching import (
     FeatureGrid,
     Match,
     MatchingConfig,
-    MatchResult,
     coarse_loss,
     dual_softmax,
     dual_softmax_jacobian,
@@ -86,7 +85,7 @@ __all__ = [
     "classify_points", "pair_stats", "coarse_match_ground_truth",
     "OccupancyConfig", "OccupancyGrid", "OccupancyCells", "OccupancyFactors",
     "ground_truth_cells", "build_ground_truth_occupancy", "estimate_occupancy", "occupancy_loss",
-    "FeatureGrid", "Match", "MatchResult", "MatchingConfig",
+    "FeatureGrid", "Match", "MatchingConfig",
     "neighborhood_mean", "rotation_align", "score_matrix", "dual_softmax",
     "dual_softmax_jacobian", "gumbel_select", "extract_matches",
     "refine_fine_match", "coarse_loss", "total_loss",

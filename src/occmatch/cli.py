@@ -300,7 +300,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     stride = pair.feature_grid("coarse_a").stride
     t_ba = relative_pose(pair.pose_a, pair.pose_b)
     try:
-        stats = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
+        counts = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
         gt = coarse_match_ground_truth(
             depth_a, depth_b, pair.k, pair.k, t_ba,
             margin=cfg.margin, patch_stride=stride,
@@ -308,7 +308,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     except EmptyDepthError as exc:
         raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
     out = Path(args.out) if args.out else pair.path / "supervision.json"
-    formats.write_supervision(out, gt, stats, config=cfg.to_json(args.command))
+    formats.write_supervision(out, gt, counts, config=cfg.to_json(args.command))
     print(f"supervise: {len(gt.vv)} vv / {len(gt.vo)} vo / {len(gt.ov)} ov -> {out}")
     return 0
 
@@ -336,15 +336,15 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     pair = load_pair(args.pair)
     cfg = merge_config(args)
-    result = match_pair(*pair.features(), cfg.matching)
+    matches = match_pair(*pair.features(), cfg.matching)
     out = Path(args.out) if args.out else pair.path / "matches.jsonl"
-    formats.write_matches(out, result.matches)
+    formats.write_matches(out, matches)
     formats.write_json(out.with_name("match_config.json"), {
         "pair": pair.pair_id,
-        "branches": [list(b) for b in result.branches],
+        "branches": [list(b) for b in cfg.matching.branches()],
         "config": cfg.to_json(args.command),
     })
-    print(f"match: {len(result.matches)} matches -> {out}")
+    print(f"match: {len(matches)} matches -> {out}")
     return 0
 
 

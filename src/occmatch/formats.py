@@ -37,7 +37,7 @@ from .errors import SchemaError
 from .geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3
 from .matching import FeatureGrid, Match
 from .occupancy import OccupancyCells, OccupancyGrid
-from .supervision import CoarseMatchSet, PairStats, PixelClass
+from .supervision import CoarseMatchSet, PixelClass
 from .synth import Box, Plane, SceneSpec
 
 _DEPTH_MAGIC = b"ODM1"
@@ -195,7 +195,7 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _floats(obj: dict, field: str, source: str, count: Optional[int] = None) -> np.ndarray:
+def _floats(obj: dict, field: str, source: str, count: int) -> np.ndarray:
     raw = _require(obj, field, source)
     try:
         arr = np.asarray(raw, dtype=np.float64)
@@ -203,7 +203,7 @@ def _floats(obj: dict, field: str, source: str, count: Optional[int] = None) -> 
         raise SchemaError(f"{source}: field {field!r} is not numeric") from None
     except OverflowError:
         raise _out_of_range(field, raw, source) from None
-    if count is not None and arr.size != count:
+    if arr.size != count:
         raise SchemaError(f"{source}: field {field!r} needs {count} values, got {arr.size}")
     return arr.ravel()
 
@@ -281,7 +281,8 @@ def scene_from_json(obj: dict, source: str = "scene") -> SceneSpec:
     return SceneSpec(tuple(prims))
 
 
-def supervision_to_json(matches: CoarseMatchSet, stats: PairStats, config: dict) -> dict:
+def supervision_to_json(matches: CoarseMatchSet, counts: dict[PixelClass, int],
+                        config: dict) -> dict:
     return {
         "patch_stride": matches.patch_stride,
         "grid_a": list(matches.grid_a),
@@ -289,15 +290,15 @@ def supervision_to_json(matches: CoarseMatchSet, stats: PairStats, config: dict)
         "vv": [list(p) for p in matches.vv],
         "vo": [list(p) for p in matches.vo],
         "ov": [list(p) for p in matches.ov],
-        "counts": {cls.name.lower(): stats.counts[cls] for cls in PixelClass},
+        "counts": {cls.name.lower(): counts[cls] for cls in PixelClass},
         "config": config,
     }
 
 
-def write_supervision(path: PathLike, matches: CoarseMatchSet, stats: PairStats,
+def write_supervision(path: PathLike, matches: CoarseMatchSet, counts: dict[PixelClass, int],
                       config: dict) -> None:
     """supervision.json: dump_json_line(supervision_to_json(...)), one line."""
-    Path(path).write_text(dump_json_line(supervision_to_json(matches, stats, config)) + "\n",
+    Path(path).write_text(dump_json_line(supervision_to_json(matches, counts, config)) + "\n",
                           encoding="utf-8")
 
 

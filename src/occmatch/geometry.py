@@ -53,15 +53,9 @@ class CameraIntrinsics:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image size must be at least 1x1, got {self.width}x{self.height}")
 
-    @property
-    def k_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64).copy()
+    out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out
 

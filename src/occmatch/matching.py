@@ -190,7 +190,7 @@ def rotation_align(f: FeatureGrid, theta_deg: float) -> FeatureGrid:
     together are symmetric under the square group, so theta only sets the
     stencil's weights (each corner's is |sin 2 theta| / 10): 30, -30, 60
     and 120 degrees give the same stencil, and neither the cell indices
-    nor the sampled content turn with theta (ROADMAP item 8).
+    nor the sampled content turn with theta (ROADMAP item 2).
 
     Every cell samples the same offsets, so the taps fold into one 3x3
     stencil, applied to the edge-padded grid in the grid's dtype (edge
@@ -405,14 +405,6 @@ def total_loss(
     return coarse + lambda3 * fine + lambda4 * occupancy
 
 
-@dataclass
-class MatchResult:
-    """Everything cmd-level consumers need from one matching run."""
-
-    matches: list[Match]
-    branches: list[tuple[float, float]]
-
-
 # Margin below log(threshold) within which a shifted score still counts as a
 # candidate; it covers the rounding of exp() and log() in the softmax bound.
 # A float32 exp lands up to about 2e-7 relative from the exact one (NumPy
@@ -484,21 +476,22 @@ def _anchor_cells(patch: np.ndarray, coarse: FeatureGrid, fine: FeatureGrid) -> 
 
 
 def _refine(
-    matches: list[Match], coarse_a: FeatureGrid, coarse_b: FeatureGrid,
+    patch_a: np.ndarray, patch_b: np.ndarray, coarse_a: FeatureGrid, coarse_b: FeatureGrid,
     fine_a: FeatureGrid, fine_b: FeatureGrid, cfg: MatchingConfig,
-) -> None:
-    """Fill each match's points, _REFINE_CHUNK matches per window product."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2) refined A and B pixel points of the matched patches (patch_a[i],
+    patch_b[i]), _REFINE_CHUNK matches per window product."""
     if coarse_a.stride % fine_a.stride or coarse_b.stride % fine_b.stride:
         raise ValueError("coarse stride must be a multiple of the fine stride")
     check_grid_size((fine_b.channels, _REFINE_CHUNK, cfg.fine_window, cfg.fine_window),
                     f"fine_window {cfg.fine_window}", "stack of correlation windows")
-    ar, ac = _anchor_cells(np.array([m.patch_a for m in matches], dtype=np.intp), coarse_a, fine_a)
-    br, bc = _anchor_cells(np.array([m.patch_b for m in matches], dtype=np.intp), coarse_b, fine_b)
+    ar, ac = _anchor_cells(patch_a, coarse_a, fine_a)
+    br, bc = _anchor_cells(patch_b, coarse_b, fine_b)
     hb, wb = fine_b.grid_shape
     half = cfg.fine_window // 2
     steps = np.arange(-half, half + 1)
-    refined = np.empty((len(matches), 2))
-    for lo in range(0, len(matches), _REFINE_CHUNK):
+    refined = np.empty((patch_a.size, 2))
+    for lo in range(0, patch_a.size, _REFINE_CHUNK):
         at = slice(lo, lo + _REFINE_CHUNK)
         anchors = fine_a.values[:, ar[at], ac[at]]
         channels, n = anchors.shape
@@ -511,11 +504,8 @@ def _refine(
         heat = softmax(corr / cfg.fine_temperature, axis=1)
         refined[at] = refine_fine_match(heat.reshape(n, cfg.fine_window, cfg.fine_window),
                                         np.column_stack([bc[at], br[at]]))
-    point_a = cell_center_px(np.column_stack([ac, ar]), fine_a.stride)
-    point_b = cell_center_px(refined, fine_b.stride)
-    for m, pa, pb in zip(matches, point_a.tolist(), point_b.tolist()):
-        m.point_a = PixelPoint(*pa)
-        m.point_b = PixelPoint(*pb)
+    return (cell_center_px(np.column_stack([ac, ar]), fine_a.stride),
+            cell_center_px(refined, fine_b.stride))
 
 
 def match_pair(
@@ -524,7 +514,7 @@ def match_pair(
     fine_a: Optional[FeatureGrid] = None,
     fine_b: Optional[FeatureGrid] = None,
     cfg: MatchingConfig = MatchingConfig(),
-) -> MatchResult:
+) -> list[Match]:
     """Full coarse-to-fine matching of one image pair.
 
     Takes per entry the rotation branch with the highest confidence (the
@@ -567,12 +557,14 @@ def match_pair(
     best = _best_per_group(index, branch, confidence)
     index, confidence, branch = index[best], confidence[best], branch[best]
     matches = extract_matches(confidence, threshold, entries=np.divmod(index, nb))
+    patch_a, patch_b = (np.array([m.patch_a for m in matches], dtype=np.intp),
+                        np.array([m.patch_b for m in matches], dtype=np.intp))
     order = np.argsort(index)
-    at = order[np.searchsorted(index, [m.patch_a * nb + m.patch_b for m in matches],
-                               sorter=order)]
-    for m, k in zip(matches, branch[at].tolist()):
-        m.branch = branches[k]
-
+    chosen = branch[order[np.searchsorted(index, patch_a * nb + patch_b, sorter=order)]]
+    points_a = points_b = [None] * len(matches)
     if fine_a is not None and fine_b is not None:
-        _refine(matches, coarse_a, coarse_b, fine_a, fine_b, cfg)
-    return MatchResult(matches, branches)
+        points_a, points_b = ([PixelPoint(*p) for p in px.tolist()] for px in
+                              _refine(patch_a, patch_b, coarse_a, coarse_b, fine_a, fine_b, cfg))
+    for m, k, point_a, point_b in zip(matches, chosen.tolist(), points_a, points_b):
+        m.branch, m.point_a, m.point_b = branches[k], point_a, point_b
+    return matches

@@ -43,8 +43,9 @@ class OccupancyConfig:
     def __post_init__(self) -> None:
         if self.depth_bins < 1:
             raise ValueError(f"need at least one depth bin, got {self.depth_bins}")
-        if not 0 < self.d_min < self.d_max:
-            raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max})")
+        if not 0 < self.d_min < self.d_max < np.inf:
+            raise ValueError(f"need finite d_min and d_max with 0 < d_min < d_max, "
+                             f"got [{self.d_min}, {self.d_max})")
 
     @property
     def bin_width(self) -> float:
@@ -72,10 +73,6 @@ class OccupancyGrid:
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("occupancy values must be finite and non-negative")
         object.__setattr__(self, "values", v)
-
-    @property
-    def column_sums(self) -> np.ndarray:
-        return self.values.sum(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,9 @@ class OcclusionMargin:
     relative: float = 0.05
 
     def __post_init__(self) -> None:
-        if not (self.floor > 0 and self.relative >= 0):
-            raise ValueError(f"margin floor must be > 0 and slope >= 0, got {self}")
+        if not (0 < self.floor < np.inf and 0 <= self.relative < np.inf):
+            raise ValueError(f"margin floor must be finite and > 0 and slope finite and >= 0, "
+                             f"got {self}")
 
     def __call__(self, depth: np.ndarray | float) -> np.ndarray | float:
         return np.maximum(self.floor, self.relative * np.asarray(depth, dtype=np.float64))
@@ -62,35 +63,19 @@ class OcclusionMargin:
 
 @dataclass(frozen=True)
 class PairStats:
-    """Class counts and the derived pair-level scores for the A->B direction.
+    """Pair-level scores of the A->B direction, as synth's manifest reports
+    them: the occluded and the covisible-or-occluded fractions of *all*
+    pixels of A."""
 
-    occlusion_ratio and overlap_score are fractions of *all* pixels of A, so
-    the five class fractions partition to exactly 1.
-    """
-
-    counts: dict[PixelClass, int]
     occlusion_ratio: float
     overlap_score: float
 
     @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "PairStats":
-        """Scores of the per-class pixel counts `counts`, indexed by
-        PixelClass value."""
-        counts = {c: int(counts[c]) for c in PixelClass}
-        total = sum(counts.values())
-        occluded = counts[PixelClass.OCCLUDED_IN_OTHER]
-        covisible = counts[PixelClass.COVISIBLE]
-        return cls(counts, occluded / total, (covisible + occluded) / total)
-
-    @classmethod
     def from_classes(cls, classes: np.ndarray) -> "PairStats":
-        """Counts and scores of a class map over all of its pixels, as
-        synth's manifest reports them."""
-        return cls.from_counts(np.bincount(classes.ravel(), minlength=len(PixelClass)))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+        """Scores of a class map over all of its pixels."""
+        counts = np.bincount(classes.ravel(), minlength=len(PixelClass)).tolist()
+        occluded, covisible = counts[PixelClass.OCCLUDED_IN_OTHER], counts[PixelClass.COVISIBLE]
+        return cls(occluded / classes.size, (covisible + occluded) / classes.size)
 
 
 @dataclass(frozen=True)
@@ -214,8 +199,8 @@ def pair_stats(
     k_b: CameraIntrinsics,
     t_ba: PoseSE3,
     margin: OcclusionMargin = OcclusionMargin(),
-) -> PairStats:
-    """Classify every pixel of A and derive occlusion ratio / overlap score.
+) -> dict[PixelClass, int]:
+    """Pixel count of each class over every pixel of A.
 
     A's pixels are classified a block of whole rows (about `_BLOCK_PIXELS`
     pixels, one row at least) at a time and only their class counts are
@@ -235,7 +220,7 @@ def pair_stats(
         counts += np.bincount(cls, minlength=len(PixelClass))
     if counts[PixelClass.INVALID_DEPTH] == h * w:
         raise EmptyDepthError("view A has no valid depth pixel")
-    return PairStats.from_counts(counts)
+    return {c: int(counts[c]) for c in PixelClass}
 
 
 def coarse_match_ground_truth(

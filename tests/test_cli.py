@@ -325,7 +325,7 @@ class TestVoxelize:
         # Background plane at 2 m: bin floor((2 - 0.1) / 0.1546875) = 12.
         expected_bin = math.floor((2.0 - 0.1) / ((10.0 - 0.1) / 64.0))
         assert np.all(grid.values[:, :, expected_bin] == 1.0)
-        assert np.allclose(grid.column_sums, 1.0)
+        assert np.allclose(grid.values.sum(axis=-1), 1.0)
         cfg = read_json(f"{pair}/voxelize_config.json")["config"]
         assert cfg["depth_bins"] == 64
 
@@ -844,9 +844,18 @@ class TestMalformedInputs:
         ("match", ["--fine-temperature", "inf"], None, "fine_temperature"),
         ("match", ["--fine-temperature", "1e-320"], None, "fine_temperature"),
         ("match", [], {"fine_temperature": 1e-320}, "fine_temperature"),
+        # An infinite far limit puts every depth in bin 0.
+        ("voxelize", ["--d-max", "inf"], None, "d_max"),
+        # An infinite margin calls nothing occluded.
+        ("supervise", ["--margin-floor", "inf"], None, "margin_floor"),
+        ("supervise", ["--margin-relative", "inf"], None, "margin_relative"),
+        ("eval", ["--margin-floor", "inf"], None, "margin_floor"),
+        ("eval", ["--margin-relative", "inf"], None, "margin_relative"),
     ], ids=["seed-flag", "seed-config", "auc-zero", "auc-negative", "auc-nan", "auc-inf",
             "auc-empty", "inlier_threshold-inf", "temperature-inf", "temperature-subnormal", "temperature-below-floor",
-            "fine_temperature-inf", "fine_temperature-subnormal", "fine_temperature-config"])
+            "fine_temperature-inf", "fine_temperature-subnormal", "fine_temperature-config",
+            "d_max-inf", "supervise-margin_floor-inf", "supervise-margin_relative-inf",
+            "eval-margin_floor-inf", "eval-margin_relative-inf"])
     def test_unusable_setting_exits_one_naming_it(self, matched_pair, tmp_path, capsys,
                                                   command, flags, config, setting):
         if config is not None:
@@ -1083,6 +1092,29 @@ class TestEvalAndCurve:
         row = read_json(report_path)["pairs"][0]
         assert row["failure"] == "RANSAC found no 8-point consensus"
         assert row["pose_err_deg"] == math.inf and row["matches"] == 50
+
+    def test_far_out_points_leave_the_pair_solved(self, fresh_pair, tmp_path):
+        # At fx = fy = 1, A points scaled by 5e305 sit near 1e307 in
+        # normalized coordinates: a sample holding one has an infinite
+        # centroid and spread. Its conditioning must drop the centroid, or
+        # the 8-point system overflows and its SVD does not converge; the
+        # other samples still solve the pair. The suite turns RuntimeWarning
+        # into an error, so the means must not warn either.
+        pair = fresh_pair("two_plane")
+        manifest = read_json(Path(pair) / "manifest.json")
+        manifest["k"]["fx"] = manifest["k"]["fy"] = 1.0
+        (Path(pair) / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["match", "--pair", pair]) == 0
+        path = Path(pair) / "matches.jsonl"
+        matches = [json.loads(line) for line in path.read_text().splitlines()]
+        for match in matches[:50]:
+            match["a"][0] *= 5e305
+        path.write_text("".join(json.dumps(m) + "\n" for m in matches))
+        code, report_path, _ = self.run_eval([pair], tmp_path)
+        assert code == 0
+        row = read_json(report_path)["pairs"][0]
+        assert row["failure"] is None and math.isfinite(row["pose_err_deg"])
+        assert row["matches"] == len(matches) > 50
 
     def test_curve_rows_follow_occlusion_order(self, fresh_pair, tmp_path):
         pairs = [fresh_pair("stereo"), fresh_pair("two_plane")]

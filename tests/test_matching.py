@@ -120,8 +120,8 @@ def dense_reference(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> li
     ]
 
 
-def match_tuples(result) -> list:
-    return [(m.patch_a, m.patch_b, m.confidence, m.branch) for m in result.matches]
+def match_tuples(matches) -> list:
+    return [(m.patch_a, m.patch_b, m.confidence, m.branch) for m in matches]
 
 
 class TestNeighborhoodMean:
@@ -499,24 +499,22 @@ class TestMatchingConfig:
 class TestMatchPair:
     def test_identical_grids_match_diagonally(self):
         f = unit_columns(32, 4, 4, seed=98)
-        result = match_pair(f, f)
-        pairs = {(m.patch_a, m.patch_b) for m in result.matches}
+        matches = match_pair(f, f)
+        pairs = {(m.patch_a, m.patch_b) for m in matches}
         assert pairs == {(i, i) for i in range(16)}
-        assert match_tuples(result) == dense_reference(f, f, MatchingConfig())
-        assert all(m.point_a is None and m.point_b is None for m in result.matches)
+        assert match_tuples(matches) == dense_reference(f, f, MatchingConfig())
+        assert all(m.point_a is None and m.point_b is None for m in matches)
 
     def test_same_seed_reproduces_bitwise(self):
         fa = unit_columns(32, 4, 4, seed=99)
         fb = unit_columns(32, 4, 4, seed=100)
-        r1 = match_pair(fa, fb)
-        r2 = match_pair(fa, fb)
-        assert match_tuples(r1) == match_tuples(r2)
+        assert match_tuples(match_pair(fa, fb)) == match_tuples(match_pair(fa, fb))
 
     def test_branches_recorded_on_matches(self):
         f = unit_columns(32, 3, 3, seed=101)
-        result = match_pair(f, f)
+        matches = match_pair(f, f)
         branches = set(MatchingConfig().branches())
-        assert all(m.branch in branches for m in result.matches)
+        assert all(m.branch in branches for m in matches)
 
     @pytest.mark.parametrize("height, width", [(18, 16), (16, 18)])
     def test_partial_edge_patch_anchors_inside_the_fine_grid(self, height, width):
@@ -525,10 +523,10 @@ class TestMatchPair:
         # fine cell 4x + 2.
         coarse = unit_columns(32, *patch_grid(height, width, 8), seed=102)
         fine = unit_columns(32, *patch_grid(height, width, 2), seed=103, stride=2)
-        result = match_pair(coarse, coarse, fine, fine)
+        matches = match_pair(coarse, coarse, fine, fine)
         cols = coarse.grid_shape[1]
-        assert [(m.patch_a, m.patch_b) for m in result.matches] == [(i, i) for i in range(6)]
-        for m in result.matches:
+        assert [(m.patch_a, m.patch_b) for m in matches] == [(i, i) for i in range(6)]
+        for m in matches:
             r, c = divmod(m.patch_a, cols)
             want = [8 if x == 2 else 4 * x + 2 for x in (c, r)]
             assert m.point_a == PixelPoint(*(cell_center_px(a, 2) for a in want))
@@ -545,7 +543,7 @@ class TestRefineAtTheGridEdge:
         anchor = np.zeros((2, 4, 4))
         anchor[0] = 1.0
         (m,) = match_pair(coarse, coarse, FeatureGrid(anchor, stride=2),
-                          FeatureGrid(fine_b, stride=2), cfg).matches
+                          FeatureGrid(fine_b, stride=2), cfg)
         return m.point_b
 
     def test_flat_window_averages_the_cells_on_the_grid(self):
@@ -569,7 +567,7 @@ class TestRefineAtTheGridEdge:
 def test_refined_points_stay_inside_the_image(pair_cache, name):
     fx, pair = pair_cache(name)
     cfg = MatchingConfig()
-    matches = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b, cfg).matches
+    matches = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b, cfg)
     points = np.array([(m.point_a, m.point_b) for m in matches])  # (n, 2 views, (u, v))
     assert len(points) > 250
     assert (points >= -0.5).all()
@@ -587,10 +585,10 @@ def test_match_pair_finds_the_per_tap_alignments_matches(pair_cache, monkeypatch
         _, pair = pair_cache(name)
     cfg = MatchingConfig()
     grids = (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b)
-    got = match_pair(*grids, cfg).matches
+    got = match_pair(*grids, cfg)
     monkeypatch.setattr(matching, "rotation_align", lambda f, theta: FeatureGrid._derived(
         per_tap_align(f.values, theta), f.stride))
-    want = match_pair(*grids, cfg).matches
+    want = match_pair(*grids, cfg)
     assert len(got) > 250
     assert ([(m.patch_a, m.patch_b, m.branch, m.point_a, m.point_b) for m in got]
             == [(m.patch_a, m.patch_b, m.branch, m.point_a, m.point_b) for m in want])
@@ -716,7 +714,7 @@ class TestSparseMatchesDense:
             ]
             for fa, fb in grids:
                 fa, fb = self.cast(fa, fb)
-                assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg).matches,
+                assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg),
                                            dense_rtol(self.DTYPE, cfg))
 
     def test_tied_confidences_keep_the_smaller_index(self):
@@ -727,7 +725,7 @@ class TestSparseMatchesDense:
         # A dense match ties exactly with another entry of its row; the
         # one-pass sums may round either side of that tie up.
         assert any((p_hat[a] == conf).sum() > 1 for a, _, conf, _ in want)
-        assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg).matches,
+        assert_matches_dense_stack(fa, fb, cfg, match_pair(fa, fb, cfg=cfg),
                                    dense_rtol(self.DTYPE, cfg))
 
     BLOCKS = {"one": lambda na: 1, "non_divisor": smallest_non_divisor,
@@ -763,7 +761,7 @@ class TestSparseMatchesDense:
             n_dense = len(dense_reference(fa, fb, cfg))
             assert n_dense
             monkeypatch.setattr(matching, "_REFINE_CHUNK", self.CHUNKS[chunk](n_dense))
-            got = match_pair(fa, fb, fine_a, fine_b, cfg=cfg).matches
+            got = match_pair(fa, fb, fine_a, fine_b, cfg=cfg)
             assert got
             assert_matches_dense_stack(fa, fb, cfg, got, dense_rtol(self.DTYPE, cfg))
             points, clamped_here = reference_points(fa, fb, fine_a, fine_b, cfg, got)
@@ -796,7 +794,7 @@ class TestSparseMatchesDense:
         running = np.maximum.accumulate(s, axis=0)
         assert np.any(np.exp(running[:-1] - running[1:]) == 0.0)
         monkeypatch.setattr(matching, "_BLOCK_ROWS", 1)
-        got = match_pair(fa, fb, cfg=cfg).matches
+        got = match_pair(fa, fb, cfg=cfg)
         assert got
         assert_matches_dense_stack(fa, fb, cfg, got, dense_rtol(self.DTYPE, cfg))
 
@@ -815,7 +813,7 @@ def test_fixture_matches_equal_the_dense_reference(name, pair_cache):
     cfg = MatchingConfig()
     coarse_a, coarse_b = as_dtype(pair.coarse_a, np.float64), as_dtype(pair.coarse_b, np.float64)
     want = dense_reference(coarse_a, coarse_b, cfg)
-    got = match_pair(coarse_a, coarse_b, cfg=cfg).matches
+    got = match_pair(coarse_a, coarse_b, cfg=cfg)
     assert [(m.patch_a, m.patch_b, m.branch) for m in got] == [(a, b, k) for a, b, _, k in want]
     assert np.allclose([m.confidence for m in got], [c for _, _, c, _ in want], rtol=1e-12, atol=0)
 
@@ -850,7 +848,7 @@ class TestFloat32Path:
             check(self)
 
         monkeypatch.setattr(FeatureGrid, "__post_init__", recorded)
-        assert match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b).matches
+        assert match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b)
         assert checked == []
 
     def test_log_margin_covers_the_float32_exp_rounding(self):
@@ -890,8 +888,8 @@ class TestFloat32Path:
         cfg = MatchingConfig()
         grids = (pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b)
         assert {g.values.dtype for g in grids} == {np.dtype(np.float32)}
-        got = match_pair(*grids, cfg=cfg).matches
-        want = match_pair(*(as_dtype(g, np.float64) for g in grids), cfg=cfg).matches
+        got = match_pair(*grids, cfg=cfg)
+        want = match_pair(*(as_dtype(g, np.float64) for g in grids), cfg=cfg)
         assert got
         assert ([(m.patch_a, m.patch_b, m.branch) for m in got]
                 == [(m.patch_a, m.patch_b, m.branch) for m in want])
@@ -903,10 +901,10 @@ class TestFloat32Path:
     def test_a_returned_confidence_works_as_the_threshold(self):
         fa, fb = (as_dtype(unit_columns(16, 5, 6, 230 + i), np.float32) for i in range(2))
         cfg = MatchingConfig(match_threshold=0.0)
-        matches = match_pair(fa, fb, cfg=cfg).matches
+        matches = match_pair(fa, fb, cfg=cfg)
         assert matches
         for m in matches:
-            again = match_pair(fa, fb, cfg=replace(cfg, match_threshold=m.confidence)).matches
+            again = match_pair(fa, fb, cfg=replace(cfg, match_threshold=m.confidence))
             assert (m.patch_a, m.patch_b, m.confidence) in [
                 (x.patch_a, x.patch_b, x.confidence) for x in again]
 
@@ -924,10 +922,10 @@ def test_confidence_at_the_threshold_is_kept(dtype, ratio, monkeypatch):
     grid = FeatureGrid(np.ones((2, 1, 2), dtype=dtype), stride=8)
     cfg = MatchingConfig(angles=(0.0,))
     own = next(m.confidence for m in match_pair(grid, grid, cfg=replace(cfg, match_threshold=0.0))
-               .matches if (m.patch_a, m.patch_b) == (0, 1))
+               if (m.patch_a, m.patch_b) == (0, 1))
     e = float(scores[0, 1])  # as the matcher sees it, rounded to dtype
     assert math.isclose(own, math.exp(e) / (1.0 + math.exp(e)), rel_tol=1e-6)
-    got = match_pair(grid, grid, cfg=replace(cfg, match_threshold=own)).matches
+    got = match_pair(grid, grid, cfg=replace(cfg, match_threshold=own))
     assert [(m.patch_a, m.patch_b) for m in got] == [(0, 1), (1, 0)]
     assert got[0].confidence == own
 

@@ -116,7 +116,7 @@ class TestGroundTruthOccupancy:
         grid = build_ground_truth_occupancy(depth_a, depth_b, IDENTITY, IDENTITY, k, k)
         assert np.all(grid.values[:, :, oracle_bin(1.0)] == 0.5)
         assert np.all(grid.values[:, :, oracle_bin(3.0)] == 0.5)
-        assert np.allclose(grid.column_sums, 1.0)
+        assert np.allclose(grid.values.sum(axis=-1), 1.0)
 
     def test_no_valid_pixels_is_rejected(self):
         k = k_of(8, 8)
@@ -194,7 +194,7 @@ class TestEstimateOccupancy:
         rng = np.random.default_rng(52)
         factors = OccupancyFactors(rng.normal(size=(4, 5, 6, 1)), rng.normal(size=(1, 5, 6, 16)))
         grid = estimate_occupancy(factors)
-        assert np.max(np.abs(grid.column_sums - 1.0)) < 1e-12
+        assert np.max(np.abs(grid.values.sum(axis=-1) - 1.0)) < 1e-12
 
     def test_estimate_is_softmax_of_logits(self):
         rng = np.random.default_rng(53)

@@ -481,7 +481,7 @@ class TestChunkedRansacEquivalence:
 class TestEightPoint:
     def test_overflowing_norm_is_degenerate_without_warnings(self):
         # A stereo sample whose A points have x scaled by 1e300: the spread
-        # overflows and so does the Frobenius norm of the solution (set 0).
+        # overflows, so set 0 is degenerate.
         u = np.array([100.5, 132.5, 180.5, 60.5, 188.5, 36.5, 76.5, 28.5]) / 128
         v = np.array([-59, -67, -67, -59, -67, -59, -67, -67]) / 128
         u_b = np.array([-11, 29, 77, -51, 85, -75, -35, -83]) / 128
@@ -583,9 +583,9 @@ def _reference_decompose(e, xa, xb):
 def _fixture_matches(name, pair_cache):
     """Refined pixel matches of one 192x144 fixture and its intrinsics."""
     fixture, pair = pair_cache(name)
-    result = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b,
-                        MatchingConfig())
-    px = np.array([[*m.point_a, *m.point_b] for m in result.matches])
+    matches = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b,
+                         MatchingConfig())
+    px = np.array([[*m.point_a, *m.point_b] for m in matches])
     return px[:, :2], px[:, 2:], fixture.k
 
 
