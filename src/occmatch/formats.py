@@ -196,16 +196,14 @@ def _is_number(value: Any) -> bool:
 
 
 def _floats(obj: dict, field: str, source: str, count: int) -> np.ndarray:
-    raw = _require(obj, field, source)
+    """obj[field], a flat list of `count` JSON numbers, as float64."""
+    raw = _field(obj, field, source,
+                 lambda v: isinstance(v, list) and len(v) == count and all(map(_is_number, v)),
+                 f"a list of {count} numbers")
     try:
-        arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{source}: field {field!r} is not numeric") from None
+        return np.asarray(raw, dtype=np.float64)
     except OverflowError:
         raise _out_of_range(field, raw, source) from None
-    if arr.size != count:
-        raise SchemaError(f"{source}: field {field!r} needs {count} values, got {arr.size}")
-    return arr.ravel()
 
 
 def _finite(arr: np.ndarray, field: str, source: str, inf_ok: bool = False) -> np.ndarray:
@@ -346,13 +344,17 @@ def match_from_json(obj: dict, source: str = "matches") -> Match:
     point_a, point_b = _pixel_point(obj, "a", source), _pixel_point(obj, "b", source)
     branch = obj.get("branch")
     if branch is not None:
-        if not (isinstance(branch, list) and all(
-                [isinstance(x, (int, float)) and x.__class__ is not bool for x in branch])):
-            raise SchemaError(f"{source}: field 'branch' must be a list of numbers, got {branch!r}")
-        try:
-            branch = tuple(map(float, branch))
-        except OverflowError:
-            raise _out_of_range("branch", branch, source) from None
+        theta = None
+        if isinstance(branch, list) and len(branch) == 2 and all(
+                [isinstance(x, (int, float)) and x.__class__ is not bool for x in branch]):
+            try:
+                theta = tuple(map(float, branch))
+            except OverflowError:
+                raise _out_of_range("branch", branch, source) from None
+        if theta is None or not (math.isfinite(theta[0]) and math.isfinite(theta[1])):
+            raise SchemaError(f"{source}: field 'branch' must be null or [theta_a, theta_b] of "
+                              f"finite numbers, got {branch!r}")
+        branch = theta
     pa, pb = obj.get("pa", -1), obj.get("pb", -1)
     if not isinstance(pa, int) or pa.__class__ is bool:
         raise SchemaError(f"{source}: field 'pa' must be an integer, got {pa!r}")

@@ -64,6 +64,8 @@ class FeatureGrid:
         v = np.asarray(v, dtype=np.result_type(v, np.float32))
         if v.ndim != 3:
             raise ValueError(f"feature values must be (C, h, w), got shape {v.shape}")
+        if v.shape[0] < 1:
+            raise ValueError(f"channels must be >= 1, got {v.shape[0]}")
         # Within 1/8 of the dtype's range, so that no sum of the 5-tap
         # averages in the grids derived from this one (_derived) overflows.
         limit = float(np.finfo(v.dtype).max) / 8.0

@@ -25,11 +25,11 @@ from typing import Union
 import numpy as np
 
 from .geometry import (
-    CameraIntrinsics, DepthMap, PoseSE3, cell_center_px, patch_grid, project_points, unproject_points,
+    CameraIntrinsics, DepthMap, PoseSE3, cell_center_px, patch_grid, unproject_points,
 )
 from .matching import FeatureGrid
 from .occupancy import check_grid_size
-from .supervision import PixelClass
+from .supervision import PixelClass, land_points
 
 _EPS_HIT = 1e-9
 # Relative pad of the ray-reach bounds of `_box_bounds`: far above rounding.
@@ -260,31 +260,20 @@ def analytic_classes(
     """Exact (H, W) visibility classes of every source pixel w.r.t. the
     other view.
 
-    Occlusion is decided by ray-casting the reprojected point against the
-    scene itself, independent of any destination depth raster.
+    The camera-side classes come from `supervision.land_points`, as in the
+    raster classifier; occlusion is decided by ray-casting the reprojected
+    point against the scene itself, independent of any destination depth
+    raster.
     """
     h, w = depth_src.data.shape
     vv, uu = np.mgrid[0:h, 0:w].astype(np.float64)
     u, v, d = uu.ravel(), vv.ravel(), depth_src.data.ravel()
-    cls = np.full(u.size, int(PixelClass.COVISIBLE), dtype=np.int8)
-
     valid = np.flatnonzero(d > 0)
-    cls[d <= 0] = PixelClass.INVALID_DEPTH
-    if valid.size:
-        world = pose_src.transform(unproject_points(u[valid], v[valid], d[valid], k_src))
-        p_dst = pose_dst.inverse().transform(world)
-        behind = p_dst[:, 2] <= 0
-        cls[valid[behind]] = PixelClass.BEHIND_CAMERA
-
-        front = np.flatnonzero(~behind)  # positions within the valid subset
-        ub, vb = project_points(p_dst[front], k_dst)
-        inside = (ub >= 0) & (ub <= k_dst.width - 1) & (vb >= 0) & (vb <= k_dst.height - 1)
-        cls[valid[front[~inside]]] = PixelClass.OUT_OF_BOUNDS
-
-        vis = front[inside]
-        occ = occluded_by_scene(scene, pose_dst.t, world[vis])
-        cls[valid[vis[occ]]] = PixelClass.OCCLUDED_IN_OTHER
-
+    world = pose_src.transform(unproject_points(u[valid], v[valid], d[valid], k_src))
+    cls, front, inside = land_points(d, valid, pose_dst.inverse().transform(world), k_dst)[:3]
+    vis = front[inside]
+    occ = occluded_by_scene(scene, pose_dst.t, world[vis])
+    cls[valid[vis[occ]]] = PixelClass.OCCLUDED_IN_OTHER
     return cls.reshape(h, w)
 
 

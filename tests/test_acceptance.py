@@ -234,7 +234,7 @@ def test_criterion_05_pose_recovery_and_epipolar_residuals():
             depth_src = render_depth(fx.scene, src, fx.k)
             t_rel = relative_pose(src, dst)
             vs, us = np.nonzero(depth_src.valid_mask)
-            cls, uv_dst, _ = classify_points(
+            cls, uv_dst = classify_points(
                 us, vs, depth_src.data[vs, us], render_depth(fx.scene, dst, fx.k),
                 fx.k, fx.k, t_rel,
             )

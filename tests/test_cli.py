@@ -500,6 +500,20 @@ class TestMatch:
         assert f"{name}.ofg" in err and repr(field) in err and "Traceback" not in err
         assert not (Path(pair) / "matches.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["match", "supervise"], ids=["match", "supervise"])
+    def test_zero_channel_feature_grid_exits_one(self, fresh_pair, capsys, command):
+        # match once ended in a reshape traceback and supervise exited 0.
+        pair = fresh_pair("two_plane")
+        for name in ("coarse_a", "coarse_b"):
+            path = Path(pair) / f"{name}.ofg"
+            blob = bytearray(path.read_bytes()[:20])
+            blob[4:8] = (0).to_bytes(4, "little")  # "OFG1", channels, rows, cols, stride
+            path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main([command, "--pair", pair]) == 1
+        err = capsys.readouterr().err
+        assert "coarse_a.ofg" in err and "channels" in err and "Traceback" not in err
+
     def test_nan_depth_fails_with_file_name(self, fresh_pair, capsys):
         pair = fresh_pair("identity")
         path = Path(pair) / "depth_a.odm"
@@ -761,6 +775,18 @@ class TestMalformedInputs:
                      id="manifest.json-pose_b.t-overflow"),
         pytest.param("scene.json", "primitives.0.point", [10**400, 0, 2],
                      id="scene.json-primitives.0.point-overflow"),
+        # Numeric strings, booleans and nested lists once read as floats.
+        pytest.param("pose_b.json", "t", ["0.25", 0, 0], id="pose_b.json-t-string"),
+        pytest.param("pose_b.json", "t", [True, False, False], id="pose_b.json-t-bool"),
+        pytest.param("manifest.json", "pose_b.R", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                     id="manifest.json-pose_b.R-nested"),
+        pytest.param("scene.json", "primitives.0.point", ["0", "0", "2"],
+                     id="scene.json-primitives.0.point-string"),
+        # Any list once passed as a branch and landed in the report's branch_counts.
+        pytest.param("matches.jsonl", "branch", [1, 2, 3], id="matches.jsonl-branch-three"),
+        pytest.param("matches.jsonl", "branch", [], id="matches.jsonl-branch-empty"),
+        pytest.param("matches.jsonl", "branch", [math.nan, 0], id="matches.jsonl-branch-nan"),
+        pytest.param("matches.jsonl", "branch", [math.inf, 0], id="matches.jsonl-branch-inf"),
     ])
     def test_wrong_type_exits_one(self, fresh_pair, tmp_path, capsys, target, where, value):
         keys = [int(k) if k.isdigit() else k for k in where.split(".")]
@@ -768,19 +794,20 @@ class TestMalformedInputs:
         manifest = read_json(pair / "manifest.json")
         for name in ("scene", "pose_a", "pose_b", "k"):
             write_json(tmp_path / f"{name}.json", manifest[name])
+        synth = ["synth", "--scene", str(tmp_path / "scene.json"),
+                 "--pose-a", str(tmp_path / "pose_a.json"), "--pose-b", str(tmp_path / "pose_b.json"),
+                 "--intrinsics", str(tmp_path / "k.json"), "--out", str(tmp_path / "out")]
         argv = {
             "manifest.json": ["supervise", "--pair", str(pair)],
-            "scene.json": ["synth", "--scene", str(tmp_path / "scene.json"),
-                           "--pose-a", str(tmp_path / "pose_a.json"),
-                           "--pose-b", str(tmp_path / "pose_b.json"),
-                           "--intrinsics", str(tmp_path / "k.json"), "--out", str(tmp_path / "out")],
+            "scene.json": synth,
+            "pose_b.json": synth,
             "matches.jsonl": ["eval", "--matches", str(pair / "matches.jsonl"),
                               "--manifests", str(pair / "manifest.json"),
                               "--out-report", str(tmp_path / "r.json"),
                               "--out-curve", str(tmp_path / "c.csv")],
         }[target]
         assert main(["match", "--pair", str(pair)]) == 0
-        path = (tmp_path if target == "scene.json" else pair) / target
+        path = (tmp_path if argv is synth else pair) / target
         if target == "matches.jsonl":
             lines = path.read_text().splitlines()
             obj = json.loads(lines[0])

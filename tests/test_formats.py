@@ -424,6 +424,19 @@ class TestJsonCodecs:
         # Explicit ids keep these cases' names stable as cases before them come and go.
         pytest.param("match", "a", [float("nan"), 4.5], id="match-a-value17"),
         pytest.param("match", "b", [1.0, float("-inf")], id="match-b-value18"),
+        pytest.param("match", "branch", [1, 2, 3], id="match-branch-three"),
+        pytest.param("match", "branch", [], id="match-branch-empty"),
+        pytest.param("match", "branch", [float("nan"), 0], id="match-branch-nan"),
+        pytest.param("match", "branch", [float("inf"), 0], id="match-branch-inf"),
+        pytest.param("pose", "t", ["0.25", 0, 0], id="pose-t-string"),
+        pytest.param("pose", "t", [True, False, False], id="pose-t-bool"),
+        pytest.param("pose", "R", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                     id="pose-R-nested"),
+        pytest.param("scene", "point", ["0", "0", "2"], id="scene-point-string"),
+        # The writer writes flat lists; a nested one once read as its flat values.
+        pytest.param("scene", "point", [[0.0, 0.0, 2.0]], id="scene-point-nested"),
+        pytest.param("box", "min", ["0", "0", "1"], id="box-min-string"),
+        pytest.param("box", "max", [True, 1.0, 1.5], id="box-max-bool"),
     ])
     def test_wrong_type_names_the_source_and_field(self, decode, field, value):
         two_plane = scene_to_json(make_fixture("two_plane").scene)
@@ -431,20 +444,15 @@ class TestJsonCodecs:
             "intrinsics": (intrinsics_to_json(CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2, 2)), None),
             "pose": (pose_to_json(PoseSE3.identity()), None),
             "scene": (two_plane, two_plane["primitives"][0]),
+            "box": (two_plane, two_plane["primitives"][1]),
             "match": (match_to_json(Match(patch_a=1, patch_b=2, confidence=0.5,
                                           branch=(0.0, 0.0))), None),
         }[decode]
         (obj if target is None else target)[field] = value
         read = {"intrinsics": intrinsics_from_json, "pose": pose_from_json,
-                "scene": scene_from_json, "match": match_from_json}[decode]
+                "scene": scene_from_json, "box": scene_from_json, "match": match_from_json}[decode]
         with pytest.raises(SchemaError, match=rf"^src\.json.*'{field}'"):
             read(obj, source="src.json")
-
-    def test_nested_point_reads_as_its_flat_values(self):
-        obj = scene_to_json(make_fixture("two_plane").scene)
-        flat = obj["primitives"][0]["point"]
-        obj["primitives"][0]["point"] = [flat]
-        assert scene_from_json(obj).primitives[0].point == tuple(flat)
 
 
 class TestMatchesJsonl:

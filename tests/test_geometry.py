@@ -52,10 +52,10 @@ class TestProject:
         depth = DepthMap(np.full((480, 640), 2.0))
         for t_ba in (PoseSE3(np.diag([-1.0, 1.0, -1.0]), np.zeros(3)),
                      PoseSE3(np.eye(3), np.array([0.0, 0.0, -2.0]))):
-            cls, uv_b, z_b = classify_points(np.array([320.0]), np.array([240.0]), np.array([2.0]),
-                                             depth, k100, k100, t_ba)
+            cls, uv_b = classify_points(np.array([320.0]), np.array([240.0]), np.array([2.0]),
+                                        depth, k100, k100, t_ba)
             assert cls[0] == PixelClass.BEHIND_CAMERA
-            assert np.isnan(uv_b).all() and np.isnan(z_b).all()
+            assert np.isnan(uv_b).all()
 
     def test_unproject_inverts_the_worked_example(self, k100):
         p = unproject_points(np.array([370.0]), np.array([240.0]), np.array([2.0]), k100)
@@ -65,11 +65,11 @@ class TestProject:
         # A pixel without positive depth is never unprojected: the classifier
         # labels it invalid and leaves its reprojection empty.
         depth = DepthMap(np.full((480, 640), 2.0))
-        cls, uv_b, z_b = classify_points(np.array([0.0, 1.0]), np.array([0.0, 0.0]),
-                                         np.array([0.0, -1.0]), depth, k100, k100,
-                                         PoseSE3.identity())
+        cls, uv_b = classify_points(np.array([0.0, 1.0]), np.array([0.0, 0.0]),
+                                    np.array([0.0, -1.0]), depth, k100, k100,
+                                    PoseSE3.identity())
         assert np.array_equal(cls, [PixelClass.INVALID_DEPTH] * 2)
-        assert np.isnan(uv_b).all() and np.isnan(z_b).all()
+        assert np.isnan(uv_b).all()
 
     def test_project_unproject_roundtrip(self, k100):
         rng = np.random.default_rng(7)
@@ -215,6 +215,6 @@ class TestReproject:
         t_ba = PoseSE3(r, np.zeros(3))
         assert carry(320.0, 240.0, 2.0, k100, t_ba)[2] == -2.0
         depth = DepthMap(np.full((480, 640), 2.0))
-        cls, _, _ = classify_points(np.array([320.0]), np.array([240.0]), np.array([2.0]),
-                                    depth, k100, k100, t_ba)
+        cls, _ = classify_points(np.array([320.0]), np.array([240.0]), np.array([2.0]),
+                                 depth, k100, k100, t_ba)
         assert cls[0] == PixelClass.BEHIND_CAMERA

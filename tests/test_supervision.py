@@ -41,8 +41,8 @@ def shifted(x: float) -> PoseSE3:
 
 def classify_one(u: int, v: int, depth_a, depth_b, k_a, k_b, t_ba) -> PixelClass:
     """Class of the one integer pixel (u, v) of view A."""
-    cls, _, _ = classify_points(np.array([float(u)]), np.array([float(v)]),
-                                np.array([depth_a.data[v, u]]), depth_b, k_a, k_b, t_ba)
+    cls, _ = classify_points(np.array([float(u)]), np.array([float(v)]),
+                             np.array([depth_a.data[v, u]]), depth_b, k_a, k_b, t_ba)
     return PixelClass(int(cls[0]))
 
 
@@ -413,7 +413,7 @@ def per_patch_ground_truth(depth_a, depth_b, k_a, k_b, t_ba, stride=8, margin=Oc
     def one_direction(d_src, d_dst, k_src, k_dst, t):
         cols_dst = patch_grid(d_dst.height, d_dst.width, stride)[1]
         centers = np.column_stack(patch_centers(d_src.height, d_src.width, stride))
-        cls, uv, _ = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t, margin)
+        cls, uv = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t, margin)
         tgt_col = np.floor(uv[:, 0] / stride)
         tgt_row = np.floor(uv[:, 1] / stride)
         covis, occl = [], []
@@ -470,8 +470,8 @@ class TestLabelMatches:
         their GT reprojections there."""
         v, u = np.mgrid[0:depth_src.height, 0:depth_src.width]
         uv = np.column_stack([u.ravel(), v.ravel()]).astype(np.float64)
-        cls, uv_dst, _ = classify_points(uv[:, 0], uv[:, 1], depth_src.data.ravel(),
-                                         depth_dst, k, k, t)
+        cls, uv_dst = classify_points(uv[:, 0], uv[:, 1], depth_src.data.ravel(),
+                                      depth_dst, k, k, t)
         occluded = cls == PixelClass.OCCLUDED_IN_OTHER
         assert occluded.sum() > 100
         return uv[occluded], uv_dst[occluded]

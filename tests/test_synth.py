@@ -381,7 +381,7 @@ class TestAnalyticClasses:
             t_ba = relative_pose(fx.pose_a, fx.pose_b)
             h, w = pair.depth_a.data.shape
             vv, uu = np.mgrid[0:h, 0:w].astype(np.float64)
-            cls, _, _ = classify_points(
+            cls, _ = classify_points(
                 uu, vv, pair.depth_a.data, pair.depth_b, fx.k, fx.k, t_ba
             )
             assert np.array_equal(cls.reshape(h, w), pair.classes_a), name
@@ -393,7 +393,7 @@ class TestAnalyticClasses:
         t_ba = relative_pose(fx.pose_a, fx.pose_b)
         h, w = pair.depth_a.data.shape
         vv, uu = np.mgrid[0:h, 0:w].astype(np.float64)
-        cls, _, _ = classify_points(
+        cls, _ = classify_points(
             uu, vv, pair.depth_a.data, pair.depth_b, fx.k, fx.k, t_ba
         )
         assert np.mean(cls.reshape(h, w) == pair.classes_a) > 0.99

@@ -51,6 +51,11 @@ def test_counters_read_a_traced_pipeline(tmp_path):
     for s in tracer.spans:
         if s.name in counted:
             assert s.counts and all(isinstance(v, int) and v >= 0 for v in s.counts.values()), s
+    # pair_stats classifies every pixel of A through classify_points, once.
+    stats = {s.id for s in tracer.spans if s.name == "supervision.pair_stats"}
+    assert len(stats) == 1
+    assert sum(s.counts["points"] for s in tracer.spans
+               if s.name == "supervision.classify_points" and s.parent in stats) == 192 * 144
     matches = sum(s.counts["matches"] for s in tracer.spans if s.name == "matching.extract_matches")
     lines = Path(pair, "matches.jsonl").read_text(encoding="utf-8").splitlines()
     assert matches == len(lines) > 0
