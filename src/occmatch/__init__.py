@@ -55,8 +55,9 @@ from .pose_eval import (
     sampson_distance,
 )
 from .supervision import (
+    MARGIN_FLOOR,
+    MARGIN_RELATIVE,
     CoarseMatchSet,
-    OcclusionMargin,
     PairStats,
     PixelClass,
     classify_points,
@@ -81,7 +82,7 @@ __all__ = [
     "OccMatchError",
     "CameraIntrinsics", "DepthMap", "PixelPoint", "PoseSE3",
     "project_points", "unproject_points", "relative_pose", "patch_grid",
-    "PixelClass", "OcclusionMargin", "PairStats", "CoarseMatchSet",
+    "PixelClass", "MARGIN_FLOOR", "MARGIN_RELATIVE", "PairStats", "CoarseMatchSet",
     "classify_points", "pair_stats", "coarse_match_ground_truth",
     "OccupancyConfig", "OccupancyGrid", "OccupancyCells", "OccupancyFactors",
     "ground_truth_cells", "build_ground_truth_occupancy", "estimate_occupancy", "occupancy_loss",

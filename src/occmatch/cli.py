@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, NoReturn, Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -47,7 +47,7 @@ from .pose_eval import (
     rotation_error_deg,
 )
 from .supervision import (
-    MATCH_LABELS, OcclusionMargin, PairStats, coarse_match_ground_truth, label_matches, pair_stats,
+    MATCH_LABELS, PairStats, coarse_match_ground_truth, label_matches, pair_stats,
 )
 from .synth import FIXTURE_NAMES, FeatureParams, make_fixture, make_pair
 
@@ -57,61 +57,41 @@ _PAIR_FILES = {key: key + (".odm" if key.startswith("depth") else ".ofg")
                for key in ("depth_a", "depth_b", *_FEATURE_FILES)}
 
 
-# Flat setting names that differ from the field of the module config owning them.
-_RENAMED = {"margin_floor": "floor", "margin_relative": "relative",
-            "ransac_iterations": "max_iterations", "ransac_confidence": "confidence",
-            "seed": "rng_seed", "patch_stride": "coarse_stride"}
-
 # The settings each command reads: its setting flags, the names its --config
-# file may set, and the keys of its JSON echo.
+# file may set, and the keys of its JSON echo. Each is the field of that
+# name in one module config of RunConfig.
 _READS = {
     "synth": ("channels", "patch_stride"),
-    "supervise": ("margin_floor", "margin_relative"),  # the stride is coarse_a.ofg's
+    "supervise": (),  # the stride is coarse_a.ofg's
     "voxelize": ("depth_bins", "d_min", "d_max"),
     "match": ("temperature", "angles", "match_threshold", "fine_window", "fine_temperature"),
-    "eval": ("ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds",
-             "margin_floor", "margin_relative"),  # the margins label the matches
+    "eval": ("ransac_iterations", "inlier_threshold", "ransac_confidence", "seed"),
 }
+
+# The pose-error thresholds (degrees) of eval's AUC, the usual 5/10/20.
+_AUC_THRESHOLDS = (5.0, 10.0, 20.0)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective settings of one command after precedence merging; those it
-    does not read keep their defaults. The fields besides the module configs
-    are the CLI's own settings; each module-config field is a setting too,
-    named as `_RENAMED` says or as the field.
-    """
+    """Effective settings of one command after precedence merging, one
+    module config each; those it does not read keep their defaults."""
 
-    auc_thresholds: tuple[float, ...] = (5.0, 10.0, 20.0)
     features: FeatureParams = field(default_factory=FeatureParams)
-    margin: OcclusionMargin = field(default_factory=OcclusionMargin)
     occupancy: OccupancyConfig = field(default_factory=OccupancyConfig)
     matching: MatchingConfig = field(default_factory=MatchingConfig)
     ransac: RansacConfig = field(default_factory=RansacConfig)
 
-    def __post_init__(self) -> None:
-        if not self.auc_thresholds or not all(0 < t < np.inf for t in self.auc_thresholds):
-            raise ValueError(f"need finite, positive AUC thresholds, got {list(self.auc_thresholds)}")
-
     def to_json(self, command: str) -> dict:
         """The settings `command` reads, by name."""
-        return {name: getattr(getattr(self, owner) if owner else self, owner_field)
-                for name, (owner, owner_field, _) in _SETTINGS.items() if name in _READS[command]}
+        return {name: getattr(getattr(self, _SETTINGS[name][0]), name) for name in _READS[command]}
 
 
-_MODULE_CONFIGS = {n: hint for n, hint in get_type_hints(RunConfig).items() if is_dataclass(hint)}
-
-
-def _setting_table() -> dict[str, tuple[Optional[str], str, Any]]:
-    """Flat name -> (RunConfig field holding the owning module config, or
-    None for RunConfig's own settings; field name in the owner; type hint)."""
-    flat_name = {owned: flat for flat, owned in _RENAMED.items()}
-    return {flat_name.get(f.name, f.name): (owner, f.name, get_type_hints(cls)[f.name])
-            for owner, cls in [(None, RunConfig), *_MODULE_CONFIGS.items()]
-            for f in fields(cls) if f.name not in _MODULE_CONFIGS}
-
-
-_SETTINGS = _setting_table()
+_MODULE_CONFIGS = get_type_hints(RunConfig)
+# Setting name -> (RunConfig field holding the module config that owns it,
+# its type hint).
+_SETTINGS = {f.name: (owner, get_type_hints(cls)[f.name])
+             for owner, cls in _MODULE_CONFIGS.items() for f in fields(cls)}
 
 
 def _refusal(command: str, name: str, shown: str) -> str:
@@ -140,7 +120,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     setting the command does not read, or a value its type or its owner's
     constructor rejects, raises a SchemaError naming the setting and source."""
     reads = _READS[args.command]
-    given: dict[Optional[str], dict[str, Any]] = {owner: {} for owner in (None, *_MODULE_CONFIGS)}
+    given: dict[str, dict[str, Any]] = {owner: {} for owner in _MODULE_CONFIGS}
     origin: dict[str, str] = {}
 
     def absorb(values: Any, source: str) -> None:
@@ -149,9 +129,9 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         for name, value in values.items():
             if name not in reads:
                 raise SchemaError(f"{source}: {_refusal(args.command, name, f'setting {name!r}')}")
-            owner, owner_field, hint = _SETTINGS[name]
+            owner, hint = _SETTINGS[name]
             try:
-                given[owner][owner_field] = _convert(hint, value)
+                given[owner][name] = _convert(hint, value)
             except ValueError as exc:
                 raise SchemaError(f"{source}: {name}: {exc}") from None
             origin[name] = source
@@ -160,14 +140,14 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         absorb(formats.read_json(args.config), str(args.config))
     absorb({k: getattr(args, k) for k in reads if getattr(args, k) is not None}, "flags")
 
-    def construct(owner: Optional[str], cls: type, **modules: Any) -> Any:
+    def construct(owner: str, cls: type) -> Any:
         try:
-            return cls(**given[owner], **modules)
+            return cls(**given[owner])
         except ValueError as exc:
             named = ", ".join(f"{n} ({src})" for n, src in origin.items() if _SETTINGS[n][0] == owner)
             raise SchemaError(f"{named}: {exc}") from None
 
-    return construct(None, RunConfig, **{o: construct(o, cls) for o, cls in _MODULE_CONFIGS.items()})
+    return RunConfig(**{o: construct(o, cls) for o, cls in _MODULE_CONFIGS.items()})
 
 
 @dataclass
@@ -300,11 +280,8 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     stride = pair.feature_grid("coarse_a").stride
     t_ba = relative_pose(pair.pose_a, pair.pose_b)
     try:
-        counts = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba, cfg.margin)
-        gt = coarse_match_ground_truth(
-            depth_a, depth_b, pair.k, pair.k, t_ba,
-            margin=cfg.margin, patch_stride=stride,
-        )
+        counts = pair_stats(depth_a, depth_b, pair.k, pair.k, t_ba)
+        gt = coarse_match_ground_truth(depth_a, depth_b, pair.k, pair.k, t_ba, patch_stride=stride)
     except EmptyDepthError as exc:
         raise EmptyDepthError(f"{pair.file('depth_a')}: {exc}") from None
     out = Path(args.out) if args.out else pair.path / "supervision.json"
@@ -346,10 +323,6 @@ def cmd_match(args: argparse.Namespace) -> int:
     })
     print(f"match: {len(matches)} matches -> {out}")
     return 0
-
-
-def _threshold_key(t: float) -> str:
-    return str(int(t)) if float(t).is_integer() else str(t)
 
 
 def _evaluate_pair(pair: PairDir, gt: PoseSE3, px_a: np.ndarray, px_b: np.ndarray,
@@ -401,8 +374,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ratio = float(formats._field(pair.manifest, "occlusion_ratio", str(manifest_path),
                                      lambda v: formats._is_number(v) and 0 <= v <= 1,
                                      "a number in [0, 1]"))
-        found, epe = label_matches(*px, pair.depth("a"), pair.depth("b"), pair.k, pair.k, t_ba,
-                                   cfg.margin)
+        found, epe = label_matches(*px, pair.depth("a"), pair.depth("b"), pair.k, pair.k, t_ba)
         labels = Counter(found.tolist())
         labels["none"] += len(matches) - len(found)
         epe = epe[~np.isnan(epe)]
@@ -422,14 +394,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         })
         curve_entries.append((ratio, report.pose_deg))
 
-    scores = auc([row["pose_err_deg"] for row in rows], cfg.auc_thresholds)
+    scores = auc([row["pose_err_deg"] for row in rows], _AUC_THRESHOLDS)
     formats.write_json(args.out_report, {
         "pairs": rows,
-        "auc": {_threshold_key(t): scores[t] for t in cfg.auc_thresholds},
+        "auc": {f"{t:g}": scores[t] for t in _AUC_THRESHOLDS},
         "config": cfg.to_json(args.command),
     })
     formats.write_curve_csv(args.out_curve, cumulative_occlusion_curve(curve_entries))
-    shown = ", ".join(f"AUC@{_threshold_key(t)} {scores[t]:.2f}" for t in cfg.auc_thresholds)
+    shown = ", ".join(f"AUC@{t:g} {scores[t]:.2f}" for t in _AUC_THRESHOLDS)
     print(f"eval: {len(rows)} pairs; {shown}")
     return 0
 
@@ -439,7 +411,7 @@ def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
     g.add_argument("--config", type=Path, help="JSON object of settings, by flag name with '_'")
     for name in _READS[command]:
         g.add_argument("--" + name.replace("_", "-"),
-                       nargs="+" if get_origin(_SETTINGS[name][2]) is tuple else None)
+                       nargs="+" if get_origin(_SETTINGS[name][1]) is tuple else None)
 
 
 class _Parser(argparse.ArgumentParser):

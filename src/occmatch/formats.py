@@ -355,11 +355,12 @@ def match_from_json(obj: dict, source: str = "matches") -> Match:
             raise SchemaError(f"{source}: field 'branch' must be null or [theta_a, theta_b] of "
                               f"finite numbers, got {branch!r}")
         branch = theta
-    pa, pb = obj.get("pa", -1), obj.get("pb", -1)
-    if not isinstance(pa, int) or pa.__class__ is bool:
-        raise SchemaError(f"{source}: field 'pa' must be an integer, got {pa!r}")
-    if not isinstance(pb, int) or pb.__class__ is bool:
-        raise SchemaError(f"{source}: field 'pb' must be an integer, got {pb!r}")
+    pa = _require(obj, "pa", source)
+    if not isinstance(pa, int) or pa.__class__ is bool or pa < 0:
+        raise SchemaError(f"{source}: field 'pa' must be a non-negative integer, got {pa!r}")
+    pb = _require(obj, "pb", source)
+    if not isinstance(pb, int) or pb.__class__ is bool or pb < 0:
+        raise SchemaError(f"{source}: field 'pb' must be a non-negative integer, got {pb!r}")
     conf = _require(obj, "conf", source)
     if not isinstance(conf, (int, float)) or conf.__class__ is bool:
         raise SchemaError(f"{source}: field 'conf' must be a number, got {conf!r}")

@@ -55,20 +55,20 @@ _BLOCK_BYTES = 1 << 16
 
 @dataclass(frozen=True)
 class RansacConfig:
-    max_iterations: int = 1000
+    ransac_iterations: int = 1000
     inlier_threshold: float = 1e-3  # Sampson distance in normalized coords.
-    confidence: float = 0.999
-    rng_seed: int = 0
+    ransac_confidence: float = 0.999
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError(f"need at least one iteration, got {self.max_iterations}")
+        if self.ransac_iterations < 1:
+            raise ValueError(f"ransac_iterations must be at least 1, got {self.ransac_iterations}")
         if not 0 < self.inlier_threshold < np.inf:
             raise ValueError(f"inlier_threshold must be positive and finite, got {self.inlier_threshold}")
-        if not 0 < self.confidence < 1:
-            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
-        if self.rng_seed < 0:  # numpy's default_rng takes no negative seed
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        if not 0 < self.ransac_confidence < 1:
+            raise ValueError(f"ransac_confidence must lie in (0, 1), got {self.ransac_confidence}")
+        if self.seed < 0:  # numpy's default_rng takes no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -314,12 +314,12 @@ def _scored_hypotheses(
     samples are drawn, solved and scored a chunk at a time, so a consumer
     that stops early leaves the rest of the chunk unused and draws no more.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(cfg.seed)
     n = len(xa_h)
     xa, xb = xa_h[:, :2], xb_h[:, :2]
     start, size = 0, _FIRST_CHUNK
-    while start < cfg.max_iterations:
-        stop = min(start + size, cfg.max_iterations)
+    while start < cfg.ransac_iterations:
+        stop = min(start + size, cfg.ransac_iterations)
         samples = _draw_samples(rng, n, stop - start)
         e, valid = _eight_point(xa[samples], xb[samples])
         d = sampson_distance(e, xa_h, xb_h)
@@ -340,7 +340,7 @@ def essential_from_matches(
     """RANSAC essential-matrix estimation from pixel matches.
 
     Returns (E, R, t, inlier_mask) with ||t|| = 1 and X_b = R @ X_a + t up
-    to the unknown baseline scale. Deterministic for a fixed rng_seed.
+    to the unknown baseline scale. Deterministic for a fixed seed.
     """
     px_a = np.asarray(px_a, dtype=np.float64).reshape(-1, 2)
     px_b = np.asarray(px_b, dtype=np.float64).reshape(-1, 2)
@@ -368,7 +368,7 @@ def essential_from_matches(
             if count > best_count or err < best_err:
                 if count > best_count and count >= 8:
                     w_in = count / n
-                    needed = np.log1p(-cfg.confidence) / np.log1p(-min(w_in**8, 1.0 - 1e-15))
+                    needed = np.log1p(-cfg.ransac_confidence) / np.log1p(-min(w_in**8, 1.0 - 1e-15))
                 best_count, best_err, best_inliers = count, err, inliers
         if it + 1 >= needed:
             break

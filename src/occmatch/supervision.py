@@ -30,6 +30,12 @@ _LABEL_RADIUS_PX = 3.0
 # Pixels per block of `pair_stats`: its work arrays stay near 2 MB.
 _BLOCK_PIXELS = 8192
 
+# Depth slack of the occlusion test at sampled depth d, max(floor, relative
+# * d): the floor (metres) absorbs noise at close range, the relative term
+# scales with distance.
+MARGIN_FLOOR = 0.05
+MARGIN_RELATIVE = 0.05
+
 
 class PixelClass(IntEnum):
     """Visibility outcome of reprojecting one A pixel into view B."""
@@ -39,26 +45,6 @@ class PixelClass(IntEnum):
     OUT_OF_BOUNDS = 2
     INVALID_DEPTH = 3
     BEHIND_CAMERA = 4
-
-
-@dataclass(frozen=True)
-class OcclusionMargin:
-    """Depth slack for the occlusion test: margin(d) = max(floor, relative * d).
-
-    The floor absorbs sensor noise at close range; the relative term scales
-    with distance. Defaults: 5 cm floor, 5 % relative.
-    """
-
-    floor: float = 0.05
-    relative: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not (0 < self.floor < np.inf and 0 <= self.relative < np.inf):
-            raise ValueError(f"margin floor must be finite and > 0 and slope finite and >= 0, "
-                             f"got {self}")
-
-    def __call__(self, depth: np.ndarray | float) -> np.ndarray | float:
-        return np.maximum(self.floor, self.relative * np.asarray(depth, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -132,21 +118,26 @@ def sample_depth_bilinear(depth: DepthMap, u: np.ndarray, v: np.ndarray) -> tupl
     return out, ok
 
 
+def valid_points(d: np.ndarray) -> np.ndarray:
+    """The indices of the usable depths in d: finite and > 0."""
+    return np.flatnonzero((d > 0.0) & (d < np.inf))
+
+
 def land_points(
     d: np.ndarray, valid: np.ndarray, p_dst: np.ndarray, k_dst: CameraIntrinsics,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The camera-side classes of points carried into a destination view.
 
-    d: each point's source depth (0 = invalid); valid: the indices of d > 0;
-    p_dst: those points in the destination camera frame, row i for valid[i].
-    Depth 0 is INVALID_DEPTH, z <= 0 BEHIND_CAMERA, a projection outside
-    [0, W-1] x [0, H-1] OUT_OF_BOUNDS; the rest read COVISIBLE until the
-    caller's occlusion test. Returns (classes, front, inside, u, v): front,
-    the rows of p_dst in front of that camera; inside, which of them land
-    in the image; u, v, their destination pixel coordinates.
+    d: each point's source depth; valid: valid_points(d); p_dst: those
+    points in the destination camera frame, row i for valid[i]. A point
+    not in valid is INVALID_DEPTH, z <= 0 BEHIND_CAMERA, a projection
+    outside [0, W-1] x [0, H-1] OUT_OF_BOUNDS; the rest read COVISIBLE
+    until the caller's occlusion test. Returns (classes, front, inside, u,
+    v): front, the rows of p_dst in front of that camera; inside, which of
+    them land in the image; u, v, their destination pixel coordinates.
     """
-    cls = np.full(d.size, int(PixelClass.COVISIBLE), dtype=np.int8)
-    cls[d <= 0.0] = PixelClass.INVALID_DEPTH
+    cls = np.full(d.size, int(PixelClass.INVALID_DEPTH), dtype=np.int8)
+    cls[valid] = PixelClass.COVISIBLE
     behind = p_dst[:, 2] <= 0.0
     cls[valid[behind]] = PixelClass.BEHIND_CAMERA
 
@@ -166,20 +157,20 @@ def classify_points(
     k_a: CameraIntrinsics,
     k_b: CameraIntrinsics,
     t_ba: PoseSE3,
-    margin: OcclusionMargin = OcclusionMargin(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class of each point (u, v) of A at depth depth_at (0 = invalid) with
-    respect to B's rendered depth.
+    """Class of each point (u, v) of A at depth depth_at with respect to
+    B's rendered depth.
 
-    The camera-side classes come from `land_points`. A point that lands in
-    B's image is OUT_OF_BOUNDS if no valid B pixel supports its bilinear
-    depth sample, OCCLUDED_IN_OTHER if it lies beyond that depth by more
-    than `margin`, and COVISIBLE otherwise. Returns (classes, uv_b): uv_b
-    holds the continuous coordinates in B (NaN when the point never reaches
-    B's image plane).
+    The camera-side classes come from `land_points`: a depth that is not
+    finite and > 0 is INVALID_DEPTH. A point that lands in B's image is
+    OUT_OF_BOUNDS if no valid B pixel supports its bilinear depth sample
+    d, OCCLUDED_IN_OTHER if it lies beyond d by more than
+    max(MARGIN_FLOOR, MARGIN_RELATIVE * d), and COVISIBLE otherwise.
+    Returns (classes, uv_b): uv_b holds the continuous coordinates in B
+    (NaN when the point never reaches B's image plane).
     """
     u, v, d = (np.asarray(x, dtype=np.float64).ravel() for x in (u, v, depth_at))
-    valid = np.flatnonzero(d > 0.0)
+    valid = valid_points(d)
     p_b = t_ba.transform(unproject_points(u[valid], v[valid], d[valid], k_a))
     cls, front, inside, ub, vb = land_points(d, valid, p_b, k_b)
     uv_b = np.full((u.size, 2), np.nan)
@@ -191,7 +182,8 @@ def classify_points(
     sampled, ok = sample_depth_bilinear(depth_b, ub[inside], vb[inside])
     # Landing on invalid B depth counts as leaving the map.
     cls[hit[~ok]] = PixelClass.OUT_OF_BOUNDS
-    occluded = ok & (p_b[front[inside], 2] - sampled > margin(sampled))
+    margin = np.maximum(MARGIN_FLOOR, MARGIN_RELATIVE * sampled)
+    occluded = ok & (p_b[front[inside], 2] - sampled > margin)
     cls[hit[occluded]] = PixelClass.OCCLUDED_IN_OTHER
     return cls, uv_b
 
@@ -202,7 +194,6 @@ def pair_stats(
     k_a: CameraIntrinsics,
     k_b: CameraIntrinsics,
     t_ba: PoseSE3,
-    margin: OcclusionMargin = OcclusionMargin(),
 ) -> dict[PixelClass, int]:
     """Pixel count of each class over every pixel of A.
 
@@ -220,7 +211,7 @@ def pair_stats(
     for top in range(0, h, rows):
         n = min(rows, h - top) * w
         cls, _ = classify_points(u[:n], v[:n] + top, flat[top * w:top * w + n],
-                                 depth_b, k_a, k_b, t_ba, margin)
+                                 depth_b, k_a, k_b, t_ba)
         counts += np.bincount(cls, minlength=len(PixelClass))
     if counts[PixelClass.INVALID_DEPTH] == h * w:
         raise EmptyDepthError("view A has no valid depth pixel")
@@ -234,7 +225,6 @@ def coarse_match_ground_truth(
     k_b: CameraIntrinsics,
     t_ba: PoseSE3,
     t_ab: Optional[PoseSE3] = None,
-    margin: OcclusionMargin = OcclusionMargin(),
     patch_stride: int = 8,
 ) -> CoarseMatchSet:
     """Patch-level GT matches; each patch is classified by its center pixel.
@@ -254,7 +244,7 @@ def coarse_match_ground_truth(
               *wanted: PixelClass) -> list[list[tuple[int, int]]]:
         """The (source patch, destination patch) list of each class in `wanted`."""
         centers = np.column_stack(patch_centers(d_src.height, d_src.width, patch_stride))
-        cls, uv = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t, margin)
+        cls, uv = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t)
         out = []
         for c in wanted:
             # Covisible and occluded points land in the destination image: uv is finite.
@@ -273,8 +263,8 @@ def coarse_match_ground_truth(
 
 
 def _classify_nearest(src: np.ndarray, depth_src: DepthMap, depth_dst: DepthMap,
-                      k_src: CameraIntrinsics, k_dst: CameraIntrinsics, t: PoseSE3,
-                      margin: OcclusionMargin) -> tuple[np.ndarray, np.ndarray]:
+                      k_src: CameraIntrinsics, k_dst: CameraIntrinsics,
+                      t: PoseSE3) -> tuple[np.ndarray, np.ndarray]:
     """classify_points of the (n, 2) points `src`, each at the depth of its
     nearest pixel."""
     h, w = depth_src.data.shape
@@ -284,12 +274,12 @@ def _classify_nearest(src: np.ndarray, depth_src: DepthMap, depth_dst: DepthMap,
     # may overflow to inf or NaN; such a point is out of bounds.
     with np.errstate(over="ignore", invalid="ignore"):
         return classify_points(src[:, 0], src[:, 1], depth_src.data[row, col],
-                               depth_dst, k_src, k_dst, t, margin)
+                               depth_dst, k_src, k_dst, t)
 
 
 def label_matches(uv_a: np.ndarray, uv_b: np.ndarray, depth_a: DepthMap, depth_b: DepthMap,
-                  k_a: CameraIntrinsics, k_b: CameraIntrinsics, t_ba: PoseSE3,
-                  margin: OcclusionMargin = OcclusionMargin()) -> tuple[np.ndarray, np.ndarray]:
+                  k_a: CameraIntrinsics, k_b: CameraIntrinsics,
+                  t_ba: PoseSE3) -> tuple[np.ndarray, np.ndarray]:
     """GT label of each match of refined points (uv_a[i], uv_b[i]), and its
     endpoint error: the distance in B from uv_b[i] to the GT reprojection
     of uv_a[i] (NaN unless that point is covisible or occluded in B).
@@ -300,8 +290,8 @@ def label_matches(uv_a: np.ndarray, uv_b: np.ndarray, depth_a: DepthMap, depth_b
     reprojects within the radius of the A point; else none.
     """
     uv_a, uv_b = (np.asarray(uv, dtype=np.float64).reshape(-1, 2) for uv in (uv_a, uv_b))
-    cls_a, in_b = _classify_nearest(uv_a, depth_a, depth_b, k_a, k_b, t_ba, margin)
-    cls_b, in_a = _classify_nearest(uv_b, depth_b, depth_a, k_b, k_a, t_ba.inverse(), margin)
+    cls_a, in_b = _classify_nearest(uv_a, depth_a, depth_b, k_a, k_b, t_ba)
+    cls_b, in_a = _classify_nearest(uv_b, depth_b, depth_a, k_b, k_a, t_ba.inverse())
     covisible, occluded = cls_a == PixelClass.COVISIBLE, cls_a == PixelClass.OCCLUDED_IN_OTHER
     epe = np.where(covisible | occluded, np.hypot(*(in_b - uv_b).T), np.nan)
     near_a, near_b = epe <= _LABEL_RADIUS_PX, np.hypot(*(in_a - uv_a).T) <= _LABEL_RADIUS_PX

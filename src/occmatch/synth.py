@@ -29,7 +29,7 @@ from .geometry import (
 )
 from .matching import FeatureGrid
 from .occupancy import check_grid_size
-from .supervision import PixelClass, land_points
+from .supervision import PixelClass, land_points, valid_points
 
 _EPS_HIT = 1e-9
 # Relative pad of the ray-reach bounds of `_box_bounds`: far above rounding.
@@ -268,7 +268,7 @@ def analytic_classes(
     h, w = depth_src.data.shape
     vv, uu = np.mgrid[0:h, 0:w].astype(np.float64)
     u, v, d = uu.ravel(), vv.ravel(), depth_src.data.ravel()
-    valid = np.flatnonzero(d > 0)
+    valid = valid_points(d)
     world = pose_src.transform(unproject_points(u[valid], v[valid], d[valid], k_src))
     cls, front, inside = land_points(d, valid, pose_dst.inverse().transform(world), k_dst)[:3]
     vis = front[inside]
@@ -283,14 +283,14 @@ class FeatureParams:
     (cos/sin pairs)."""
 
     channels: int = 128
-    coarse_stride: int = 8
+    patch_stride: int = 8
 
     def __post_init__(self) -> None:
         if self.channels < 2 or self.channels % 2:
             raise ValueError(f"channels must be even and >= 2, got {self.channels}")
-        if self.coarse_stride < 1 or self.coarse_stride % _FINE_STRIDE:
-            raise ValueError(f"coarse stride must be a positive multiple of the fine stride "
-                             f"{_FINE_STRIDE}, got {self.coarse_stride}")
+        if self.patch_stride < 1 or self.patch_stride % _FINE_STRIDE:
+            raise ValueError(f"patch_stride must be a positive multiple of the fine stride "
+                             f"{_FINE_STRIDE}, got {self.patch_stride}")
 
 
 def _texture_signs(texture: int, m: int) -> np.ndarray:
@@ -411,12 +411,12 @@ def make_pair(
     rng = np.random.default_rng(_FREQ_SEED)
     base_c = rng.normal(size=(m, 3))
     base_f = rng.normal(size=(m, 3))
-    scale_c = _COARSE_SCALE_CELLS * params.coarse_stride * med / k.fx
+    scale_c = _COARSE_SCALE_CELLS * params.patch_stride * med / k.fx
     scale_f = _FINE_SCALE_CELLS * _FINE_STRIDE * med / k.fx
 
     roles = [
-        (pose_a, params.coarse_stride, base_c, scale_c),
-        (pose_b, params.coarse_stride, base_c, scale_c),
+        (pose_a, params.patch_stride, base_c, scale_c),
+        (pose_b, params.patch_stride, base_c, scale_c),
         (pose_a, _FINE_STRIDE, base_f, scale_f),
         (pose_b, _FINE_STRIDE, base_f, scale_f),
     ]

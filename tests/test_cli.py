@@ -2,6 +2,7 @@
 eval; config precedence; exit codes; byte determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,12 +11,13 @@ import shutil
 import warnings
 from collections import Counter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from occmatch import synth
-from occmatch.cli import build_parser, main
+from occmatch.cli import _READS, RunConfig, build_parser, main
 from occmatch.formats import (
     dump_json,
     dump_json_line,
@@ -59,18 +61,16 @@ def matched_pair(synth_root, tmp_path_factory):
 # The settings each command reads, as the README's table lists them.
 READS = {
     "synth": {"channels", "patch_stride"},
-    "supervise": {"margin_floor", "margin_relative"},
+    "supervise": set(),
     "voxelize": {"depth_bins", "d_min", "d_max"},
     "match": {"temperature", "angles", "match_threshold", "fine_window", "fine_temperature"},
-    "eval": {"ransac_iterations", "inlier_threshold", "ransac_confidence", "seed", "auc_thresholds",
-             "margin_floor", "margin_relative"},
+    "eval": {"ransac_iterations", "inlier_threshold", "ransac_confidence", "seed"},
 }
 # A value of each setting that the commands reading it accept.
 VALUES = {
-    "channels": 64, "patch_stride": 16, "margin_floor": 0.04, "margin_relative": 0.1,
-    "depth_bins": 16, "d_min": 0.2, "d_max": 8.0, "temperature": 0.5, "angles": [0.0, 15.0],
+    "channels": 64, "patch_stride": 16, "depth_bins": 16, "d_min": 0.2, "d_max": 8.0, "temperature": 0.5, "angles": [0.0, 15.0],
     "match_threshold": 0.3, "fine_window": 7, "fine_temperature": 0.1, "ransac_iterations": 50,
-    "inlier_threshold": 0.002, "ransac_confidence": 0.99, "seed": 4, "auc_thresholds": [5.0, 10.0],
+    "inlier_threshold": 0.002, "ransac_confidence": 0.99, "seed": 4,
 }
 # The file of each command's output that holds its `config` echo.
 ECHO_FILES = {"synth": "manifest.json", "supervise": "s.json", "voxelize": "voxelize_config.json",
@@ -265,11 +265,11 @@ class TestSupervise:
     def test_two_plane_bytes_are_frozen(self, fresh_pair):
         # The SHA-256 of the file as the dense classification wrote it,
         # without the pair statistics, as one dump_json_line; the row blocks
-        # keep it.
+        # keep it. Its config echo is {}: supervise reads no setting.
         pair = fresh_pair("two_plane")
         assert main(["supervise", "--pair", pair]) == 0
         digest = hashlib.sha256(Path(pair, "supervision.json").read_bytes()).hexdigest()
-        assert digest == "fd5ec3eb26fc0a23787bd1bc599432d9b7d0b5c1820b52f2c14ea60cff05f5b2"
+        assert digest == "2bbfb8133713ed8befd16f013a29d0cc0627864570926548483ab574ceac33bf"
 
     def test_patch_stride_comes_from_the_coarse_features(self, tmp_path, capsys):
         # Once supervise wrote the GT at its own default stride 8 beside
@@ -605,10 +605,9 @@ class TestSettings:
     --help exactly the settings it reads."""
 
     SETTINGS = [
-        "angles", "auc_thresholds", "channels", "d_max", "d_min", "depth_bins",
-        "fine_temperature", "fine_window", "inlier_threshold", "margin_floor",
-        "margin_relative", "match_threshold", "patch_stride", "ransac_confidence",
-        "ransac_iterations", "seed", "temperature",
+        "angles", "channels", "d_max", "d_min", "depth_bins", "fine_temperature",
+        "fine_window", "inlier_threshold", "match_threshold", "patch_stride",
+        "ransac_confidence", "ransac_iterations", "seed", "temperature",
     ]
     COMMAND_OPTIONS = {
         "synth": {"--fixture", "--scene", "--pose-a", "--pose-b", "--intrinsics",
@@ -632,6 +631,14 @@ class TestSettings:
         assert sorted(set().union(*READS.values())) == sorted(VALUES) == self.SETTINGS
         options = {s for a in subparser(command)._actions for s in a.option_strings}
         assert options == {"-h", "--help"} | self.own_flags(command)
+
+    def test_each_setting_is_one_config_field_read_by_one_command(self):
+        # A setting is the field of its name in exactly one module config of
+        # RunConfig, exactly one command reads it, and every field is one.
+        configs = [c for c in get_type_hints(RunConfig).values() if dataclasses.is_dataclass(c)]
+        owners = Counter(f.name for c in configs for f in dataclasses.fields(c))
+        readers = Counter(name for names in _READS.values() for name in names)
+        assert readers == owners == Counter(self.SETTINGS)
 
     @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
     def test_help_lists_only_the_settings_the_command_reads(self, capsys, command):
@@ -697,11 +704,11 @@ class TestSettings:
         (["--match-threshold", "2"], None, "match_threshold"),
         (["--patch-stride", "0"], None, "patch_stride"),
         (["--d-min", "5", "--d-max", "1"], None, "d_min"),
-        (["--margin-floor", "0"], None, "margin_floor"),
+        (["--ransac-iterations", "2.5"], None, "ransac_iterations"),
         (["--channels", "3"], None, "channels"),
         (["--patch-stride", "3"], None, "patch_stride"),  # not a multiple of the fine stride 2
         (["--temperature", "nan"], None, "temperature"),
-        (["--margin-relative", "nan"], None, "margin_relative"),
+        (["--ransac-confidence", "nan"], None, "ransac_confidence"),
         (["--inlier-threshold", "nan"], None, "inlier_threshold"),
         ([], {"temperature": "abc"}, "temperature"),
         ([], {"angles": 5}, "angles"),
@@ -787,6 +794,9 @@ class TestMalformedInputs:
         pytest.param("matches.jsonl", "branch", [], id="matches.jsonl-branch-empty"),
         pytest.param("matches.jsonl", "branch", [math.nan, 0], id="matches.jsonl-branch-nan"),
         pytest.param("matches.jsonl", "branch", [math.inf, 0], id="matches.jsonl-branch-inf"),
+        # A negative patch index was once taken.
+        pytest.param("matches.jsonl", "pa", -7, id="matches.jsonl-pa-negative"),
+        pytest.param("matches.jsonl", "pb", 1.0, id="matches.jsonl-pb-float"),
     ])
     def test_wrong_type_exits_one(self, fresh_pair, tmp_path, capsys, target, where, value):
         keys = [int(k) if k.isdigit() else k for k in where.split(".")]
@@ -827,6 +837,21 @@ class TestMalformedInputs:
         field = next(k for k in reversed(keys) if isinstance(k, str))
         assert target in err and repr(field) in err and "Traceback" not in err
 
+    def test_match_records_without_patch_indices_exit_one(self, fresh_pair, tmp_path, capsys):
+        # eval once read a missing pa or pb as -1 and exited 0.
+        pair = Path(fresh_pair("two_plane"))
+        assert main(["match", "--pair", str(pair)]) == 0
+        path = pair / "matches.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            del record["pa"], record["pb"]
+        path.write_text("".join(dump_json_line(record) + "\n" for record in records))
+        capsys.readouterr()
+        assert main(command_argv("eval", str(pair), tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line 1: missing field 'pa'" in err and "Traceback" not in err
+        assert not list((tmp_path / "out").iterdir())
+
     def test_older_manifest_files_entry_is_ignored(self, fresh_pair, capsys):
         # The raster names are fixed; manifests once listed them under `files`.
         pair = Path(fresh_pair("identity"))
@@ -855,12 +880,6 @@ class TestMalformedInputs:
         # NumPy's default_rng takes no negative seed.
         ("eval", ["--seed", "-1"], None, "seed"),
         ("eval", [], {"seed": -1}, "seed"),
-        # No pose error is scored below a threshold of 0 or at a non-finite one.
-        ("eval", ["--auc-thresholds", "0"], None, "auc_thresholds"),
-        ("eval", ["--auc-thresholds", "5", "-5"], None, "auc_thresholds"),
-        ("eval", ["--auc-thresholds", "nan"], None, "auc_thresholds"),
-        ("eval", ["--auc-thresholds", "inf"], None, "auc_thresholds"),
-        ("eval", [], {"auc_thresholds": []}, "auc_thresholds"),
         # An infinite inlier threshold counts every finite match as an inlier.
         ("eval", ["--inlier-threshold", "inf"], None, "inlier_threshold"),
         # An infinite temperature scores every pair alike; below 2 / float32
@@ -873,16 +892,15 @@ class TestMalformedInputs:
         ("match", [], {"fine_temperature": 1e-320}, "fine_temperature"),
         # An infinite far limit puts every depth in bin 0.
         ("voxelize", ["--d-max", "inf"], None, "d_max"),
-        # An infinite margin calls nothing occluded.
-        ("supervise", ["--margin-floor", "inf"], None, "margin_floor"),
-        ("supervise", ["--margin-relative", "inf"], None, "margin_relative"),
-        ("eval", ["--margin-floor", "inf"], None, "margin_floor"),
-        ("eval", ["--margin-relative", "inf"], None, "margin_relative"),
-    ], ids=["seed-flag", "seed-config", "auc-zero", "auc-negative", "auc-nan", "auc-inf",
-            "auc-empty", "inlier_threshold-inf", "temperature-inf", "temperature-subnormal", "temperature-below-floor",
-            "fine_temperature-inf", "fine_temperature-subnormal", "fine_temperature-config",
-            "d_max-inf", "supervise-margin_floor-inf", "supervise-margin_relative-inf",
-            "eval-margin_floor-inf", "eval-margin_relative-inf"])
+        # RANSAC needs an iteration and a confidence below certainty.
+        ("eval", ["--ransac-iterations", "0"], None, "ransac_iterations"),
+        ("eval", [], {"ransac_confidence": 1.0}, "ransac_confidence"),
+        # The coarse stride must be a multiple of the fine stride 2.
+        ("synth", ["--patch-stride", "3"], None, "patch_stride"),
+    ], ids=["seed-flag", "seed-config", "inlier_threshold-inf", "temperature-inf",
+            "temperature-subnormal", "temperature-below-floor", "fine_temperature-inf",
+            "fine_temperature-subnormal", "fine_temperature-config", "d_max-inf",
+            "ransac_iterations-zero", "ransac_confidence-one", "patch_stride-odd"])
     def test_unusable_setting_exits_one_naming_it(self, matched_pair, tmp_path, capsys,
                                                   command, flags, config, setting):
         if config is not None:
@@ -893,6 +911,8 @@ class TestMalformedInputs:
         assert main([*argv, *flags]) == 1
         err = capsys.readouterr().err
         assert f"error: {setting} (" in err and "Traceback" not in err
+        # The config's own message names the setting as typed, too.
+        assert re.search(rf"(?<!\w){setting}\b", err.split("): ", 1)[1])
         assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("field, value", [

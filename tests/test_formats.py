@@ -375,14 +375,14 @@ class TestJsonCodecs:
             grid_a=(2, 4), grid_b=(3, 4),
         )
         counts = {cls: 0 for cls in PixelClass}
-        obj = json.loads(dump_json(supervision_to_json(matches, counts, config={"margin_floor": 0.05})))
+        obj = json.loads(dump_json(supervision_to_json(matches, counts, config={"channels": 64})))
         assert obj["patch_stride"] == 8
         assert (obj["vv"], obj["vo"], obj["ov"]) == ([[0, 0], [5, 3]], [[7, 2]], [[1, 6]])
         assert (obj["grid_a"], obj["grid_b"]) == ([2, 4], [3, 4])
         # The pair statistics are the manifest's alone.
         assert not {"occlusion_ratio", "overlap_score"} & set(obj)
         assert obj["counts"] == {cls.name.lower(): 0 for cls in PixelClass}
-        assert obj["config"] == {"margin_floor": 0.05}
+        assert obj["config"] == {"channels": 64}
 
     @pytest.mark.parametrize("vo, ov", [([], []), ([(7, 2)], []), ([(7, 2), (3, 11)], [(1, 6)])])
     def test_supervision_writer_writes_one_dump_json_line(self, tmp_path, vo, ov):
@@ -391,7 +391,7 @@ class TestJsonCodecs:
             grid_a=(2, 4), grid_b=(3, 4),
         )
         counts = {cls: 10 * cls + 3 for cls in PixelClass}
-        config = {"margin_floor": 0.05, "margin_relative": 1e-7, "patch_stride": 8}
+        config = {"d_min": 0.05, "inlier_threshold": 1e-7, "patch_stride": 8}
         write_supervision(tmp_path / "s.json", matches, counts, config)
         want = dump_json_line(supervision_to_json(matches, counts, config)) + "\n"
         assert (tmp_path / "s.json").read_text(encoding="utf-8") == want
@@ -437,6 +437,9 @@ class TestJsonCodecs:
         pytest.param("scene", "point", [[0.0, 0.0, 2.0]], id="scene-point-nested"),
         pytest.param("box", "min", ["0", "0", "1"], id="box-min-string"),
         pytest.param("box", "max", [True, 1.0, 1.5], id="box-max-bool"),
+        pytest.param("match", "pa", -7, id="match-pa-negative"),
+        pytest.param("match", "pb", -1, id="match-pb-negative"),
+        pytest.param("match", "pb", True, id="match-pb-bool"),
     ])
     def test_wrong_type_names_the_source_and_field(self, decode, field, value):
         two_plane = scene_to_json(make_fixture("two_plane").scene)
@@ -502,7 +505,7 @@ class TestMatchesJsonl:
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"a":null,"b":null,"conf":0.5}\n{oops\n')
+        path.write_text('{"a":null,"b":null,"conf":0.5,"pa":0,"pb":0}\n{oops\n')
         with pytest.raises(SchemaError, match="line 2"):
             read_matches(path)
 
@@ -515,10 +518,28 @@ class TestMatchesJsonl:
     def test_integer_beyond_the_float_range_names_its_field(self, tmp_path, field, value):
         # JSON integers have no size limit; float() of one past ~1.8e308
         # raises OverflowError, which must not escape as a traceback.
-        record = {"a": [1.0, 2.0], "b": [3.0, 4.0], "conf": 0.5, field: value}
+        record = {"a": [1.0, 2.0], "b": [3.0, 4.0], "conf": 0.5, "pa": 0, "pb": 0, field: value}
         path = tmp_path / "big.jsonl"
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: line 1: field '{field}'"):
+            read_matches(path)
+
+    @pytest.mark.parametrize("drop, bad, named", [
+        (("pa",), {}, "missing field 'pa'"),
+        (("pb",), {}, "missing field 'pb'"),
+        # The first bad field in the order a, b, branch, pa, pb, conf is named.
+        (("pa", "pb"), {"conf": "x"}, "missing field 'pa'"),
+        (("pb",), {"conf": "x"}, "missing field 'pb'"),
+        ((), {"pa": -7, "pb": -1}, "field 'pa' must be a non-negative integer, got -7"),
+        ((), {"pb": -1, "conf": "x"}, "field 'pb' must be a non-negative integer, got -1"),
+    ], ids=["pa-missing", "pb-missing", "pa-first", "pb-before-conf", "pa-negative", "pb-negative"])
+    def test_patch_indices_are_required_non_negative_integers(self, tmp_path, drop, bad, named):
+        # A missing index once read as -1, and a negative one was taken.
+        good = {"a": [1.0, 2.0], "b": [3.0, 4.0], "conf": 0.5, "pa": 1, "pb": 2}
+        record = {k: v for k, v in {**good, **bad}.items() if k not in drop}
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match=rf"^{re.escape(f'{path}: line 2: {named}')}$"):
             read_matches(path)
 
 

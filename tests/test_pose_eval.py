@@ -316,10 +316,10 @@ def _reference_ransac(px_a, px_b, cfg):
     xa = normalized(px_a, K)
     xb = normalized(px_b, K)
     n = len(xa)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(cfg.seed)
     best_count, best_err, best_inliers = -1, np.inf, None
     scored = []
-    for it in range(cfg.max_iterations):
+    for it in range(cfg.ransac_iterations):
         sample = rng.choice(n, size=8, replace=False)
         e = _reference_eight_point(xa[sample], xb[sample])
         if e is None:
@@ -334,7 +334,7 @@ def _reference_ransac(px_a, px_b, cfg):
         if best_count >= 8:
             w_in = best_count / n
             denom = np.log1p(-min(w_in**8, 1.0 - 1e-15))
-            if it + 1 >= np.log1p(-cfg.confidence) / denom:
+            if it + 1 >= np.log1p(-cfg.ransac_confidence) / denom:
                 break
     iterations = it + 1
     if best_inliers is None or best_count < 8:
@@ -420,11 +420,11 @@ class TestChunkedRansacEquivalence:
     inside a chunk, at a chunk boundary or at the iteration cap."""
 
     @pytest.mark.parametrize("name", sorted(MATCH_SETS))
-    @pytest.mark.parametrize("max_iterations", [1, 7, 8, 9, 63, 64, 65, 1000])
-    @pytest.mark.parametrize("rng_seed", SEEDS)
-    def test_matches_the_sequential_loop(self, name, max_iterations, rng_seed, monkeypatch):
+    @pytest.mark.parametrize("ransac_iterations", [1, 7, 8, 9, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_the_sequential_loop(self, name, ransac_iterations, seed, monkeypatch):
         px_a, px_b = MATCH_SETS[name]()
-        cfg = RansacConfig(max_iterations=max_iterations, rng_seed=rng_seed)
+        cfg = RansacConfig(ransac_iterations=ransac_iterations, seed=seed)
         want, _, want_scored = _reference_ransac(px_a, px_b, cfg)
         scored = []
         hypotheses = pose_eval._scored_hypotheses
@@ -448,7 +448,7 @@ class TestChunkedRansacEquivalence:
         assert scored == want_scored
 
     def test_match_sets_exercise_their_case(self):
-        runs = {name: [_reference_ransac(*make(), RansacConfig(rng_seed=seed)) for seed in SEEDS]
+        runs = {name: [_reference_ransac(*make(), RansacConfig(seed=seed)) for seed in SEEDS]
                 for name, make in MATCH_SETS.items()}
         # All exact: the first hypothesis explains every match.
         assert all(isinstance(out, tuple) and it == 1 for out, it, _ in runs["early_stop"])
@@ -602,7 +602,7 @@ class TestDecomposeEssential:
         compared = 0
         for seed in SEEDS:
             try:
-                e, _, _, inliers = essential_from_matches(px_a, px_b, k, k, RansacConfig(rng_seed=seed))
+                e, _, _, inliers = essential_from_matches(px_a, px_b, k, k, RansacConfig(seed=seed))
             except DegenerateConfigurationError:
                 continue
             for mask in (inliers, np.ones(len(xa), dtype=bool)):
@@ -775,11 +775,11 @@ class TestCumulativeOcclusionCurve:
 class TestRansacConfig:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            RansacConfig(max_iterations=0)
+            RansacConfig(ransac_iterations=0)
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold=0.0)
         # At inf every finite match would be an inlier.
         with pytest.raises(ValueError, match="inlier_threshold"):
             RansacConfig(inlier_threshold=np.inf)
         with pytest.raises(ValueError):
-            RansacConfig(confidence=1.0)
+            RansacConfig(ransac_confidence=1.0)

@@ -18,7 +18,8 @@ from occmatch.geometry import (
     unproject_points,
 )
 from occmatch.supervision import (
-    OcclusionMargin,
+    MARGIN_FLOOR,
+    MARGIN_RELATIVE,
     PixelClass,
     _BLOCK_PIXELS,
     _classify_nearest,
@@ -52,22 +53,33 @@ def k64():
 
 
 class TestOcclusionMargin:
-    def test_floor_holds_below_one_meter(self):
-        m = OcclusionMargin()
-        assert m(0.0) == 0.05
-        assert m(0.5) == 0.05
-        assert m(1.0) == 0.05
+    """The occlusion test's slack at B's sampled depth d is
+    max(MARGIN_FLOOR, MARGIN_RELATIVE * d): 5 cm up to 1 m, then 5 %."""
 
-    def test_grows_linearly_past_one_meter(self):
-        m = OcclusionMargin()
-        assert m(2.0) == 0.1
-        assert m(10.0) == 0.5
+    @staticmethod
+    def gap_class(k, sampled: float, gap: float) -> PixelClass:
+        """Class of A's centre pixel at depth sampled + gap over a B map
+        of depth `sampled`."""
+        depth_a = DepthMap(np.full((64, 64), sampled + gap))
+        depth_b = DepthMap(np.full((64, 64), sampled))
+        return classify_one(31, 31, depth_a, depth_b, k, k, IDENTITY)
 
-    def test_is_monotone_nondecreasing(self):
-        m = OcclusionMargin()
-        depths = np.linspace(0.0, 12.0, 50)
-        vals = [m(d) for d in depths]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+    def test_floor_holds_below_one_meter(self, k64):
+        # At 0.5 m the relative term alone (2.5 cm) would call 3.125 cm occluded.
+        assert (MARGIN_FLOOR, MARGIN_RELATIVE) == (0.05, 0.05)
+        assert self.gap_class(k64, 0.5, 0.03125) == PixelClass.COVISIBLE
+        assert self.gap_class(k64, 0.5, 0.0625) == PixelClass.OCCLUDED_IN_OTHER
+
+    def test_grows_linearly_past_one_meter(self, k64):
+        # At 4 m the floor alone (5 cm) would call 18.75 cm occluded.
+        assert self.gap_class(k64, 4.0, 0.1875) == PixelClass.COVISIBLE
+        assert self.gap_class(k64, 4.0, 0.25) == PixelClass.OCCLUDED_IN_OTHER
+
+    @pytest.mark.parametrize("sampled", [0.25, 0.75, 1.0, 1.5, 3.0, 6.0, 12.0])
+    def test_gap_is_occluded_just_past_the_margin(self, k64, sampled):
+        margin = max(MARGIN_FLOOR, MARGIN_RELATIVE * sampled)
+        assert self.gap_class(k64, sampled, 0.9 * margin) == PixelClass.COVISIBLE
+        assert self.gap_class(k64, sampled, 1.1 * margin) == PixelClass.OCCLUDED_IN_OTHER
 
 
 class TestSampleDepthBilinear:
@@ -120,7 +132,7 @@ def gather_depth_bilinear(depth: DepthMap, u: np.ndarray, v: np.ndarray):
     return out, ok
 
 
-def dense_pair_stats(depth_a, depth_b, k_a, k_b, t_ba, margin=OcclusionMargin()) -> dict:
+def dense_pair_stats(depth_a, depth_b, k_a, k_b, t_ba) -> dict:
     """pair_stats as one dense pass: coordinate grids and B coordinates of
     every pixel of A, then one count per class. The reference the blocked
     pair_stats must equal."""
@@ -146,7 +158,7 @@ def dense_pair_stats(depth_a, depth_b, k_a, k_b, t_ba, margin=OcclusionMargin())
     hit = front[inside]
     sampled, ok = gather_depth_bilinear(depth_b, ub[inside], vb[inside])
     cls[hit[~ok]] = PixelClass.OUT_OF_BOUNDS
-    occluded = ok & (z_b[hit] - sampled > margin(sampled))
+    occluded = ok & (z_b[hit] - sampled > np.maximum(MARGIN_FLOOR, MARGIN_RELATIVE * sampled))
     cls[hit[occluded]] = PixelClass.OCCLUDED_IN_OTHER
     return {c: int(np.count_nonzero(cls == c)) for c in PixelClass}
 
@@ -199,7 +211,7 @@ class TestClassifyPixel:
 
     def test_nearer_surface_in_b_marks_occluded(self, k64):
         # The point sits at 2 m but B's map shows 1 m along that ray;
-        # 2 - 1 = 1 exceeds margin(1) = 0.05.
+        # 2 - 1 = 1 exceeds the margin at 1 m, 0.05.
         depth_a = DepthMap(np.full((64, 64), 2.0))
         depth_b = DepthMap(np.full((64, 64), 1.0))
         got = classify_one(31, 31, depth_a, depth_b, k64, k64, IDENTITY)
@@ -232,6 +244,16 @@ class TestClassifyPixel:
         depth_b = DepthMap(np.full((64, 64), 2.0))
         got = classify_one(31, 31, depth_a, depth_b, k64, k64, IDENTITY)
         assert got == PixelClass.INVALID_DEPTH
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, 0.0, -0.0, -2.0, -5e-324])
+    def test_unusable_source_depth_is_invalid_without_a_warning(self, k64, bad):
+        # A depth counts only when finite and > 0: NaN once read COVISIBLE,
+        # and +inf warned in unproject_points (an error in this suite).
+        depth_b = DepthMap(np.full((64, 64), 2.0))
+        cls, uv_b = classify_points(np.full(3, 31.0), np.full(3, 31.0), [2.0, bad, 2.0],
+                                    depth_b, k64, k64, IDENTITY)
+        assert cls.tolist() == [PixelClass.COVISIBLE, PixelClass.INVALID_DEPTH, PixelClass.COVISIBLE]
+        assert np.isnan(uv_b[1]).all() and np.isfinite(uv_b[[0, 2]]).all()
 
     def test_point_behind_destination_camera(self, k64):
         # B looks the opposite way, so everything in front of A is behind B.
@@ -407,13 +429,13 @@ class TestCoarseMatchGroundTruth:
         assert not ({a for a, _ in gt.vv} & {a for a, _ in gt.vo})
 
 
-def per_patch_ground_truth(depth_a, depth_b, k_a, k_b, t_ba, stride=8, margin=OcclusionMargin()):
+def per_patch_ground_truth(depth_a, depth_b, k_a, k_b, t_ba, stride=8):
     """(vv, vo, ov) of `coarse_match_ground_truth` built one patch at a
     time: the reference its vectorized lists must equal."""
     def one_direction(d_src, d_dst, k_src, k_dst, t):
         cols_dst = patch_grid(d_dst.height, d_dst.width, stride)[1]
         centers = np.column_stack(patch_centers(d_src.height, d_src.width, stride))
-        cls, uv = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t, margin)
+        cls, uv = _classify_nearest(centers, d_src, d_dst, k_src, k_dst, t)
         tgt_col = np.floor(uv[:, 0] / stride)
         tgt_row = np.floor(uv[:, 1] / stride)
         covis, occl = [], []
