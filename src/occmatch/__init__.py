@@ -11,7 +11,6 @@ from .errors import OccMatchError
 from .geometry import (
     CameraIntrinsics,
     DepthMap,
-    PixelPoint,
     PoseSE3,
     patch_grid,
     project_points,
@@ -20,7 +19,7 @@ from .geometry import (
 )
 from .matching import (
     FeatureGrid,
-    Match,
+    Matches,
     MatchingConfig,
     coarse_loss,
     dual_softmax,
@@ -80,13 +79,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OccMatchError",
-    "CameraIntrinsics", "DepthMap", "PixelPoint", "PoseSE3",
+    "CameraIntrinsics", "DepthMap", "PoseSE3",
     "project_points", "unproject_points", "relative_pose", "patch_grid",
     "PixelClass", "MARGIN_FLOOR", "MARGIN_RELATIVE", "PairStats", "CoarseMatchSet",
     "classify_points", "pair_stats", "coarse_match_ground_truth",
     "OccupancyConfig", "OccupancyGrid", "OccupancyCells", "OccupancyFactors",
     "ground_truth_cells", "build_ground_truth_occupancy", "estimate_occupancy", "occupancy_loss",
-    "FeatureGrid", "Match", "MatchingConfig",
+    "FeatureGrid", "Matches", "MatchingConfig",
     "neighborhood_mean", "rotation_align", "score_matrix", "dual_softmax",
     "dual_softmax_jacobian", "gumbel_select", "extract_matches",
     "refine_fine_match", "coarse_loss", "total_loss",

@@ -31,7 +31,7 @@ from .errors import (
     ZeroTranslationError,
 )
 from .geometry import CameraIntrinsics, DepthMap, PoseSE3, patch_grid, relative_pose
-from .matching import FeatureGrid, Match, MatchingConfig, match_pair
+from .matching import FeatureGrid, MatchingConfig, match_pair
 # voxelize calls ground_truth_cells; bench/spans.py still traces
 # build_ground_truth_occupancy by this module's name for it.
 from .occupancy import (  # noqa: F401
@@ -347,12 +347,15 @@ def _evaluate_pair(pair: PairDir, gt: PoseSE3, px_a: np.ndarray, px_b: np.ndarra
         return PoseErrorReport(rot, 0.0, rot, count), None
 
 
-def _branch_counts(matches: list[Match]) -> list:
-    """Histogram of the matches' branches as [[theta_a, theta_b], n] pairs,
-    sorted by branch; matches without a branch count under null, last."""
-    counts = Counter(m.branch for m in matches)
-    order = sorted(counts, key=lambda b: (b is None, b or ()))
-    return [[None if b is None else list(b), counts[b]] for b in order]
+def _branch_counts(branch: np.ndarray) -> list:
+    """Histogram of the (n, 2) branches as [[theta_a, theta_b], n] pairs,
+    sorted by branch, equal branches under the first spelling read (-0.0
+    or 0.0); rows without a branch (NaN) count under null, last."""
+    known = ~np.isnan(branch).any(axis=1)
+    _, first, counts = np.unique(branch[known], axis=0, return_index=True, return_counts=True)
+    missing = int(np.count_nonzero(~known))
+    return ([[b, n] for b, n in zip(branch[known][first].tolist(), counts.tolist())]
+            + ([[None, missing]] if missing else []))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -366,9 +369,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for matches_path, manifest_path in zip(args.matches, args.manifests):
         pair = load_pair(Path(manifest_path).parent)
         matches = formats.read_matches(matches_path)
-        # (2, n, 2): the refined A and B points of the matches that have both.
-        px = np.array([(m.point_a, m.point_b) for m in matches if m.point_a and m.point_b],
-                      dtype=np.float64).reshape(-1, 2, 2).transpose(1, 0, 2)
+        # The refined A and B points of the matches that have both.
+        both = ~np.isnan(np.hstack([matches.point_a, matches.point_b])).any(axis=1)
+        px = matches.point_a[both], matches.point_b[both]
         t_ba = relative_pose(pair.pose_a, pair.pose_b)
         report, failure = _evaluate_pair(pair, t_ba, *px, cfg)
         ratio = float(formats._field(pair.manifest, "occlusion_ratio", str(manifest_path),
@@ -390,7 +393,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "labels": {k: labels[k] for k in MATCH_LABELS},
             "epe_px": dict(zip(("median", "p90"), np.percentile(epe, [50, 90]).tolist()))
                       if epe.size else None,
-            "branch_counts": _branch_counts(matches),
+            "branch_counts": _branch_counts(matches.branch),
         })
         curve_entries.append((ratio, report.pose_deg))
 

@@ -34,8 +34,8 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import SchemaError
-from .geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3
-from .matching import FeatureGrid, Match
+from .geometry import CameraIntrinsics, DepthMap, PoseSE3
+from .matching import FeatureGrid, Matches
 from .occupancy import OccupancyCells, OccupancyGrid
 from .supervision import CoarseMatchSet, PixelClass
 from .synth import Box, Plane, SceneSpec
@@ -300,105 +300,71 @@ def write_supervision(path: PathLike, matches: CoarseMatchSet, counts: dict[Pixe
                           encoding="utf-8")
 
 
-def match_to_json(m: Match) -> dict:
-    """One matches.jsonl record. `a`/`b` are refined pixel coordinates
-    (u, v); patch indices and the chosen alignment branch ride along as
-    additive fields."""
-    out: dict[str, Any] = {
-        "a": [m.point_a.u, m.point_a.v] if m.point_a else None,
-        "b": [m.point_b.u, m.point_b.v] if m.point_b else None,
-        "conf": m.confidence,
-        "pa": m.patch_a,
-        "pb": m.patch_b,
-    }
-    if m.branch is not None:
-        out["branch"] = list(m.branch)
-    return out
+_NAN_PAIR = (math.nan, math.nan)
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-def _pixel_point(obj: dict, field: str, source: str) -> Optional[PixelPoint]:
-    """obj[field]: null, or [u, v] of finite numbers."""
-    value = _require(obj, field, source)
+def _pair(obj: dict, field: str, source: str, what: str, required: bool) -> tuple[float, float]:
+    """obj[field], null or absent unless `required`, or a pair of finite
+    numbers, `what` naming them in the error; missing is (NaN, NaN)."""
+    value = _require(obj, field, source) if required else obj.get(field)
     if value is None:
-        return None
+        return _NAN_PAIR
     if isinstance(value, list) and len(value) == 2:
-        u, v = value
-        if (isinstance(u, (int, float)) and isinstance(v, (int, float))
-                and u.__class__ is not bool and v.__class__ is not bool):
+        x, y = value
+        if (isinstance(x, (int, float)) and isinstance(y, (int, float))
+                and x.__class__ is not bool and y.__class__ is not bool):
             try:
-                u, v = float(u), float(v)
-            except OverflowError:  # an integer beyond the float range
-                pass
-            else:
-                if math.isfinite(u) and math.isfinite(v):
-                    return PixelPoint(u, v)
-    raise SchemaError(f"{source}: field {field!r} must be null or [u, v] of finite numbers, "
+                x, y = float(x), float(y)
+            except OverflowError:
+                raise _out_of_range(field, value, source) from None
+            if math.isfinite(x) and math.isfinite(y):
+                return x, y
+    raise SchemaError(f"{source}: field {field!r} must be null or {what} of finite numbers, "
                       f"got {value!r}")
 
 
-def match_from_json(obj: dict, source: str = "matches") -> Match:
-    """One matches.jsonl record. The fields are checked in a fixed order,
-    a, b, branch, pa, pb, conf, and the first bad one is named. The checks
-    are written out rather than built from _field and _number: this runs
-    once per match."""
-    point_a, point_b = _pixel_point(obj, "a", source), _pixel_point(obj, "b", source)
-    branch = obj.get("branch")
-    if branch is not None:
-        theta = None
-        if isinstance(branch, list) and len(branch) == 2 and all(
-                [isinstance(x, (int, float)) and x.__class__ is not bool for x in branch]):
-            try:
-                theta = tuple(map(float, branch))
-            except OverflowError:
-                raise _out_of_range("branch", branch, source) from None
-        if theta is None or not (math.isfinite(theta[0]) and math.isfinite(theta[1])):
-            raise SchemaError(f"{source}: field 'branch' must be null or [theta_a, theta_b] of "
-                              f"finite numbers, got {branch!r}")
-        branch = theta
-    pa = _require(obj, "pa", source)
-    if not isinstance(pa, int) or pa.__class__ is bool or pa < 0:
-        raise SchemaError(f"{source}: field 'pa' must be a non-negative integer, got {pa!r}")
-    pb = _require(obj, "pb", source)
-    if not isinstance(pb, int) or pb.__class__ is bool or pb < 0:
-        raise SchemaError(f"{source}: field 'pb' must be a non-negative integer, got {pb!r}")
-    conf = _require(obj, "conf", source)
-    if not isinstance(conf, (int, float)) or conf.__class__ is bool:
-        raise SchemaError(f"{source}: field 'conf' must be a number, got {conf!r}")
-    try:
-        conf = float(conf)
-    except OverflowError:
-        raise _out_of_range("conf", conf, source) from None
-    return Match(pa, pb, conf, point_a, point_b, branch)
+def _index(obj: dict, field: str, source: str) -> int:
+    """obj[field], a non-negative integer within the intp range."""
+    value = _require(obj, field, source)
+    if not isinstance(value, int) or value.__class__ is bool or value < 0:
+        raise SchemaError(f"{source}: field {field!r} must be a non-negative integer, got {value!r}")
+    if value > _INTP_MAX:
+        raise SchemaError(f"{source}: field {field!r} holds an integer beyond the intp range "
+                          f"(at most {_INTP_MAX}), got {value!r}")
+    return value
 
 
-def _json_number(x: Union[int, float]) -> str:
-    """An int or float (a NumPy float scalar too) as json.dumps spells it,
-    except that non-finite floats keep Python's spelling (nan, inf)."""
-    return int.__repr__(x) if isinstance(x, int) else float.__repr__(x)
+def _pair_texts(rows: np.ndarray) -> list[Optional[str]]:
+    """Each row of an (n, 2) column as JSON's [x,y], None where it has a NaN."""
+    known = ~np.isnan(rows).any(axis=1)
+    return [f"[{x!r},{y!r}]" if k else None for k, (x, y) in zip(known.tolist(), rows.tolist())]
 
 
-def write_matches(path: PathLike, matches: Iterable[Match]) -> None:
-    """One line per match, the bytes of dump_json_line(match_to_json(m)),
-    formatted directly: keys sorted, `branch` only when known."""
-    num = _json_number
-    lines = []
-    for m in matches:
-        a, b, branch = m.point_a, m.point_b, m.branch
-        text_a = "null" if a is None else f"[{num(a[0])},{num(a[1])}]"
-        text_b = "null" if b is None else f"[{num(b[0])},{num(b[1])}]"
-        text_branch = "" if branch is None else f'"branch":[{num(branch[0])},{num(branch[1])}],'
-        lines.append(f'{{"a":{text_a},"b":{text_b},{text_branch}"conf":{num(m.confidence)},'
-                     f'"pa":{m.patch_a},"pb":{m.patch_b}}}\n')
+def write_matches(path: PathLike, matches: Matches) -> None:
+    """One compact JSON record per match, its keys sorted: the refined
+    points `a`/`b` as [u, v] (null when missing), `branch` as [theta_a,
+    theta_b] (left out when missing), `conf`, and the patch indices
+    `pa`/`pb`. Non-finite confidences take Python's extended JSON spelling
+    (NaN, Infinity)."""
+    branches = [f'"branch":{t},' if t else "" for t in _pair_texts(matches.branch)]
+    text = "".join(
+        f'{{"a":{a or "null"},"b":{b or "null"},{branch}"conf":{conf!r},"pa":{i},"pb":{j}}}\n'
+        for a, b, branch, conf, i, j in zip(
+            _pair_texts(matches.point_a), _pair_texts(matches.point_b), branches,
+            matches.confidence.tolist(), matches.patch_a.tolist(), matches.patch_b.tolist()))
     # Every value is a number and no key holds "nan" or "inf", so JSON's
     # spellings of the non-finite floats go in over the whole text at once.
-    text = "".join(lines).replace("nan", "NaN").replace("inf", "Infinity")
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(text.replace("nan", "NaN").replace("inf", "Infinity"), encoding="utf-8")
 
 
-def read_matches(path: PathLike) -> list[Match]:
+def read_matches(path: PathLike) -> Matches:
+    """The records of a matches.jsonl file, blank lines skipped. Each
+    record's fields are checked in a fixed order, a, b, branch, pa, pb,
+    conf, and the first bad one is named with the file and line."""
     path = Path(path)
     name = str(path)
-    out = []
+    rows = []
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -409,8 +375,14 @@ def read_matches(path: PathLike) -> list[Match]:
             raise SchemaError(f"{where}: {exc}") from None
         if not isinstance(obj, dict):
             raise SchemaError(f"{where}: expected an object")
-        out.append(match_from_json(obj, source=where))
-    return out
+        point_a = _pair(obj, "a", where, "[u, v]", required=True)
+        point_b = _pair(obj, "b", where, "[u, v]", required=True)
+        branch = _pair(obj, "branch", where, "[theta_a, theta_b]", required=False)
+        patch_a, patch_b = _index(obj, "pa", where), _index(obj, "pb", where)
+        rows.append((patch_a, patch_b, _number(obj, "conf", where), point_a, point_b, branch))
+    patch_a, patch_b, conf, *pairs = zip(*rows) if rows else ((),) * 6
+    return Matches(patch_a, patch_b, conf,
+                   *(np.array(p, dtype=np.float64).reshape(-1, 2) for p in pairs))
 
 
 def write_curve_csv(path: PathLike, rows: Sequence[tuple[int, float]]) -> None:

@@ -20,17 +20,11 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 # Orthonormality tolerance for pose validation.
 _ROT_ATOL = 1e-9
-
-
-class PixelPoint(NamedTuple):
-    u: float
-    v: float
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
     UnknownAngleError,
 )
-from .geometry import PixelPoint, cell_center_px, extent_midpoint
+from .geometry import cell_center_px, extent_midpoint
 from .numerics import bilinear_sample, gumbel_noise, softmax
 from .occupancy import check_grid_size
 from .supervision import CoarseMatchSet
@@ -44,6 +44,9 @@ _LOG_CLAMP = 1e-12
 _BLOCK_ROWS = 256
 # Matches refined per stacked window product in match_pair.
 _REFINE_CHUNK = 64
+# 8-byte values per candidate entry at the peak of match_pair's selection:
+# traced at about 51 bytes at match_threshold 0.
+_CANDIDATE_VALUES = 7
 
 
 @dataclass(frozen=True)
@@ -141,16 +144,37 @@ class MatchingConfig:
         return out
 
 
-@dataclass
-class Match:
-    """One extracted correspondence; points are filled by refinement."""
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """A pair's matches as columns, as matches.jsonl stores them: patch
+    indices (n,) intp, confidence (n,) float64, and the refined pixel points
+    (u, v) and rotation branch (theta_a, theta_b), each (n, 2) float64.
 
-    patch_a: int
-    patch_b: int
-    confidence: float
-    point_a: Optional[PixelPoint] = None
-    point_b: Optional[PixelPoint] = None
-    branch: Optional[tuple[float, float]] = None
+    A NaN row is a missing value, and a column left out is all missing.
+    The file readers refuse non-finite points and branches, so a NaN is
+    never a real one.
+    """
+
+    patch_a: np.ndarray
+    patch_b: np.ndarray
+    confidence: np.ndarray
+    point_a: Optional[np.ndarray] = None
+    point_b: Optional[np.ndarray] = None
+    branch: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        n = len(self.patch_a)
+        for name, dtype, shape in (("patch_a", np.intp, (n,)), ("patch_b", np.intp, (n,)),
+                                   ("confidence", np.float64, (n,)), ("point_a", np.float64, (n, 2)),
+                                   ("point_b", np.float64, (n, 2)), ("branch", np.float64, (n, 2))):
+            value = getattr(self, name)
+            arr = np.full(shape, np.nan) if value is None else np.asarray(value, dtype)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.patch_a.size
 
 
 def neighborhood_mean(f: FeatureGrid) -> FeatureGrid:
@@ -298,13 +322,13 @@ def extract_matches(
     p_hat: np.ndarray,
     threshold: float,
     entries: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> list[Match]:
+) -> Matches:
     """Mutual nearest entries of the selected confidence matrix at or
     above threshold.
 
     (i, j) is kept only when j is the argmax of row i and i the argmax of
     column j (ties resolved to the smaller index, numpy argmax order).
-    Output is sorted by (patch_a, patch_b).
+    Output is sorted by (patch_a, patch_b), its points and branch missing.
 
     With entries=(rows, cols), p_hat holds only the values at those
     entries, and every entry left out must lie below threshold. Such an
@@ -314,10 +338,11 @@ def extract_matches(
     p = np.asarray(p_hat, dtype=np.float64)
     if entries is not None:
         return _extract_listed(p, *entries, threshold)
+    rows = np.arange(p.shape[0])
     row_best = np.argmax(p, axis=1)
-    col_best = np.argmax(p, axis=0)
-    return [Match(int(i), int(j), float(p[i, j]))
-            for i, j in enumerate(row_best) if col_best[j] == i and p[i, j] >= threshold]
+    best = p[rows, row_best]
+    keep = (np.argmax(p, axis=0)[row_best] == rows) & (best >= threshold)
+    return Matches(rows[keep], row_best[keep], best[keep])
 
 
 def _best_per_group(group: np.ndarray, other: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -332,13 +357,13 @@ def _best_per_group(group: np.ndarray, other: np.ndarray, v: np.ndarray) -> np.n
 
 def _extract_listed(
     v: np.ndarray, rows: np.ndarray, cols: np.ndarray, threshold: float
-) -> list[Match]:
+) -> Matches:
     keep = v >= threshold
     v, rows, cols = v[keep], np.asarray(rows)[keep], np.asarray(cols)[keep]
     keep = _best_per_group(rows, cols, v) & _best_per_group(cols, rows, v)
     v, rows, cols = v[keep], rows[keep], cols[keep]
     order = np.lexsort((cols, rows))
-    return [Match(int(rows[x]), int(cols[x]), float(v[x])) for x in order]
+    return Matches(rows[order], cols[order], v[order])
 
 
 def _class_nll(p_hat: np.ndarray, pairs: list[tuple[int, int]]) -> float:
@@ -516,7 +541,7 @@ def match_pair(
     fine_a: Optional[FeatureGrid] = None,
     fine_b: Optional[FeatureGrid] = None,
     cfg: MatchingConfig = MatchingConfig(),
-) -> list[Match]:
+) -> Matches:
     """Full coarse-to-fine matching of one image pair.
 
     Takes per entry the rotation branch with the highest confidence (the
@@ -524,7 +549,8 @@ def match_pair(
     (when fine grids are provided) refines each match to sub-pixel points:
     the A point anchors at the middle fine cell of the matched patch's
     extent, the B point comes from the expectation over a softmaxed
-    fine-correlation window around B's anchor.
+    fine-correlation window around B's anchor (without fine grids the
+    points stay missing).
 
     The result equals extract_matches(<every branch's dense dual_softmax>
     .max(axis=0), ...), each match's branch being the stack's argmax(axis=0)
@@ -549,6 +575,9 @@ def match_pair(
     nb = _n_cells(coarse_b)
 
     threshold = cfg.match_threshold
+    if threshold == 0:  # every entry of every branch is a candidate
+        check_grid_size((len(branches), _n_cells(coarse_a), nb, _CANDIDATE_VALUES),
+                        "match_threshold 0", "set of candidate values")
     log_floor = math.log(threshold) - _LOG_MARGIN if threshold > 0 else -math.inf
     index, confidence = zip(*(
         _branch_confidences(bar_a[theta_a], bar_b[theta_b], cfg.temperature, log_floor)
@@ -559,14 +588,11 @@ def match_pair(
     best = _best_per_group(index, branch, confidence)
     index, confidence, branch = index[best], confidence[best], branch[best]
     matches = extract_matches(confidence, threshold, entries=np.divmod(index, nb))
-    patch_a, patch_b = (np.array([m.patch_a for m in matches], dtype=np.intp),
-                        np.array([m.patch_b for m in matches], dtype=np.intp))
     order = np.argsort(index)
-    chosen = branch[order[np.searchsorted(index, patch_a * nb + patch_b, sorter=order)]]
-    points_a = points_b = [None] * len(matches)
+    chosen = branch[order[np.searchsorted(index, matches.patch_a * nb + matches.patch_b,
+                                          sorter=order)]]
+    point_a = point_b = None
     if fine_a is not None and fine_b is not None:
-        points_a, points_b = ([PixelPoint(*p) for p in px.tolist()] for px in
-                              _refine(patch_a, patch_b, coarse_a, coarse_b, fine_a, fine_b, cfg))
-    for m, k, point_a, point_b in zip(matches, chosen.tolist(), points_a, points_b):
-        m.branch, m.point_a, m.point_b = branches[k], point_a, point_b
-    return matches
+        point_a, point_b = _refine(matches.patch_a, matches.patch_b, coarse_a, coarse_b,
+                                   fine_a, fine_b, cfg)
+    return replace(matches, point_a=point_a, point_b=point_b, branch=np.array(branches)[chosen])

@@ -217,26 +217,25 @@ def first_hit(
 
 def _cast_pixels(
     scene: SceneSpec, pose: PoseSE3, k: CameraIntrinsics, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Ray-cast through continuous pixel coordinates.
 
-    Returns (depth, prim_index, world_points); depth is 0 where no surface
-    is hit.
+    Returns (prim_index, world_points); a ray that hits nothing reads the
+    camera centre.
     """
     # Directions with camera z = 1, so the ray parameter equals the camera depth.
     dirs = unproject_points(u, v, np.ones(u.size), k) @ pose.R.T
     s, idx = first_hit(scene, pose.t, dirs)
-    hit = idx >= 0
-    depth = np.where(hit, s, 0.0)
-    world = pose.t + np.where(hit, s, 0.0)[:, None] * dirs
-    return depth, idx, world
+    return idx, pose.t + np.where(idx >= 0, s, 0.0)[:, None] * dirs
 
 
 def render_depth(scene: SceneSpec, pose: PoseSE3, k: CameraIntrinsics) -> DepthMap:
     """Per-pixel camera depth of the nearest surface; 0 where the ray
     escapes the scene."""
     vv, uu = np.mgrid[0 : k.height, 0 : k.width].astype(np.float64)
-    depth, _, _ = _cast_pixels(scene, pose, k, uu.ravel(), vv.ravel())
+    dirs = unproject_points(uu.ravel(), vv.ravel(), np.ones(uu.size), k) @ pose.R.T
+    depth, idx = first_hit(scene, pose.t, dirs)  # the ray parameter is the camera depth
+    depth[idx < 0] = 0.0
     return DepthMap(depth.reshape(k.height, k.width))
 
 
@@ -326,7 +325,7 @@ def _feature_grid(
     length-3 product), so the blocks change no output byte.
     """
     u, v, (rows, cols) = _grid_centers(k, stride)
-    _, prim, world = _cast_pixels(scene, pose, k, u, v)
+    prim, world = _cast_pixels(scene, pose, k, u, v)
     m = omegas.shape[0]
     n = u.size
     freqs = omegas / (2.0 * math.pi)

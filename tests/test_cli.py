@@ -16,7 +16,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from occmatch import synth
+from occmatch import matching, occupancy, synth
 from occmatch.cli import _READS, RunConfig, build_parser, main
 from occmatch.formats import (
     dump_json,
@@ -363,8 +363,8 @@ class TestMatch:
         assert main(["match", "--pair", pair]) == 0
         matches = read_matches(f"{pair}/matches.jsonl")
         assert len(matches) == 432
-        assert all(m.patch_a == m.patch_b for m in matches)
-        assert all(m.point_a is not None and m.point_b is not None for m in matches)
+        assert np.array_equal(matches.patch_a, matches.patch_b)
+        assert np.isfinite(matches.point_a).all() and np.isfinite(matches.point_b).all()
 
     @pytest.mark.parametrize("width, height", [(192, 146), (194, 144)])
     def test_partial_edge_patches_are_refined(self, tmp_path, capsys, width, height):
@@ -375,9 +375,10 @@ class TestMatch:
         assert main(["match", "--pair", pair]) == 0
         assert "Traceback" not in capsys.readouterr().err
         matches = read_matches(f"{pair}/matches.jsonl")
-        assert matches
-        assert all(m.point_a is not None and m.point_b is not None for m in matches)
-        assert all(0 <= m.point_a.u < width and 0 <= m.point_a.v < height for m in matches)
+        assert len(matches)
+        assert np.isfinite(matches.point_a).all() and np.isfinite(matches.point_b).all()
+        u, v = matches.point_a.T
+        assert ((0 <= u) & (u < width) & (0 <= v) & (v < height)).all()
 
     @pytest.mark.parametrize("name", ["two_plane", "box_roll30"])
     def test_reads_only_the_manifest_and_feature_grids(self, fresh_pair, name):
@@ -405,15 +406,15 @@ class TestMatch:
         pair = fresh_pair(name)
         assert main(["match", "--pair", pair]) == 0
         matches = read_matches(f"{pair}/matches.jsonl")
-        assert matches and all(m.branch == (0.0, 0.0) for m in matches)
+        assert len(matches) and (matches.branch == (0.0, 0.0)).all()
 
     def test_rolled_pair_takes_the_branch_that_undoes_its_roll(self, fresh_pair):
         pair = fresh_pair("box_roll30")
         assert main(["match", "--pair", pair]) == 0
         matches = read_matches(f"{pair}/matches.jsonl")
-        assert sum(m.branch == (0.0, 30.0) for m in matches) / len(matches) > 0.70
+        assert (matches.branch == (0.0, 30.0)).all(axis=1).sum() / len(matches) > 0.70
         branches = read_json(f"{pair}/match_config.json")["branches"]
-        assert all(list(m.branch) in branches for m in matches)
+        assert all(b in branches for b in matches.branch.tolist())
 
     def test_rolled_pair_at_640x480_takes_the_branch_that_undoes_its_roll(self, tmp_path):
         # The paper's evaluation size, built here (about 3 s): (0, 30) is
@@ -424,7 +425,7 @@ class TestMatch:
         assert main(["match", "--pair", str(pair)]) == 0
         matches = read_matches(pair / "matches.jsonl")
         branches = read_json(pair / "match_config.json")["branches"]
-        counts = Counter(m.branch for m in matches)
+        counts = Counter(map(tuple, matches.branch.tolist()))
         assert len(matches) > 3000 and all(list(b) in branches for b in counts)
         assert max(counts, key=counts.get) == (0.0, 30.0)
 
@@ -443,6 +444,29 @@ class TestMatch:
         err = capsys.readouterr().err
         assert "fine_window 201" in err and "2.47 GiB" in err and "Traceback" not in err
         assert not (Path(pair) / "matches.jsonl").exists()
+
+    def test_zero_threshold_refuses_oversized_candidates_before_scoring(
+            self, fresh_pair, tmp_path, capsys, monkeypatch):
+        # At threshold 0 every entry of every branch is a candidate: 3 x 432
+        # x 432 at 192x144, which pass the limit until it is lowered.
+        pair = fresh_pair("box_roll30")
+        assert main(["match", "--pair", pair, "--match-threshold", "0"]) == 0
+        assert len(read_matches(f"{pair}/matches.jsonl")) > 0
+        monkeypatch.setattr(occupancy, "_MAX_GRID_BYTES", 3 * 432 * 432 * 8)
+        monkeypatch.setattr(matching, "score_matrix", None)  # scoring would raise a TypeError
+        capsys.readouterr()
+        out = tmp_path / "refused" / "matches.jsonl"
+        assert main(["match", "--pair", pair, "--match-threshold", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "match_threshold 0 needs a 3x432x432x7" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
+    def test_zero_threshold_works_at_320x240(self, tmp_path):
+        pair = tmp_path / "box_roll30"
+        assert main(["synth", "--fixture", "box_roll30", "--width", "320", "--height", "240",
+                     "--out", str(pair)]) == 0
+        assert main(["match", "--pair", str(pair), "--match-threshold", "0"]) == 0
+        assert len(read_matches(pair / "matches.jsonl")) > 0
 
     def test_output_does_not_depend_on_the_seed(self, fresh_pair):
         a = fresh_pair("box_roll30", "seed0")
@@ -465,7 +489,7 @@ class TestMatch:
         # grid, so the top of the allowed threshold range keeps nothing.
         pair = fresh_pair("identity")
         assert main(["match", "--pair", pair, "--match-threshold", "1.0"]) == 0
-        assert read_matches(f"{pair}/matches.jsonl") == []
+        assert len(read_matches(f"{pair}/matches.jsonl")) == 0
 
     def test_zero_feature_stride_fails_with_file_name(self, fresh_pair, capsys):
         pair = fresh_pair("identity")
@@ -1025,9 +1049,9 @@ class TestEvalAndCurve:
     def test_rows_count_matches_by_label(self, fresh_pair, tmp_path):
         pair = fresh_pair("two_plane")
         assert main(["match", "--pair", pair]) == 0
-        points = np.array([(m.point_a, m.point_b) for m in read_matches(f"{pair}/matches.jsonl")])
+        matches = read_matches(f"{pair}/matches.jsonl")
         fx = make_fixture("two_plane")
-        labels, epe = label_matches(points[:, 0], points[:, 1], read_depth(f"{pair}/depth_a.odm"),
+        labels, epe = label_matches(matches.point_a, matches.point_b, read_depth(f"{pair}/depth_a.odm"),
                                     read_depth(f"{pair}/depth_b.odm"), fx.k, fx.k,
                                     relative_pose(fx.pose_a, fx.pose_b))
         labels, epe = labels.tolist(), epe[~np.isnan(epe)]
@@ -1092,6 +1116,30 @@ class TestEvalAndCurve:
         assert code == 0
         counts = read_json(report_path)["pairs"][0]["branch_counts"]
         assert counts == [[[0.0, 0.0], len(records) - 3], [None, 3]]
+
+    def test_hand_written_matches_pin_the_report_rows(self, fresh_pair, tmp_path):
+        # Null and one-sided points, absent and null branches, a signed zero
+        # in a branch, and non-finite confidences, all in one file.
+        pair = fresh_pair("stereo")
+        Path(pair, "matches.jsonl").write_text(
+            '{"a":[20.5,36.5],"b":[4.5,36.5],"branch":[0.0,30.0],"conf":0.5,"pa":0,"pb":0}\n'
+            '{"a":null,"b":null,"branch":[-0.0,0.0],"conf":NaN,"pa":1,"pb":1}\n'
+            '{"a":[40.0,50.0],"b":null,"conf":Infinity,"pa":2,"pb":2}\n'
+            '{"a":null,"b":[10.0,10.0],"branch":null,"conf":-Infinity,"pa":3,"pb":3}\n'
+            '{"a":[100.5,60.5],"b":[84.5,60.5],"branch":[0.0,0.0],"conf":0.9,"pa":4,"pb":4}\n'
+            '{"a":[148.5,100.5],"b":[140,100],"branch":[30,0],"conf":1,"pa":5,"pb":5}\n'
+            '\n'
+            '{"a":[60.0,70.0],"b":[58.0,70.0],"branch":[0.0,-0.0],"conf":0.75,"pa":6,"pb":6}\n'
+            '{"a":null,"b":null,"branch":[0.0,30.0],"conf":0.25,"pa":7,"pb":7}\n')
+        code, report_path, _ = self.run_eval([pair], tmp_path)
+        assert code == 0
+        row = read_json(report_path)["pairs"][0]
+        assert row["matches"] == 8
+        assert row["labels"] == {"vv": 3, "vo": 0, "ov": 0, "none": 5}
+        # Sorted by branch with null last; equal branches are merged under
+        # the first spelling read, so -0.0 stays as written.
+        assert json.dumps(row["branch_counts"]) == (
+            "[[[-0.0, 0.0], 3], [[0.0, 30.0], 2], [[30.0, 0.0], 1], [null, 2]]")
 
     def test_pure_rotation_scores_rotation_only(self, fresh_pair, tmp_path):
         # Zero baseline leaves the translation direction unobservable; the

@@ -6,14 +6,15 @@ import math
 import mmap
 import re
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from occmatch.errors import SchemaError
-from occmatch.geometry import CameraIntrinsics, DepthMap, PixelPoint, PoseSE3
-from occmatch.matching import FeatureGrid, Match
+from occmatch.geometry import CameraIntrinsics, DepthMap, PoseSE3
+from occmatch.matching import FeatureGrid, Matches
 from occmatch import formats
 from occmatch.geometry import patch_grid, project_points, unproject_points
 from occmatch.occupancy import (
@@ -28,8 +29,6 @@ from occmatch.formats import (
     dump_json_line,
     intrinsics_from_json,
     intrinsics_to_json,
-    match_from_json,
-    match_to_json,
     pose_from_json,
     pose_to_json,
     read_curve_csv,
@@ -396,17 +395,17 @@ class TestJsonCodecs:
         want = dump_json_line(supervision_to_json(matches, counts, config)) + "\n"
         assert (tmp_path / "s.json").read_text(encoding="utf-8") == want
 
-    def test_match_round_trip_with_points_and_branch(self):
-        m = Match(
-            patch_a=3,
-            patch_b=7,
-            confidence=0.625,
-            point_a=PixelPoint(12.5, 20.0),
-            point_b=PixelPoint(4.25, 21.0),
-            branch=(30.0, 0.0),
+    def test_match_round_trip_with_points_and_branch(self, tmp_path):
+        m = Matches(
+            patch_a=[3],
+            patch_b=[7],
+            confidence=[0.625],
+            point_a=[(12.5, 20.0)],
+            point_b=[(4.25, 21.0)],
+            branch=[(30.0, 0.0)],
         )
-        back = match_from_json(match_to_json(m))
-        assert back == m
+        write_matches(tmp_path / "m.jsonl", m)
+        assert_same_matches(read_matches(tmp_path / "m.jsonl"), m)
 
     @pytest.mark.parametrize("decode, field, value", [
         ("intrinsics", "fy", "abc"),
@@ -441,64 +440,97 @@ class TestJsonCodecs:
         pytest.param("match", "pb", -1, id="match-pb-negative"),
         pytest.param("match", "pb", True, id="match-pb-bool"),
     ])
-    def test_wrong_type_names_the_source_and_field(self, decode, field, value):
+    def test_wrong_type_names_the_source_and_field(self, tmp_path, monkeypatch, decode, field,
+                                                    value):
         two_plane = scene_to_json(make_fixture("two_plane").scene)
         obj, target = {
             "intrinsics": (intrinsics_to_json(CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 2, 2)), None),
             "pose": (pose_to_json(PoseSE3.identity()), None),
             "scene": (two_plane, two_plane["primitives"][0]),
             "box": (two_plane, two_plane["primitives"][1]),
-            "match": (match_to_json(Match(patch_a=1, patch_b=2, confidence=0.5,
-                                          branch=(0.0, 0.0))), None),
+            "match": ({"a": None, "b": None, "branch": [0.0, 0.0], "conf": 0.5, "pa": 1, "pb": 2},
+                      None),
         }[decode]
         (obj if target is None else target)[field] = value
+        monkeypatch.chdir(tmp_path)
+
+        def read_match(obj, source):  # a one-line matches.jsonl named `source`
+            Path(source).write_text(json.dumps(obj) + "\n")
+            return read_matches(source)
+
         read = {"intrinsics": intrinsics_from_json, "pose": pose_from_json,
-                "scene": scene_from_json, "box": scene_from_json, "match": match_from_json}[decode]
+                "scene": scene_from_json, "box": scene_from_json, "match": read_match}[decode]
         with pytest.raises(SchemaError, match=rf"^src\.json.*'{field}'"):
             read(obj, source="src.json")
 
 
+NAN2 = (np.nan, np.nan)
+
+
+def assert_same_matches(got: Matches, want: Matches) -> None:
+    """Equal columns, dtypes included; NaN equals NaN."""
+    for name in ("patch_a", "patch_b", "confidence", "point_a", "point_b", "branch"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+def match_record(m: Matches, i: int) -> dict:
+    """Match i as the JSON object matches.jsonl holds: a missing point is
+    null, a missing branch is left out."""
+    def pair(rows):
+        return None if np.isnan(rows[i]).any() else rows[i].tolist()
+
+    out = {"a": pair(m.point_a), "b": pair(m.point_b), "conf": float(m.confidence[i]),
+           "pa": int(m.patch_a[i]), "pb": int(m.patch_b[i])}
+    if pair(m.branch) is not None:
+        out["branch"] = pair(m.branch)
+    return out
+
+
 class TestMatchesJsonl:
     def test_round_trip_order_and_values(self, tmp_path):
-        matches = [
-            Match(0, 0, 0.9, PixelPoint(1.0, 2.0), PixelPoint(3.0, 4.0), (0.0, 0.0)),
-            Match(1, 5, 0.4, None, None, None),
-        ]
+        matches = Matches([0, 1], [0, 5], [0.9, 0.4], [(1.0, 2.0), NAN2], [(3.0, 4.0), NAN2],
+                          [(0.0, 0.0), NAN2])
         path = tmp_path / "m.jsonl"
         write_matches(path, matches)
-        assert read_matches(path) == matches
+        assert_same_matches(read_matches(path), matches)
 
     def test_bytes_are_the_json_encoders(self, tmp_path):
-        matches = [
-            Match(0, 1, 0.5, PixelPoint(-0.0, 5e-324), PixelPoint(1e16, 1e-5), (30.0, 0.0)),
-            Match(2, 3, float("nan"), PixelPoint(np.float64(0.1), np.float64(-2.5)),
-                  PixelPoint(np.float64(1 / 3), np.float64(2.2e-310)), (0.0, 30.0)),
-            Match(4, 5, float("inf"), None, None, None),
-            Match(6, 7, float("-inf"), PixelPoint(1.0, 2.0), None, (-0.0, 1e-5)),
-            Match(10**30, 8, 1e-300, None, PixelPoint(3.0, 4.0), None),
-            Match(9, 9, 1, PixelPoint(3, 4), None, (30, 0)),
-        ]
+        big = np.iinfo(np.intp).max
+        matches = Matches(
+            [0, 2, 4, 6, big],
+            [1, 3, 5, 7, 8],
+            [0.5, float("nan"), float("inf"), float("-inf"), 1e-300],
+            [(-0.0, 5e-324), (0.1, -2.5), NAN2, (1.0, 2.0), NAN2],
+            [(1e16, 1e-5), (1 / 3, 2.2e-310), NAN2, NAN2, (3.0, 4.0)],
+            [(30.0, 0.0), (0.0, 30.0), NAN2, (-0.0, 1e-5), NAN2],
+        )
         path = tmp_path / "m.jsonl"
         write_matches(path, matches)
-        lines = [dump_json_line(match_to_json(m)) for m in matches]
+        lines = [dump_json_line(match_record(matches, i)) for i in range(len(matches))]
         assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+        # A hand-written record's ints read back as floats.
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"a":[3,4],"b":null,"branch":[30,0],"conf":1,"pa":9,"pb":9}\n')
         back = read_matches(path)
-        # NaN != NaN, so the records are compared through their lines; the
-        # last one's ints read back as floats.
-        assert [dump_json_line(match_to_json(m)) for m in back[:-1]] == lines[:-1]
-        assert math.isnan(back[1].confidence) and back[1].point_a == PixelPoint(0.1, -2.5)
-        assert back[4].patch_a == 10**30
-        assert back[-1] == Match(9, 9, 1.0, PixelPoint(3.0, 4.0), None, (30.0, 0.0))
+        # NaN != NaN, so the records are compared through their lines.
+        assert [dump_json_line(match_record(back, i)) for i in range(len(matches))] == lines
+        assert math.isnan(back.confidence[1]) and back.point_a[1].tolist() == [0.1, -2.5]
+        assert back.patch_a[4] == big
+        assert_same_matches(
+            Matches(back.patch_a[-1:], back.patch_b[-1:], back.confidence[-1:],
+                    back.point_a[-1:], back.point_b[-1:], back.branch[-1:]),
+            Matches([9], [9], [1.0], [(3.0, 4.0)], [NAN2], [(30.0, 0.0)]))
 
     def test_no_matches_write_an_empty_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        write_matches(path, [])
+        write_matches(path, Matches([], [], []))
         assert path.read_bytes() == b""
-        assert read_matches(path) == []
+        assert_same_matches(read_matches(path), Matches([], [], []))
 
     def test_one_record_per_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        write_matches(path, [Match(0, 0, 0.5), Match(1, 1, 0.5)])
+        write_matches(path, Matches([0, 1], [0, 1], [0.5, 0.5]))
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2
         assert all(json.loads(line) for line in lines)
@@ -532,7 +564,13 @@ class TestMatchesJsonl:
         (("pb",), {"conf": "x"}, "missing field 'pb'"),
         ((), {"pa": -7, "pb": -1}, "field 'pa' must be a non-negative integer, got -7"),
         ((), {"pb": -1, "conf": "x"}, "field 'pb' must be a non-negative integer, got -1"),
-    ], ids=["pa-missing", "pb-missing", "pa-first", "pb-before-conf", "pa-negative", "pb-negative"])
+        # A JSON integer has no size limit; an index must fit the intp range.
+        ((), {"pa": 10**30}, f"field 'pa' holds an integer beyond the intp range "
+                             f"(at most {2**63 - 1}), got {10**30}"),
+        ((), {"pb": 2**63}, f"field 'pb' holds an integer beyond the intp range "
+                            f"(at most {2**63 - 1}), got {2**63}"),
+    ], ids=["pa-missing", "pb-missing", "pa-first", "pb-before-conf", "pa-negative", "pb-negative",
+            "pa-beyond-intp", "pb-beyond-intp"])
     def test_patch_indices_are_required_non_negative_integers(self, tmp_path, drop, bad, named):
         # A missing index once read as -1, and a negative one was taken.
         good = {"a": [1.0, 2.0], "b": [3.0, 4.0], "conf": 0.5, "pa": 1, "pb": 2}

@@ -18,9 +18,10 @@ from occmatch.errors import (
     UnknownAngleError,
 )
 from occmatch.formats import intrinsics_to_json, pose_to_json, scene_to_json, write_json
-from occmatch.geometry import PixelPoint, cell_center_px, patch_grid
+from occmatch.geometry import cell_center_px, patch_grid
 from occmatch.matching import (
     FeatureGrid,
+    Matches,
     MatchingConfig,
     coarse_loss,
     dual_softmax,
@@ -114,14 +115,18 @@ def dense_reference(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingConfig) -> li
     extracted on the dense K x Na x Nb stack."""
     p_hat, choice = dense_selection(fa, fb, cfg)
     branches = cfg.branches()
-    return [
-        (m.patch_a, m.patch_b, m.confidence, branches[choice[m.patch_a, m.patch_b]])
-        for m in extract_matches(p_hat, cfg.match_threshold)
-    ]
+    return [(a, b, conf, branches[choice[a, b]])
+            for a, b, conf, _ in match_tuples(extract_matches(p_hat, cfg.match_threshold))]
 
 
-def match_tuples(matches) -> list:
-    return [(m.patch_a, m.patch_b, m.confidence, m.branch) for m in matches]
+def patch_pairs(matches: Matches) -> list[tuple[int, int]]:
+    return list(zip(matches.patch_a.tolist(), matches.patch_b.tolist()))
+
+
+def match_tuples(matches: Matches) -> list:
+    """(patch_a, patch_b, confidence, branch) of each match, the branch a tuple."""
+    return list(zip(matches.patch_a.tolist(), matches.patch_b.tolist(),
+                    matches.confidence.tolist(), map(tuple, matches.branch.tolist())))
 
 
 class TestNeighborhoodMean:
@@ -358,22 +363,46 @@ class TestGumbelSelect:
             gumbel_select([], seed=0)
 
 
+class TestMatches:
+    def test_left_out_points_and_branch_are_missing(self):
+        m = Matches([0, 2], [1, 3], [0.5, 0.25])
+        assert len(m) == 2 and m.patch_a.dtype == m.patch_b.dtype == np.intp
+        assert all(x.shape == (2, 2) and np.isnan(x).all() for x in (m.point_a, m.point_b, m.branch))
+
+    def test_columns_must_agree_in_length(self):
+        with pytest.raises(ValueError, match=r"point_b must have shape \(2, 2\)"):
+            Matches([0, 1], [0, 1], [0.5, 0.5], point_b=[(1.0, 2.0)])
+
+
 class TestExtractMatches:
     def test_strong_diagonal_is_fully_recovered(self):
         p = np.eye(4) * 0.9 + 0.01
         got = extract_matches(p, threshold=0.5)
-        assert [(m.patch_a, m.patch_b) for m in got] == [(i, i) for i in range(4)]
-        assert all(abs(m.confidence - 0.91) < 1e-12 for m in got)
+        assert patch_pairs(got) == [(i, i) for i in range(4)]
+        assert (np.abs(got.confidence - 0.91) < 1e-12).all()
+        # Points and branch are match_pair's to fill: all missing here.
+        assert all(np.isnan(x).all() for x in (got.point_a, got.point_b, got.branch))
 
     def test_threshold_filters_everything(self):
-        assert extract_matches(np.full((3, 3), 0.25), threshold=0.999) == []
+        assert len(extract_matches(np.full((3, 3), 0.25), threshold=0.999)) == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_selection_equals_the_per_row_loop(self, seed):
+        # Few distinct values, so rows and columns tie; the loop reads each
+        # row's argmax and keeps it when the column's argmax points back.
+        p = np.random.default_rng(seed).integers(0, 4, size=(7, 5)) / 4.0
+        row_best, col_best = p.argmax(axis=1), p.argmax(axis=0)
+        want = [(i, int(j), p[i, j]) for i, j in enumerate(row_best)
+                if col_best[j] == i and p[i, j] >= 0.5]
+        got = extract_matches(p, threshold=0.5)
+        assert want and [x[:3] for x in match_tuples(got)] == want
 
     def test_mutual_check_drops_one_sided_best(self):
         # Row 1's best is column 0, but column 0 prefers row 0, so only the
         # two mutual pairs survive.
         p = np.array([[0.90, 0.10, 0.00], [0.85, 0.10, 0.00], [0.00, 0.00, 0.70]])
         got = extract_matches(p, threshold=0.5)
-        assert [(m.patch_a, m.patch_b) for m in got] == [(0, 0), (2, 2)]
+        assert patch_pairs(got) == [(0, 0), (2, 2)]
 
 
 class TestCoarseLoss:
@@ -500,10 +529,9 @@ class TestMatchPair:
     def test_identical_grids_match_diagonally(self):
         f = unit_columns(32, 4, 4, seed=98)
         matches = match_pair(f, f)
-        pairs = {(m.patch_a, m.patch_b) for m in matches}
-        assert pairs == {(i, i) for i in range(16)}
+        assert set(patch_pairs(matches)) == {(i, i) for i in range(16)}
         assert match_tuples(matches) == dense_reference(f, f, MatchingConfig())
-        assert all(m.point_a is None and m.point_b is None for m in matches)
+        assert np.isnan(matches.point_a).all() and np.isnan(matches.point_b).all()
 
     def test_same_seed_reproduces_bitwise(self):
         fa = unit_columns(32, 4, 4, seed=99)
@@ -514,7 +542,7 @@ class TestMatchPair:
         f = unit_columns(32, 3, 3, seed=101)
         matches = match_pair(f, f)
         branches = set(MatchingConfig().branches())
-        assert all(m.branch in branches for m in matches)
+        assert set(map(tuple, matches.branch.tolist())) <= branches
 
     @pytest.mark.parametrize("height, width", [(18, 16), (16, 18)])
     def test_partial_edge_patch_anchors_inside_the_fine_grid(self, height, width):
@@ -525,12 +553,13 @@ class TestMatchPair:
         fine = unit_columns(32, *patch_grid(height, width, 2), seed=103, stride=2)
         matches = match_pair(coarse, coarse, fine, fine)
         cols = coarse.grid_shape[1]
-        assert [(m.patch_a, m.patch_b) for m in matches] == [(i, i) for i in range(6)]
-        for m in matches:
-            r, c = divmod(m.patch_a, cols)
+        assert patch_pairs(matches) == [(i, i) for i in range(6)]
+        for patch, point_a, point_b in zip(matches.patch_a.tolist(), matches.point_a.tolist(),
+                                           matches.point_b.tolist()):
+            r, c = divmod(patch, cols)
             want = [8 if x == 2 else 4 * x + 2 for x in (c, r)]
-            assert m.point_a == PixelPoint(*(cell_center_px(a, 2) for a in want))
-            assert m.point_b is not None and np.isfinite(m.point_b).all()
+            assert point_a == [cell_center_px(a, 2) for a in want]
+            assert np.isfinite(point_b).all()
 
 
 class TestRefineAtTheGridEdge:
@@ -538,19 +567,19 @@ class TestRefineAtTheGridEdge:
     around the anchor cell (2, 2) reaches past the grid's bottom-right
     corner, and its off-grid cells take no weight."""
 
-    def refined_b(self, fine_b: np.ndarray, cfg: MatchingConfig) -> PixelPoint:
+    def refined_b(self, fine_b: np.ndarray, cfg: MatchingConfig) -> tuple[float, float]:
         coarse = FeatureGrid(np.ones((4, 1, 1)), stride=8)
         anchor = np.zeros((2, 4, 4))
         anchor[0] = 1.0
-        (m,) = match_pair(coarse, coarse, FeatureGrid(anchor, stride=2),
-                          FeatureGrid(fine_b, stride=2), cfg)
-        return m.point_b
+        (point_b,) = match_pair(coarse, coarse, FeatureGrid(anchor, stride=2),
+                                FeatureGrid(fine_b, stride=2), cfg).point_b.tolist()
+        return tuple(point_b)
 
     def test_flat_window_averages_the_cells_on_the_grid(self):
         # Cells 0..3 of the window 0..4 lie on the grid in each axis: the
         # mean offset from the anchor is -0.5, cell 1.5, pixel 3.5.
         cfg = MatchingConfig(fine_window=5)
-        assert self.refined_b(np.ones((2, 4, 4)), cfg) == PixelPoint(3.5, 3.5)
+        assert self.refined_b(np.ones((2, 4, 4)), cfg) == (3.5, 3.5)
 
     def test_peak_at_the_corner_cell_stays_on_it(self):
         # Replicating the corner cell into the 9 off-grid window cells
@@ -568,7 +597,7 @@ def test_refined_points_stay_inside_the_image(pair_cache, name):
     fx, pair = pair_cache(name)
     cfg = MatchingConfig()
     matches = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b, cfg)
-    points = np.array([(m.point_a, m.point_b) for m in matches])  # (n, 2 views, (u, v))
+    points = np.stack([matches.point_a, matches.point_b], axis=1)  # (n, 2 views, (u, v))
     assert len(points) > 250
     assert (points >= -0.5).all()
     assert (points <= [fx.k.width - 0.5, fx.k.height - 0.5]).all()
@@ -590,10 +619,9 @@ def test_match_pair_finds_the_per_tap_alignments_matches(pair_cache, monkeypatch
         per_tap_align(f.values, theta), f.stride))
     want = match_pair(*grids, cfg)
     assert len(got) > 250
-    assert ([(m.patch_a, m.patch_b, m.branch, m.point_a, m.point_b) for m in got]
-            == [(m.patch_a, m.patch_b, m.branch, m.point_a, m.point_b) for m in want])
-    conf_got, conf_want = (np.array([m.confidence for m in ms]) for ms in (got, want))
-    assert np.max(np.abs(conf_got - conf_want) / conf_want) <= 1e-4
+    for name in ("patch_a", "patch_b", "branch", "point_a", "point_b"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.max(np.abs(got.confidence - want.confidence) / want.confidence) <= 1e-4
 
 
 def tied_column_grid(seed: int) -> FeatureGrid:
@@ -614,9 +642,9 @@ def reference_points(fa, fb, fine_a, fine_b, cfg, matches) -> tuple[list, bool]:
     hb, wb = fine_b.grid_shape
     offsets = np.arange(-half, half + 1, dtype=np.float64)
     out, clamped = [], False
-    for m in matches:
-        ra, ca = divmod(m.patch_a, fa.grid_shape[1])
-        rb, cb = divmod(m.patch_b, fb.grid_shape[1])
+    for patch_a, patch_b in patch_pairs(matches):
+        ra, ca = divmod(patch_a, fa.grid_shape[1])
+        rb, cb = divmod(patch_b, fb.grid_shape[1])
         ar, ac = (x * ratio_a + (min(x * ratio_a + ratio_a, n) - x * ratio_a) // 2
                   for x, n in ((ra, fine_a.grid_shape[0]), (ca, fine_a.grid_shape[1])))
         br, bc = (x * ratio_b + (min(x * ratio_b + ratio_b, n) - x * ratio_b) // 2
@@ -632,9 +660,9 @@ def reference_points(fa, fb, fine_a, fine_b, cfg, matches) -> tuple[list, bool]:
         du = float((w.sum(axis=0) * offsets).sum())
         dv = float((w.sum(axis=1) * offsets).sum())
         out.append((
-            PixelPoint(cell_center_px(ac, fine_a.stride), cell_center_px(ar, fine_a.stride)),
-            PixelPoint(cell_center_px(float(bc) + du, fine_b.stride),
-                       cell_center_px(float(br) + dv, fine_b.stride)),
+            [cell_center_px(ac, fine_a.stride), cell_center_px(ar, fine_a.stride)],
+            [cell_center_px(float(bc) + du, fine_b.stride),
+             cell_center_px(float(br) + dv, fine_b.stride)],
         ))
     return out, clamped
 
@@ -670,21 +698,19 @@ def assert_matches_dense_stack(fa: FeatureGrid, fb: FeatureGrid, cfg: MatchingCo
     stack = np.stack(dense_candidates(fa, fb, cfg))
     p_hat = stack.max(axis=0)
     branches = cfg.branches()
-    for m in matches:
-        want = p_hat[m.patch_a, m.patch_b]
-        assert m.confidence >= cfg.match_threshold
-        assert abs(m.confidence - want) <= rtol * want
-        assert p_hat[m.patch_a].max() <= want * (1 + rtol)
-        assert p_hat[:, m.patch_b].max() <= want * (1 + rtol)
-        assert stack[branches.index(m.branch), m.patch_a, m.patch_b] >= want * (1 - rtol)
-    got = {(m.patch_a, m.patch_b) for m in matches}
+    for a, b, conf, branch in match_tuples(matches):
+        want = p_hat[a, b]
+        assert conf >= cfg.match_threshold
+        assert abs(conf - want) <= rtol * want
+        assert p_hat[a].max() <= want * (1 + rtol)
+        assert p_hat[:, b].max() <= want * (1 + rtol)
+        assert stack[branches.index(branch), a, b] >= want * (1 - rtol)
+    got = set(patch_pairs(matches))
     assert len({a for a, _ in got}) == len({b for _, b in got}) == len(got) == len(matches)
-    for m in extract_matches(p_hat, cfg.match_threshold * (1 + rtol)):
-        v = m.confidence
-        rivals = (np.sum(p_hat[m.patch_a] >= v * (1 - rtol))
-                  + np.sum(p_hat[:, m.patch_b] >= v * (1 - rtol)))
+    for a, b, v, _ in match_tuples(extract_matches(p_hat, cfg.match_threshold * (1 + rtol))):
+        rivals = np.sum(p_hat[a] >= v * (1 - rtol)) + np.sum(p_hat[:, b] >= v * (1 - rtol))
         if rivals == 2:
-            assert (m.patch_a, m.patch_b) in got
+            assert (a, b) in got
 
 
 class TestSparseMatchesDense:
@@ -766,7 +792,7 @@ class TestSparseMatchesDense:
             assert_matches_dense_stack(fa, fb, cfg, got, dense_rtol(self.DTYPE, cfg))
             points, clamped_here = reference_points(fa, fb, fine_a, fine_b, cfg, got)
             clamped |= clamped_here
-            assert [(m.point_a, m.point_b) for m in got] == points
+            assert list(zip(got.point_a.tolist(), got.point_b.tolist())) == points
         assert clamped
 
     def test_one_score_pass_per_branch(self, monkeypatch):
@@ -814,8 +840,9 @@ def test_fixture_matches_equal_the_dense_reference(name, pair_cache):
     coarse_a, coarse_b = as_dtype(pair.coarse_a, np.float64), as_dtype(pair.coarse_b, np.float64)
     want = dense_reference(coarse_a, coarse_b, cfg)
     got = match_pair(coarse_a, coarse_b, cfg=cfg)
-    assert [(m.patch_a, m.patch_b, m.branch) for m in got] == [(a, b, k) for a, b, _, k in want]
-    assert np.allclose([m.confidence for m in got], [c for _, _, c, _ in want], rtol=1e-12, atol=0)
+    assert ([(a, b, k) for a, b, _, k in match_tuples(got)]
+            == [(a, b, k) for a, b, _, k in want])
+    assert np.allclose(got.confidence, [c for _, _, c, _ in want], rtol=1e-12, atol=0)
 
 
 class TestFloat32Path:
@@ -891,11 +918,11 @@ class TestFloat32Path:
         got = match_pair(*grids, cfg=cfg)
         want = match_pair(*(as_dtype(g, np.float64) for g in grids), cfg=cfg)
         assert got
-        assert ([(m.patch_a, m.patch_b, m.branch) for m in got]
-                == [(m.patch_a, m.patch_b, m.branch) for m in want])
-        assert np.allclose([m.confidence for m in got], [m.confidence for m in want],
+        for name in ("patch_a", "patch_b", "branch"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.allclose(got.confidence, want.confidence,
                            rtol=dense_rtol(np.float32, cfg), atol=0)
-        points = [np.array([(*m.point_a, *m.point_b) for m in ms]) for ms in (got, want)]
+        points = [np.hstack([ms.point_a, ms.point_b]) for ms in (got, want)]
         assert np.abs(points[0] - points[1]).max() <= 1e-5
 
     def test_a_returned_confidence_works_as_the_threshold(self):
@@ -903,10 +930,9 @@ class TestFloat32Path:
         cfg = MatchingConfig(match_threshold=0.0)
         matches = match_pair(fa, fb, cfg=cfg)
         assert matches
-        for m in matches:
-            again = match_pair(fa, fb, cfg=replace(cfg, match_threshold=m.confidence))
-            assert (m.patch_a, m.patch_b, m.confidence) in [
-                (x.patch_a, x.patch_b, x.confidence) for x in again]
+        for a, b, conf, _ in match_tuples(matches):
+            again = match_pair(fa, fb, cfg=replace(cfg, match_threshold=conf))
+            assert (a, b, conf) in [x[:3] for x in match_tuples(again)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -921,13 +947,13 @@ def test_confidence_at_the_threshold_is_kept(dtype, ratio, monkeypatch):
     monkeypatch.setattr(matching, "score_matrix", lambda *args, **kwargs: scores.copy())
     grid = FeatureGrid(np.ones((2, 1, 2), dtype=dtype), stride=8)
     cfg = MatchingConfig(angles=(0.0,))
-    own = next(m.confidence for m in match_pair(grid, grid, cfg=replace(cfg, match_threshold=0.0))
-               if (m.patch_a, m.patch_b) == (0, 1))
+    own = next(conf for a, b, conf, _ in match_tuples(
+        match_pair(grid, grid, cfg=replace(cfg, match_threshold=0.0))) if (a, b) == (0, 1))
     e = float(scores[0, 1])  # as the matcher sees it, rounded to dtype
     assert math.isclose(own, math.exp(e) / (1.0 + math.exp(e)), rel_tol=1e-6)
     got = match_pair(grid, grid, cfg=replace(cfg, match_threshold=own))
-    assert [(m.patch_a, m.patch_b) for m in got] == [(0, 1), (1, 0)]
-    assert got[0].confidence == own
+    assert patch_pairs(got) == [(0, 1), (1, 0)]
+    assert got.confidence[0] == own
 
 
 def test_matcher_peak_memory_stays_below_one_dense_score_matrix():

@@ -585,8 +585,7 @@ def _fixture_matches(name, pair_cache):
     fixture, pair = pair_cache(name)
     matches = match_pair(pair.coarse_a, pair.coarse_b, pair.fine_a, pair.fine_b,
                          MatchingConfig())
-    px = np.array([[*m.point_a, *m.point_b] for m in matches])
-    return px[:, :2], px[:, 2:], fixture.k
+    return matches.point_a, matches.point_b, fixture.k
 
 
 class TestDecomposeEssential:

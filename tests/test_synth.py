@@ -510,7 +510,7 @@ class TestFeatureGrids:
         omegas = rng.normal(size=(64, 3)) / 0.0625
         grid = _feature_grid(scene, fx.pose_b, fx.k, 8, omegas, fallback_seed=0)
         u, v, _ = _grid_centers(fx.k, 8)
-        _, prim, world = _cast_pixels(scene, fx.pose_b, fx.k, u, v)
+        prim, world = _cast_pixels(scene, fx.pose_b, fx.k, u, v)
         assert np.all(prim >= 0)
         phase = world @ omegas.T
         assert np.abs(phase).max() > least_phase
@@ -525,7 +525,7 @@ class TestFeatureGrids:
         omegas = np.random.default_rng(3).normal(size=(64, 3))
         grid = _feature_grid(scene, fx.pose_a, fx.k, 8, omegas, fallback_seed=0)
         u, v, _ = _grid_centers(fx.k, 8)
-        _, prim, _ = _cast_pixels(scene, fx.pose_a, fx.k, u, v)
+        prim, _ = _cast_pixels(scene, fx.pose_a, fx.k, u, v)
         values = grid.values.reshape(128, -1)
         assert 0 < np.count_nonzero(prim < 0) < prim.size
         assert np.max(np.abs(np.linalg.norm(values, axis=0) - 1.0)) < 1e-6
@@ -545,7 +545,7 @@ def whole_array_feature_grid(scene, pose, k, stride, omegas, fallback_seed):
     """`_feature_grid` as one pass over all cells, with full-size float64
     work arrays: the reference the blocked encoder must match byte for byte."""
     u, v, (rows, cols) = _grid_centers(k, stride)
-    _, prim, world = _cast_pixels(scene, pose, k, u, v)
+    prim, world = _cast_pixels(scene, pose, k, u, v)
     m = omegas.shape[0]
     n = u.size
     feats = np.empty((2 * m, n))
@@ -596,7 +596,7 @@ class TestBlockedFeatureGrid:
     def test_missed_cells_in_several_blocks_take_the_same_draws(self):
         fx = make_fixture("two_plane", 320, 240)
         u, v, _ = _grid_centers(fx.k, 2)
-        _, prim, _ = _cast_pixels(self.BOXES, fx.pose_a, fx.k, u, v)
+        prim, _ = _cast_pixels(self.BOXES, fx.pose_a, fx.k, u, v)
         blocks = np.arange(prim.size) // _BLOCK_CELLS
         mixed = [b for b in np.unique(blocks) if len(np.unique(prim[blocks == b] < 0)) == 2]
         assert len(np.unique(blocks[prim < 0])) > 3 and len(mixed) > 3
